@@ -17,16 +17,14 @@ from .diagnostics import (
     verify_krill_theorem,
     verify_rpc_theorem,
 )
-from .errors import ConvergenceError, InputError, KrrSolveError, NumericalError
-from .harness import run_batch, run_experiment, split_train_test, test_error
+from .errors import InputError, KrrSolveError, NumericalError
+from .harness import run_batch, run_experiment, split_train_test
 from .kernels import (
     DatasetKernelOracle,
     ExplicitMatrixOracle,
     KernelOracle,
     KernelSpec,
     eval_kernel,
-    kernel_columns,
-    kernel_diag,
     pairwise_kernel,
 )
 from .krr import (
@@ -38,6 +36,7 @@ from .krr import (
     smape,
     solve_full_krr,
     solve_restricted_krr,
+    test_error,
 )
 from .lowrank import (
     PartialCholeskyFactor,
@@ -51,14 +50,9 @@ from .lowrank import (
 )
 from .pcg import LinearOperator, SolveReport, pcg
 from .precond import (
-    FalkonPreconditioner,
-    IdentityPreconditioner,
-    KrillPreconditioner,
     RpcPreconditioner,
-    apply_rpc_inverse,
-    apply_triangular_inverse,
+    TriangularPreconditioner,
     build_falkon,
-    build_krill,
     build_rpc_preconditioner,
     krill_from_sketch,
     precond_condition_number,

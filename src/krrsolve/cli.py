@@ -18,11 +18,13 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
-from .config import load_config, parse_config_text
+from .config import ExperimentConfig, field_types, load_config
 from .diagnostics import separation_experiment, verify_krill_theorem, verify_rpc_theorem
 from .errors import InputError, NumericalError
 from .harness import run_batch, run_experiment
+from .krr import FULL, RESTRICTED
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -31,54 +33,29 @@ EXIT_NUMERICAL = 3
 
 
 def _add_solve_flags(parser, mode):
-    parser.add_argument("--config", help="config file; flags below override it")
-    parser.add_argument("--dataset")
-    parser.add_argument("--format", choices=["libsvm", "csv"])
-    parser.add_argument("--target-column")
-    parser.add_argument("--task", choices=["regression", "classification"])
-    parser.add_argument("--subsample", type=int)
-    parser.add_argument("--seed", type=int, help="rng seed (required unless set in config)")
-    parser.add_argument("--kernel", choices=["squared_exponential", "laplace1"])
-    parser.add_argument("--bandwidth", type=float)
-    parser.add_argument("--mu-over-n", type=float, dest="mu_over_n")
-    parser.add_argument("--epsilon", type=float)
-    parser.add_argument("--max-iter", type=int, dest="max_iter")
-    parser.add_argument("--memory-budget-bytes", type=int, dest="memory_budget_bytes")
-    parser.add_argument("--test-fraction", type=float, dest="test_fraction")
-    parser.add_argument("--center-targets", action="store_true", default=None,
-                        dest="center_targets")
-    parser.add_argument("--output-dir", dest="output_dir")
-    if mode == "full":
-        parser.add_argument("--pivot-rule", choices=["rpcholesky", "greedy", "uniform"],
-                            dest="pivot_rule")
-        parser.add_argument("--rank", type=int)
-        parser.add_argument("--block-size", type=int, dest="block_size")
-    else:
-        parser.add_argument("--preconditioner", choices=["krill", "falkon", "none"])
-        parser.add_argument("--centers", type=int)
-        parser.add_argument("--embedding-dim", type=int, dest="embedding_dim")
-        parser.add_argument("--embedding-nnz", type=int, dest="embedding_nnz")
-
-
-_CONFIG_KEYS = ["dataset", "format", "target_column", "task", "subsample", "seed",
-                "kernel", "bandwidth", "mu_over_n", "epsilon", "max_iter",
-                "memory_budget_bytes", "test_fraction", "center_targets",
-                "output_dir", "pivot_rule", "rank", "block_size",
-                "preconditioner", "centers", "embedding_dim", "embedding_nnz"]
+    """One flag per config key, except ``mode`` (the subcommand sets it) and
+    the keys tagged for the other mode."""
+    parser.add_argument("--config", help="config file; flags below override it "
+                                         "(a seed must be set in one of them)")
+    types = field_types()
+    for f in fields(ExperimentConfig):
+        if f.name == "mode" or f.metadata.get("mode") not in (None, mode):
+            continue
+        flag = "--" + f.name.replace("_", "-")
+        if types[f.name] is bool:
+            parser.add_argument(flag, action="store_true", default=None, dest=f.name)
+        else:
+            parser.add_argument(flag, dest=f.name, choices=f.metadata.get("choices"),
+                                type=None if types[f.name] is str else types[f.name])
 
 
 def _config_from_args(args, mode):
-    if args.config:
-        config = load_config(args.config)
-    else:
-        config = parse_config_text("", source="<flags>")  # defaults only
+    config = load_config(args.config) if args.config else ExperimentConfig()
     config.mode = mode
-    for key in _CONFIG_KEYS:
-        value = getattr(args, key, None)
+    for f in fields(ExperimentConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            setattr(config, key, value)
-    if config.seed is None:
-        raise InputError("--seed is required (stochastic command)")
+            setattr(config, f.name, value)
     config.validate()
     return config
 
@@ -136,7 +113,9 @@ def _emit_reports(reports, output):
         with open(output, "w") as fh:
             json.dump(reports, fh, indent=2)
             fh.write("\n")
-    summaries = [{k: v for k, v in rep.items() if k != "records"} for rep in reports]
+    # per-seed lists go only to the output file
+    summaries = [{k: v for k, v in rep.items() if not isinstance(v, list)}
+                 for rep in reports]
     print(json.dumps(summaries, indent=2))
 
 
@@ -148,9 +127,9 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_full = sub.add_parser("solve-full", help="solve a full-data problem")
-    _add_solve_flags(p_full, "full")
+    _add_solve_flags(p_full, FULL)
     p_rest = sub.add_parser("solve-restricted", help="solve a restricted problem")
-    _add_solve_flags(p_rest, "restricted")
+    _add_solve_flags(p_rest, RESTRICTED)
 
     p_bench = sub.add_parser("bench", help="run a directory of configs")
     p_bench.add_argument("config_dir")
@@ -181,9 +160,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "solve-full":
-            return _cmd_solve(args, "full")
+            return _cmd_solve(args, FULL)
         if args.command == "solve-restricted":
-            return _cmd_solve(args, "restricted")
+            return _cmd_solve(args, RESTRICTED)
         if args.command == "bench":
             return _cmd_bench(args)
         if args.command == "adversarial":

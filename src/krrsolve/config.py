@@ -16,41 +16,74 @@ errors so that protocol drift never passes silently.  Defaults follow the
 standard protocol: bandwidth 3, mu/N = 1e-7, and per mode either
 (epsilon 1e-3, 250 iterations) for full or (epsilon 1e-4, 100 iterations,
 d = 2k, zeta = min(8, 2k)) for restricted runs.
+
+``ExperimentConfig`` is the one list of keys and their types; the parser
+and the CLI flags are derived from its fields.  Each allowed-name set is a
+tuple kept beside the code that implements it: ``data.FORMATS``,
+``kernels.KERNEL_FAMILIES``, and ``krr.MODES``, ``krr.TASKS``,
+``krr.PIVOT_RULES`` and ``krr.PRECONDITIONERS``.  The per-mode epsilon and
+iteration defaults are ``krr.DEFAULT_EPSILON`` and ``krr.DEFAULT_MAX_ITER``;
+the bandwidth and memory budget defaults are ``kernels.DEFAULT_BANDWIDTH``
+and ``kernels.DEFAULT_MEMORY_BUDGET``.
 """
 
 from __future__ import annotations
 
+import typing
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
+from .data import FORMATS, LIBSVM
 from .errors import InputError
+from .kernels import (
+    DEFAULT_BANDWIDTH,
+    DEFAULT_MEMORY_BUDGET,
+    KERNEL_FAMILIES,
+    SQUARED_EXPONENTIAL,
+)
+from .krr import (
+    DEFAULT_EPSILON,
+    DEFAULT_MAX_ITER,
+    FULL,
+    KRILL,
+    MODES,
+    PIVOT_RULES,
+    PRECONDITIONERS,
+    REGRESSION,
+    RESTRICTED,
+    RPCHOLESKY,
+    TASKS,
+)
 
-FULL = "full"
-RESTRICTED = "restricted"
+
+def _key(default, choices=None, mode=None):
+    """A field whose value must be one of ``choices`` and whose CLI flag
+    exists only for the solve subcommand of ``mode`` (both when given)."""
+    return field(default=default, metadata={"choices": choices, "mode": mode})
 
 
 @dataclass
 class ExperimentConfig:
     dataset: str = ""
-    format: str = "libsvm"  # libsvm | csv
+    format: str = _key(LIBSVM, choices=FORMATS)
     target_column: Optional[str] = None
-    task: str = "regression"  # regression | classification
+    task: str = _key(REGRESSION, choices=TASKS)
     subsample: int = 0  # 0 = use everything
     seed: Optional[int] = None
-    kernel: str = "squared_exponential"
-    bandwidth: float = 3.0
+    kernel: str = _key(SQUARED_EXPONENTIAL, choices=KERNEL_FAMILIES)
+    bandwidth: float = DEFAULT_BANDWIDTH
     mu_over_n: float = 1e-7
-    mode: str = FULL
-    pivot_rule: str = "rpcholesky"
-    rank: int = 0
-    block_size: int = 0  # 0 = min(100, rank/10)
-    preconditioner: str = "krill"
-    centers: int = 0
-    embedding_dim: int = 0  # 0 = 2k
-    embedding_nnz: int = 0  # 0 = min(8, 2k)
+    mode: str = _key(FULL, choices=MODES)
+    pivot_rule: str = _key(RPCHOLESKY, choices=PIVOT_RULES, mode=FULL)
+    rank: int = _key(0, mode=FULL)
+    block_size: int = _key(0, mode=FULL)  # 0 = min(100, rank/10)
+    preconditioner: str = _key(KRILL, choices=PRECONDITIONERS, mode=RESTRICTED)
+    centers: int = _key(0, mode=RESTRICTED)
+    embedding_dim: int = _key(0, mode=RESTRICTED)  # 0 = 2k
+    embedding_nnz: int = _key(0, mode=RESTRICTED)  # 0 = min(8, 2k)
     epsilon: float = 0.0  # 0 = mode default
     max_iter: int = 0  # 0 = mode default
-    memory_budget_bytes: int = 1 << 30
+    memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET
     test_fraction: float = 0.0
     center_targets: bool = False
     output_dir: str = "."
@@ -58,20 +91,22 @@ class ExperimentConfig:
     def validate(self):
         """Check cross-field consistency; fields may be assembled piecemeal
         (config file plus flag overrides) before this runs."""
-        if self.format not in ("libsvm", "csv"):
-            raise InputError(f"format must be libsvm or csv, got {self.format!r}")
-        if self.task not in ("regression", "classification"):
-            raise InputError(f"unknown task {self.task!r}")
-        if self.mode not in (FULL, RESTRICTED):
-            raise InputError(f"mode must be full or restricted, got {self.mode!r}")
-        if self.kernel not in ("squared_exponential", "laplace1"):
-            raise InputError(f"unknown kernel {self.kernel!r}")
+        for f in fields(self):
+            names = f.metadata.get("choices")
+            if names and getattr(self, f.name) not in names:
+                raise InputError(f"{f.name} must be one of {', '.join(names)}; "
+                                 f"got {getattr(self, f.name)!r}")
+        if self.seed is None:
+            raise InputError("seed is required (stochastic command): "
+                             "set it in the config or pass --seed")
         if self.bandwidth <= 0:
             raise InputError("bandwidth must be positive")
         if self.mu_over_n <= 0:
             raise InputError("mu_over_n must be positive")
-        if self.subsample < 0 or self.rank < 0 or self.centers < 0:
-            raise InputError("counts must be nonnegative")
+        for name in ("subsample", "rank", "centers", "block_size", "embedding_dim",
+                     "embedding_nnz", "epsilon", "max_iter"):
+            if not getattr(self, name) >= 0:
+                raise InputError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if not 0.0 <= self.test_fraction < 1.0:
             raise InputError("test_fraction must lie in [0, 1)")
         if self.memory_budget_bytes <= 0:
@@ -80,22 +115,24 @@ class ExperimentConfig:
             raise InputError("full mode requires rank >= 1")
         if self.mode == RESTRICTED and self.centers < 1:
             raise InputError("restricted mode requires centers >= 1")
-        if self.pivot_rule not in ("rpcholesky", "greedy", "uniform"):
-            raise InputError(f"unknown pivot rule {self.pivot_rule!r}")
-        if self.preconditioner not in ("krill", "falkon", "none"):
-            raise InputError(f"unknown preconditioner {self.preconditioner!r}")
 
     @property
     def effective_epsilon(self) -> float:
-        if self.epsilon > 0:
-            return self.epsilon
-        return 1e-3 if self.mode == FULL else 1e-4
+        return self.epsilon if self.epsilon > 0 else DEFAULT_EPSILON[self.mode]
 
     @property
     def effective_max_iter(self) -> int:
-        if self.max_iter > 0:
-            return self.max_iter
-        return 250 if self.mode == FULL else 100
+        return self.max_iter if self.max_iter > 0 else DEFAULT_MAX_ITER[self.mode]
+
+
+def field_types() -> dict:
+    """Each key's value type, with ``Optional[T]`` unwrapped to ``T``."""
+    types = {}
+    for name, hint in typing.get_type_hints(ExperimentConfig).items():
+        if typing.get_origin(hint) is typing.Union:
+            hint = next(t for t in typing.get_args(hint) if t is not type(None))
+        types[name] = hint
+    return types
 
 
 _BOOL_WORDS = {"true": True, "false": False, "yes": True, "no": False,
@@ -120,14 +157,7 @@ def _coerce(name: str, text: str, typ):
 
 
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
-    known = {f.name: f for f in fields(ExperimentConfig)}
-    types = {"dataset": str, "format": str, "target_column": str, "task": str,
-             "subsample": int, "seed": int, "kernel": str, "bandwidth": float,
-             "mu_over_n": float, "mode": str, "pivot_rule": str, "rank": int,
-             "block_size": int, "preconditioner": str, "centers": int,
-             "embedding_dim": int, "embedding_nnz": int, "epsilon": float,
-             "max_iter": int, "memory_budget_bytes": int,
-             "test_fraction": float, "center_targets": bool, "output_dir": str}
+    types = field_types()
     values = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -137,7 +167,7 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
             raise InputError(f"{source}:{line_no}: expected 'key = value'")
         key, _, val = line.partition("=")
         key = key.strip()
-        if key not in known:
+        if key not in types:
             raise InputError(f"{source}:{line_no}: unknown key {key!r}")
         if key in values:
             raise InputError(f"{source}:{line_no}: duplicate key {key!r}")

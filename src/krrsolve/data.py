@@ -18,6 +18,10 @@ import numpy as np
 
 from .errors import InputError
 
+LIBSVM = "libsvm"
+CSV = "csv"
+FORMATS = (LIBSVM, CSV)
+
 
 @dataclass
 class Dataset:
@@ -190,8 +194,6 @@ def _is_float(text: str) -> bool:
 
 
 def load_dataset(path: str, fmt: str, target_column: Optional[str] = None) -> Dataset:
-    if fmt == "libsvm":
-        return load_libsvm(path)
-    if fmt == "csv":
-        return load_csv(path, target_column)
-    raise InputError(f"unknown dataset format {fmt!r}")
+    if fmt not in FORMATS:
+        raise InputError(f"unknown dataset format {fmt!r}")
+    return load_libsvm(path) if fmt == LIBSVM else load_csv(path, target_column)

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError
-from .kernels import ExplicitMatrixOracle
+from .kernels import DEFAULT_BANDWIDTH, ExplicitMatrixOracle
 from .lowrank import rpcholesky, tail_rank, trace_residual
 from .precond import build_rpc_preconditioner, krill_from_sketch, precond_condition_number
 from .sketch import (
@@ -139,7 +139,7 @@ def verify_rpc_theorem(spectrum, mu: float, delta: float, n_seeds: int = 200,
 
 
 def verify_krill_theorem(n: int, k: int, mu: float, n_seeds: int = 100,
-                         params: str = "theory", bandwidth: float = 3.0,
+                         params: str = "theory", bandwidth: float = DEFAULT_BANDWIDTH,
                          seed0: int = 0) -> dict:
     """Monte Carlo check of the sketched-preconditioner guarantee.
 

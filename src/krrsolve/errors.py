@@ -1,7 +1,8 @@
 """Exception types shared across the library.
 
-The CLI maps these onto process exit codes: InputError -> 1,
-ConvergenceError -> 2, NumericalError -> 3.
+The CLI maps these onto process exit codes: InputError -> 1 and
+NumericalError -> 3.  Non-convergence is not an exception: a solve that
+stops at its iteration cap reports ``converged: false`` and the CLI exits 2.
 """
 
 
@@ -15,7 +16,3 @@ class InputError(KrrSolveError):
 
 class NumericalError(KrrSolveError):
     """Numerical breakdown: non-finite values or loss of positive definiteness."""
-
-
-class ConvergenceError(KrrSolveError):
-    """An iterative solve failed to reach its tolerance within the iteration cap."""

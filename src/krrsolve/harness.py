@@ -22,19 +22,20 @@ from typing import Optional
 
 import numpy as np
 
-from .config import FULL, ExperimentConfig, load_config
+from .config import ExperimentConfig, load_config
 from .data import Dataset, apply_standardization, load_dataset, standardization_params
 from .errors import InputError
 from .kernels import DatasetKernelOracle, KernelSpec
 from .krr import (
+    FULL,
     FullKrrProblem,
     PivotRule,
     RestrictedKrrProblem,
     predict,
     select_centers_uniform,
-    smape,
     solve_full_krr,
     solve_restricted_krr,
+    test_error,
 )
 
 
@@ -50,22 +51,6 @@ def split_train_test(data: Dataset, test_fraction: float, seed=None):
     rng = np.random.default_rng(seed)
     perm = rng.permutation(data.n)
     return data.subset(np.sort(perm[n_test:])), data.subset(np.sort(perm[:n_test]))
-
-
-def test_error(predictions: np.ndarray, labels: np.ndarray, task: str) -> float:
-    """SMAPE for regression; sign misclassification rate for classification."""
-    predictions = np.asarray(predictions, dtype=np.float64).ravel()
-    labels = np.asarray(labels, dtype=np.float64).ravel()
-    if predictions.shape != labels.shape:
-        raise InputError("predictions and labels must have equal length")
-    if task == "regression":
-        return smape(predictions, labels)
-    if task == "classification":
-        if not np.all(np.isin(labels, (-1.0, 1.0))):
-            raise InputError("classification labels must be -1 or +1")
-        signs = np.where(predictions >= 0, 1.0, -1.0)
-        return float(np.mean(signs != labels))
-    raise InputError(f"unknown task {task!r}")
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
@@ -191,24 +176,13 @@ def run_batch(config_dir: str, workers: int = 1) -> dict:
         for path in paths:
             results[path] = _run_one(path)[1]
 
-    curves = []
-    for path in paths:
-        config = load_config(path)
-        hist_path = os.path.join(config.output_dir, "residuals.csv")
-        with open(hist_path, newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            hist = np.array([float(row[1]) for row in reader])
-        curves.append((hist, config.effective_epsilon))
-
-    max_len = max(len(h) for h, _ in curves)
-    fractions = []
-    for it in range(max_len):
-        solved = sum(
-            1 for hist, eps in curves
-            if np.any(hist[: min(it + 1, len(hist))] < eps)
-        )
-        fractions.append(solved / len(curves))
+    # a run counts as solved from the first iteration its residual is below
+    # its own epsilon; runs that never get there count as unsolved throughout
+    solved_at = [s["iterations_to_epsilon"] for s in results.values()]
+    fractions = [
+        sum(1 for t in solved_at if t is not None and t <= it) / len(solved_at)
+        for it in range(max(s["iterations"] for s in results.values()) + 1)
+    ]
     agg_path = os.path.join(config_dir, "fraction_solved.csv")
     with open(agg_path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -24,7 +24,8 @@ from .errors import InputError
 SQUARED_EXPONENTIAL = "squared_exponential"
 LAPLACE1 = "laplace1"
 
-_FAMILIES = (SQUARED_EXPONENTIAL, LAPLACE1)
+KERNEL_FAMILIES = (SQUARED_EXPONENTIAL, LAPLACE1)
+DEFAULT_BANDWIDTH = 3.0
 
 DEFAULT_MEMORY_BUDGET = 1 << 30  # bytes of scratch for generated kernel blocks
 
@@ -34,10 +35,10 @@ class KernelSpec:
     """A kernel family plus its bandwidth."""
 
     family: str = SQUARED_EXPONENTIAL
-    bandwidth: float = 3.0
+    bandwidth: float = DEFAULT_BANDWIDTH
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if self.family not in KERNEL_FAMILIES:
             raise InputError(f"unknown kernel family {self.family!r}")
         if not self.bandwidth > 0:
             raise InputError(f"bandwidth must be positive, got {self.bandwidth}")
@@ -180,13 +181,3 @@ class ExplicitMatrixOracle(KernelOracle):
         if v.shape[0] != self.n:
             raise InputError(f"vector length {v.shape[0]} != {self.n}")
         return self.matrix @ v
-
-
-def kernel_columns(oracle: KernelOracle, indices) -> np.ndarray:
-    """Submatrix A(:, S); see ``KernelOracle.columns``."""
-    return oracle.columns(indices)
-
-
-def kernel_diag(oracle: KernelOracle) -> np.ndarray:
-    """Diagonal of A; the all-ones vector for both kernel families."""
-    return oracle.diag()

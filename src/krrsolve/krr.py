@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError
-from .kernels import KernelOracle, KernelSpec, pairwise_kernel
+from .kernels import DEFAULT_MEMORY_BUDGET, KernelOracle, KernelSpec, pairwise_kernel
 from .lowrank import (
     PartialCholeskyFactor,
     default_block_size,
@@ -28,22 +28,26 @@ from .lowrank import (
     uniform_nystrom,
 )
 from .pcg import LinearOperator, SolveReport, pcg
-from .precond import (
-    IdentityPreconditioner,
-    build_falkon,
-    build_krill,
-    build_rpc_preconditioner,
-    krill_from_sketch,
-)
+from .precond import build_falkon, build_rpc_preconditioner, krill_from_sketch
 from .sketch import build_embedding, practical_params
+
+FULL = "full"
+RESTRICTED = "restricted"
+MODES = (FULL, RESTRICTED)
+
+# stopping defaults of each mode's problem
+DEFAULT_EPSILON = {FULL: 1e-3, RESTRICTED: 1e-4}
+DEFAULT_MAX_ITER = {FULL: 250, RESTRICTED: 100}
 
 RPCHOLESKY = "rpcholesky"
 GREEDY = "greedy"
 UNIFORM = "uniform"
+PIVOT_RULES = (RPCHOLESKY, GREEDY, UNIFORM)
 
 KRILL = "krill"
 FALKON = "falkon"
 NO_PRECONDITIONER = "none"
+PRECONDITIONERS = (KRILL, FALKON, NO_PRECONDITIONER)
 
 
 @dataclass(frozen=True)
@@ -55,7 +59,7 @@ class PivotRule:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        if self.kind not in (RPCHOLESKY, GREEDY, UNIFORM):
+        if self.kind not in PIVOT_RULES:
             raise InputError(f"unknown pivot rule {self.kind!r}")
         if self.block_size is not None and self.block_size < 1:
             raise InputError("block size must be >= 1")
@@ -76,9 +80,9 @@ class FullKrrProblem:
     y: np.ndarray
     mu: float
     rank: int
-    epsilon: float = 1e-3
+    epsilon: float = DEFAULT_EPSILON[FULL]
     pivot_rule: PivotRule = field(default_factory=PivotRule)
-    max_iter: int = 250
+    max_iter: int = DEFAULT_MAX_ITER[FULL]
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=np.float64).ravel()
@@ -102,7 +106,7 @@ def solve_full_krr(problem: FullKrrProblem) -> SolveReport:
     report = pcg(op, problem.y, problem.epsilon, pre.apply_inverse,
                  max_iter=problem.max_iter)
     report.meta.update(
-        mode="full",
+        mode=FULL,
         pivot_rule=problem.pivot_rule.kind,
         factor_rank=factor.rank,
         preconditioner_build_time=build_time,
@@ -116,12 +120,12 @@ class RestrictedKrrProblem:
     centers: np.ndarray
     y: np.ndarray
     mu: float
-    epsilon: float = 1e-4
+    epsilon: float = DEFAULT_EPSILON[RESTRICTED]
     preconditioner: str = KRILL
     embedding_dim: Optional[int] = None  # default 2k
     embedding_nnz: Optional[int] = None  # default min(8, 2k)
     embedding_seed: Optional[int] = None
-    max_iter: int = 100
+    max_iter: int = DEFAULT_MAX_ITER[RESTRICTED]
 
     def __post_init__(self):
         self.centers = np.asarray(self.centers, dtype=np.int64).ravel()
@@ -137,7 +141,7 @@ class RestrictedKrrProblem:
             raise InputError("mu must be positive")
         if self.y.shape[0] != n:
             raise InputError("target length does not match oracle size")
-        if self.preconditioner not in (KRILL, FALKON, NO_PRECONDITIONER):
+        if self.preconditioner not in PRECONDITIONERS:
             raise InputError(f"unknown preconditioner {self.preconditioner!r}")
 
 
@@ -201,6 +205,7 @@ def solve_restricted_krr(problem: RestrictedKrrProblem) -> SolveReport:
     a_ss = oracle.block(centers, centers)
     a_ss = 0.5 * (a_ss + a_ss.T)
 
+    pre = None  # NO_PRECONDITIONER: pcg applies the identity
     if problem.preconditioner == KRILL:
         d_def, zeta_def = practical_params(k)
         d = problem.embedding_dim or d_def
@@ -209,16 +214,14 @@ def solve_restricted_krr(problem: RestrictedKrrProblem) -> SolveReport:
         pre = krill_from_sketch(stream.sketch(phi), a_ss, mu)
     elif problem.preconditioner == FALKON:
         pre = build_falkon(a_ss, k, oracle.n, mu)
-    else:
-        pre = IdentityPreconditioner()
     build_time = time.perf_counter() - t0
 
     op = LinearOperator(k, lambda v: stream.gram_apply(v) + mu * (a_ss @ v))
     b = stream.right_hand_side(problem.y)
-    report = pcg(op, b, problem.epsilon, pre.apply_inverse,
+    report = pcg(op, b, problem.epsilon, None if pre is None else pre.apply_inverse,
                  max_iter=problem.max_iter)
     report.meta.update(
-        mode="restricted",
+        mode=RESTRICTED,
         preconditioner=problem.preconditioner,
         centers=k,
         preconditioner_build_time=build_time,
@@ -235,7 +238,8 @@ def select_centers_uniform(n: int, k: int, seed=None) -> np.ndarray:
 
 
 def predict(coefficients: np.ndarray, train_points: np.ndarray, spec: KernelSpec,
-            test_points: np.ndarray, memory_budget: int = 1 << 30) -> np.ndarray:
+            test_points: np.ndarray,
+            memory_budget: int = DEFAULT_MEMORY_BUDGET) -> np.ndarray:
     """Kernel expansion sum_i beta_i K(x_i, x) over blocked test rows."""
     coefficients = np.asarray(coefficients, dtype=np.float64).ravel()
     train_points = np.atleast_2d(np.asarray(train_points, dtype=np.float64))
@@ -262,3 +266,24 @@ def smape(predicted: np.ndarray, actual: np.ndarray) -> float:
     mask = denom > 0
     terms[mask] = np.abs(predicted[mask] - actual[mask]) / denom[mask]
     return float(terms.mean())
+
+
+REGRESSION = "regression"
+CLASSIFICATION = "classification"
+TASKS = (REGRESSION, CLASSIFICATION)
+
+
+def test_error(predictions: np.ndarray, labels: np.ndarray, task: str) -> float:
+    """SMAPE for regression; sign misclassification rate for classification."""
+    if task not in TASKS:
+        raise InputError(f"unknown task {task!r}")
+    predictions = np.asarray(predictions, dtype=np.float64).ravel()
+    labels = np.asarray(labels, dtype=np.float64).ravel()
+    if predictions.shape != labels.shape:
+        raise InputError("predictions and labels must have equal length")
+    if task == REGRESSION:
+        return smape(predictions, labels)
+    if not np.all(np.isin(labels, (-1.0, 1.0))):
+        raise InputError("classification labels must be -1 or +1")
+    signs = np.where(predictions >= 0, 1.0, -1.0)
+    return float(np.mean(signs != labels))

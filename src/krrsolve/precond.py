@@ -25,7 +25,6 @@ from scipy.linalg import LinAlgError, cholesky, eigh, solve_triangular
 
 from .errors import InputError, NumericalError
 from .lowrank import PartialCholeskyFactor
-from .sketch import SparseSignEmbedding, apply_embedding
 
 EPS_MACH = np.finfo(np.float64).eps
 
@@ -59,19 +58,6 @@ class TriangularPreconditioner:
         return solve_triangular(self.C, w, lower=True, trans="T")
 
 
-class KrillPreconditioner(TriangularPreconditioner):
-    pass
-
-
-class FalkonPreconditioner(TriangularPreconditioner):
-    pass
-
-
-class IdentityPreconditioner:
-    def apply_inverse(self, v: np.ndarray) -> np.ndarray:
-        return np.asarray(v, dtype=np.float64)
-
-
 def build_rpc_preconditioner(factor: PartialCholeskyFactor, mu: float) -> RpcPreconditioner:
     """Economy SVD of the factor; zero singular values are kept, so their
     inverse action degenerates to 1/mu as it should."""
@@ -81,10 +67,6 @@ def build_rpc_preconditioner(factor: PartialCholeskyFactor, mu: float) -> RpcPre
         raise InputError("factor has no columns")
     U, sigma, _ = np.linalg.svd(factor.F, full_matrices=False)
     return RpcPreconditioner(U, sigma**2, float(mu))
-
-
-def apply_rpc_inverse(p: RpcPreconditioner, v: np.ndarray) -> np.ndarray:
-    return p.apply_inverse(v)
 
 
 def _stabilized_cholesky(p: np.ndarray) -> np.ndarray:
@@ -105,27 +87,17 @@ def _stabilized_cholesky(p: np.ndarray) -> np.ndarray:
     )
 
 
-def krill_from_sketch(y_sketch: np.ndarray, a_ss: np.ndarray, mu: float) -> KrillPreconditioner:
+def krill_from_sketch(y_sketch: np.ndarray, a_ss: np.ndarray,
+                      mu: float) -> TriangularPreconditioner:
     """Build the sketched preconditioner from Y = Phi A(:,S)."""
     if mu <= 0:
         raise InputError("mu must be positive")
     p = y_sketch.T @ y_sketch + mu * a_ss
     p = 0.5 * (p + p.T)
-    return KrillPreconditioner(_stabilized_cholesky(p))
+    return TriangularPreconditioner(_stabilized_cholesky(p))
 
 
-def build_krill(a_cols: np.ndarray, phi: SparseSignEmbedding, a_ss: np.ndarray,
-                mu: float) -> KrillPreconditioner:
-    """Sketch the N x k column block and assemble P = Y^T Y + mu A(S,S)."""
-    a_ss = np.asarray(a_ss, dtype=np.float64)
-    if a_ss.shape[0] != a_ss.shape[1]:
-        raise InputError("A(S,S) must be square")
-    if not np.allclose(a_ss, a_ss.T, atol=1e-10 * max(1.0, np.abs(a_ss).max())):
-        raise InputError("A(S,S) must be symmetric")
-    return krill_from_sketch(apply_embedding(phi, a_cols), a_ss, mu)
-
-
-def build_falkon(a_ss: np.ndarray, k: int, n: int, mu: float) -> FalkonPreconditioner:
+def build_falkon(a_ss: np.ndarray, k: int, n: int, mu: float) -> TriangularPreconditioner:
     """Monte Carlo Gram estimate (N/k) A_SS^2 under uniform center sampling."""
     if mu <= 0:
         raise InputError("mu must be positive")
@@ -135,11 +107,7 @@ def build_falkon(a_ss: np.ndarray, k: int, n: int, mu: float) -> FalkonPrecondit
     g_hat = (n / k) * (a_ss @ a_ss)
     p = g_hat + mu * a_ss
     p = 0.5 * (p + p.T)
-    return FalkonPreconditioner(_stabilized_cholesky(p))
-
-
-def apply_triangular_inverse(c, v: np.ndarray) -> np.ndarray:
-    return c.apply_inverse(v)
+    return TriangularPreconditioner(_stabilized_cholesky(p))
 
 
 def precond_condition_number(m: np.ndarray, apply_inv) -> float:

@@ -1,0 +1,49 @@
+import csv
+import os
+
+import numpy as np
+import pytest
+
+from krrsolve import harness
+from krrsolve.data import load_dataset
+from krrsolve.errors import InputError
+
+from .test_cli import write_libsvm
+
+
+def _read_residuals(out_dir):
+    with open(os.path.join(out_dir, "residuals.csv"), newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    return np.array([float(r[1]) for r in rows])
+
+
+def test_run_batch_fraction_solved_matches_residual_files(tmp_path):
+    dataset = write_libsvm(tmp_path / "toy.txt", n=60)
+    cfg_dir = tmp_path / "cfgs"
+    cfg_dir.mkdir()
+    # the third run stops at max_iter without reaching its tolerance
+    runs = {"loose.cfg": (1e-2, 0), "tight.cfg": (1e-5, 0), "capped.cfg": (1e-12, 4)}
+    for name, (eps, max_iter) in runs.items():
+        (cfg_dir / name).write_text(
+            f"dataset = {dataset}\nseed = 3\nrank = 4\nmu_over_n = 1e-3\nepsilon = {eps}\n"
+            f"max_iter = {max_iter}\noutput_dir = {tmp_path / name}\n")
+    result = harness.run_batch(str(cfg_dir))
+
+    curves = [(_read_residuals(tmp_path / name), eps) for name, (eps, _) in runs.items()]
+    assert len({len(h) for h, _ in curves}) == 3
+    expect = [["iteration", "fraction_solved"]]
+    for it in range(max(len(h) for h, _ in curves)):
+        solved = sum(1 for h, eps in curves if np.any(h[:it + 1] < eps))
+        expect.append([str(it), f"{solved / len(curves):.6f}"])
+    assert result["fraction_solved_csv"] == str(cfg_dir / "fraction_solved.csv")
+    with open(result["fraction_solved_csv"], newline="") as fh:
+        assert list(csv.reader(fh)) == expect
+    assert [row[1] for row in expect[1:]][-1] == "0.666667"
+    assert "0.333333" in {row[1] for row in expect[1:]}
+
+
+def test_unknown_names_raise(tmp_path):
+    with pytest.raises(InputError, match="format"):
+        load_dataset(str(tmp_path / "x"), "parquet")
+    with pytest.raises(InputError, match="task"):
+        harness.test_error(np.ones(2), np.ones(2), "ranking")

@@ -12,8 +12,6 @@ from krrsolve.kernels import (
     ExplicitMatrixOracle,
     KernelSpec,
     eval_kernel,
-    kernel_columns,
-    kernel_diag,
 )
 
 
@@ -93,7 +91,7 @@ class TestStandardize:
 class TestOracle:
     def test_columns_match_entrywise(self):
         o = toy_oracle(n=3)
-        cols = kernel_columns(o, [0, 1])
+        cols = o.columns([0, 1])
         for i in range(3):
             for j in range(2):
                 expect = eval_kernel(o.spec, o.features[i], o.features[j])
@@ -107,28 +105,28 @@ class TestOracle:
 
     def test_duplicate_indices(self):
         o = toy_oracle()
-        cols = kernel_columns(o, [2, 2])
+        cols = o.columns([2, 2])
         np.testing.assert_array_equal(cols[:, 0], cols[:, 1])
 
     def test_out_of_range(self):
         o = toy_oracle()
         with pytest.raises(InputError):
-            kernel_columns(o, [o.n])
+            o.columns([o.n])
         with pytest.raises(InputError):
-            kernel_columns(o, [-1])
+            o.columns([-1])
 
     def test_diag_all_ones(self):
         o = toy_oracle()
-        np.testing.assert_array_equal(kernel_diag(o), np.ones(o.n))
+        np.testing.assert_array_equal(o.diag(), np.ones(o.n))
 
     def test_diag_matches_columns(self):
         o = toy_oracle(n=8)
         for i in range(o.n):
-            assert kernel_diag(o)[i] == kernel_columns(o, [i])[i, 0]
+            assert o.diag()[i] == o.columns([i])[i, 0]
 
     def test_explicit_oracle_diag_readback(self):
         o = ExplicitMatrixOracle(np.diag([1.0, 2.0, 3.0]))
-        np.testing.assert_array_equal(kernel_diag(o), [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(o.diag(), [1.0, 2.0, 3.0])
 
     def test_symmetry_exact(self):
         o = toy_oracle(n=20)

@@ -8,12 +8,11 @@ from krrsolve.lowrank import PartialCholeskyFactor, rpcholesky, trace_residual
 from krrsolve.precond import (
     EPS_MACH,
     build_falkon,
-    build_krill,
     build_rpc_preconditioner,
     krill_from_sketch,
     precond_condition_number,
 )
-from krrsolve.sketch import build_embedding
+from krrsolve.sketch import apply_embedding, build_embedding
 
 
 def random_psd(n, seed, rank=None):
@@ -102,7 +101,7 @@ class TestKrill:
         a = random_psd(n, seed=7)
         cols = a[:, :k]
         a_ss = a[:k, :k]
-        pre = build_krill(cols, IdentityEmbedding(n), a_ss, mu)
+        pre = krill_from_sketch(apply_embedding(IdentityEmbedding(n), cols), a_ss, mu)
         m = cols.T @ cols + mu * a_ss
         kappa = precond_condition_number(m, pre.apply_inverse)
         assert kappa == pytest.approx(1.0, abs=1e-6)
@@ -113,7 +112,7 @@ class TestKrill:
         a_col = rng.standard_normal((n, 1))
         a_ss = np.array([[2.0]])
         phi = build_embedding(10, n, 4, seed=0)
-        pre = build_krill(a_col, phi, a_ss, mu)
+        pre = krill_from_sketch(apply_embedding(phi, a_col), a_ss, mu)
         y = phi.matrix() @ a_col
         p_scalar = float((y.T @ y)[0, 0] + mu * 2.0)
         v = np.array([6.0])
@@ -126,7 +125,7 @@ class TestKrill:
         cols = rng.standard_normal((n, k))
         a_ss = random_psd(k, seed=10)
         phi = build_embedding(2 * k, n, 8, seed=1)
-        pre = build_krill(cols, phi, a_ss, mu)
+        pre = krill_from_sketch(apply_embedding(phi, cols), a_ss, mu)
         y = phi.matrix() @ cols
         p = y.T @ y + mu * a_ss
         assert np.all(np.diag(pre.C) > 0)
@@ -136,16 +135,16 @@ class TestKrill:
             atol=1e-8 * np.trace(p))
 
     def test_triangular_inverse_identity(self):
-        from krrsolve.precond import KrillPreconditioner, apply_triangular_inverse
+        from krrsolve.precond import TriangularPreconditioner
 
-        pre = KrillPreconditioner(np.eye(4))
+        pre = TriangularPreconditioner(np.eye(4))
         v = np.arange(4.0)
-        np.testing.assert_array_equal(apply_triangular_inverse(pre, v), v)
+        np.testing.assert_array_equal(pre.apply_inverse(v), v)
 
     def test_triangular_inverse_scalar(self):
-        from krrsolve.precond import KrillPreconditioner
+        from krrsolve.precond import TriangularPreconditioner
 
-        pre = KrillPreconditioner(np.array([[2.0]]))
+        pre = TriangularPreconditioner(np.array([[2.0]]))
         np.testing.assert_allclose(pre.apply_inverse(np.array([6.0])), [1.5])
 
     def test_triangular_inverse_matches_dense(self):
@@ -252,7 +251,7 @@ class TestConditionBoundInvariants:
             lo, hi = distortion_check(phi, basis)
             if not (lo >= 0.5 and hi <= 1.5):
                 continue
-            pre = build_krill(cols, phi, a_ss, mu)
+            pre = krill_from_sketch(apply_embedding(phi, cols), a_ss, mu)
             kappa = precond_condition_number(m, pre.apply_inverse)
             assert kappa <= 3.0 + 1e-6
             checked += 1
