@@ -41,9 +41,7 @@ from .krr import (
 from .lowrank import (
     PartialCholeskyFactor,
     greedy_cholesky,
-    load_factor,
     rpcholesky,
-    save_factor,
     tail_rank,
     trace_residual,
     uniform_nystrom,

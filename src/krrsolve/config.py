@@ -29,6 +29,7 @@ and ``kernels.DEFAULT_MEMORY_BUDGET``.
 
 from __future__ import annotations
 
+import math
 import typing
 from dataclasses import dataclass, field, fields
 from typing import Optional
@@ -101,8 +102,8 @@ class ExperimentConfig:
                              "set it in the config or pass --seed")
         if self.bandwidth <= 0:
             raise InputError("bandwidth must be positive")
-        if self.mu_over_n <= 0:
-            raise InputError("mu_over_n must be positive")
+        if not 0 < self.mu_over_n < math.inf:
+            raise InputError(f"mu_over_n must be finite and positive, got {self.mu_over_n}")
         for name in ("subsample", "rank", "centers", "block_size", "embedding_dim",
                      "embedding_nnz", "epsilon", "max_iter"):
             if not getattr(self, name) >= 0:

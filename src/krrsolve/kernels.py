@@ -6,10 +6,11 @@ Two kernel families are supported, both with unit diagonal:
 * l1 Laplace,           K(x, y) = exp(-||x - y||_1 / sigma)
 
 The kernel matrix of N data points is accessed through a ``KernelOracle``,
-which generates entries, column blocks, and matrix-vector products on demand
-so the N x N matrix never has to be materialized.  Column generation is
-blocked under a byte budget.  Oracles are stateless after construction and
-safe to share across threads.
+which generates entries, columns and dense blocks on demand and carries the
+byte budget for generated blocks.  Products with a kernel block A(R, C) go
+through ``KernelBlocks``, which holds the one slab rule: when all of A(R, C)
+fits in the budget it is generated once and kept, otherwise each product
+regenerates it in row slabs as tall as the budget allows.
 """
 
 from __future__ import annotations
@@ -75,6 +76,7 @@ class KernelOracle:
     """
 
     n: int
+    memory_budget: int = DEFAULT_MEMORY_BUDGET  # bytes per generated block
 
     def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Dense submatrix A(rows, cols)."""
@@ -98,26 +100,6 @@ class KernelOracle:
 
     def diag(self) -> np.ndarray:
         raise NotImplementedError
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        """A @ v, accumulated over column blocks."""
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape[0] != self.n:
-            raise InputError(f"vector length {v.shape[0]} != {self.n}")
-        out = np.zeros_like(v)
-        for start, stop in self.column_blocks():
-            cols = self.block(np.arange(self.n), np.arange(start, stop))
-            out += cols @ v[start:stop]
-        return out
-
-    def column_blocks(self):
-        """(start, stop) column ranges sized to the memory budget."""
-        width = max(1, int(self._budget_bytes() // (8 * self.n)))
-        for start in range(0, self.n, width):
-            yield start, min(start + width, self.n)
-
-    def _budget_bytes(self) -> int:
-        return DEFAULT_MEMORY_BUDGET
 
 
 class DatasetKernelOracle(KernelOracle):
@@ -146,9 +128,6 @@ class DatasetKernelOracle(KernelOracle):
         # both families satisfy K(x, x) = 1
         return np.ones(self.n)
 
-    def _budget_bytes(self) -> int:
-        return self.memory_budget
-
 
 class ExplicitMatrixOracle(KernelOracle):
     """Oracle backed by a stored symmetric psd matrix.
@@ -176,8 +155,38 @@ class ExplicitMatrixOracle(KernelOracle):
     def diag(self) -> np.ndarray:
         return np.diag(self.matrix).copy()
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
+
+class KernelBlocks:
+    """Products with a kernel block A(R, C), one budgeted row slab at a time.
+
+    ``generate(start, stop)`` returns the dense rows A(R[start:stop], C).
+    Iterating yields ``(start, stop, slab)`` over row slabs of at most
+    ``budget`` bytes (at least one row).  When one slab holds all of
+    A(R, C), it is generated on first use and kept; otherwise every pass
+    regenerates the slabs.
+    """
+
+    def __init__(self, generate, n_rows: int, n_cols: int,
+                 budget: int = DEFAULT_MEMORY_BUDGET):
+        self.generate = generate
+        self.n_rows = n_rows
+        self.height = max(1, int(budget // (8 * n_cols)))
+        self._kept = None
+
+    def __iter__(self):
+        if self.height >= self.n_rows:
+            if self._kept is None:
+                self._kept = self.generate(0, self.n_rows)
+            yield 0, self.n_rows, self._kept
+            return
+        for start in range(0, self.n_rows, self.height):
+            stop = min(start + self.height, self.n_rows)
+            yield start, stop, self.generate(start, stop)
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """A(R, C) @ v for a vector or a block of columns v."""
         v = np.asarray(v, dtype=np.float64)
-        if v.shape[0] != self.n:
-            raise InputError(f"vector length {v.shape[0]} != {self.n}")
-        return self.matrix @ v
+        out = np.empty((self.n_rows,) + v.shape[1:])
+        for start, stop, slab in self:
+            out[start:stop] = slab @ v
+        return out

@@ -1,13 +1,15 @@
 """Problem-level drivers: assemble and solve the two regression systems.
 
-Full-data problem: (A + mu I) beta = y, solved matrix-free with a
+Full-data problem: (A + mu I) beta = y, solved by PCG with a
 partial-Cholesky Nystrom preconditioner built by the configured pivot rule.
 
 Restricted problem: [A(S,:) A(:,S) + mu A(S,S)] beta = A(S,:) y over k
-selected centers.  The rectangular kernel products stream over row blocks
-of A(:,S); when the N x k block fits inside the oracle's memory budget it
-is materialized once instead, which is what the streaming path would keep
-regenerating.
+selected centers.
+
+Both solvers, and ``predict``, apply their kernel block (A for the full
+problem, A(:,S) for the restricted one, K(test, points) for prediction) as
+``KernelBlocks`` under a byte budget: the block is generated once and kept
+when it fits, and otherwise regenerated in row slabs on every product.
 """
 
 from __future__ import annotations
@@ -19,7 +21,13 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError
-from .kernels import DEFAULT_MEMORY_BUDGET, KernelOracle, KernelSpec, pairwise_kernel
+from .kernels import (
+    DEFAULT_MEMORY_BUDGET,
+    KernelBlocks,
+    KernelOracle,
+    KernelSpec,
+    pairwise_kernel,
+)
 from .lowrank import (
     PartialCholeskyFactor,
     default_block_size,
@@ -74,6 +82,12 @@ def build_factor(oracle: KernelOracle, rank: int, rule: PivotRule) -> PartialCho
     return uniform_nystrom(oracle, rank, seed=rule.seed)
 
 
+def _kernel_columns(oracle: KernelOracle, cols: np.ndarray) -> KernelBlocks:
+    """A(:, cols) in row slabs under the oracle's memory budget."""
+    return KernelBlocks(lambda start, stop: oracle.block(np.arange(start, stop), cols),
+                        oracle.n, cols.size, oracle.memory_budget)
+
+
 @dataclass
 class FullKrrProblem:
     oracle: KernelOracle
@@ -86,8 +100,8 @@ class FullKrrProblem:
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=np.float64).ravel()
-        if self.mu <= 0:
-            raise InputError("mu must be positive")
+        if not 0 < self.mu < np.inf:
+            raise InputError(f"mu must be finite and positive, got {self.mu}")
         if not 1 <= self.rank <= self.oracle.n:
             raise InputError(f"rank must be in [1, {self.oracle.n}]")
         if self.y.shape[0] != self.oracle.n:
@@ -102,7 +116,8 @@ def solve_full_krr(problem: FullKrrProblem) -> SolveReport:
     pre = build_rpc_preconditioner(factor, mu)
     build_time = time.perf_counter() - t0
 
-    op = LinearOperator(oracle.n, lambda v: oracle.matvec(v) + mu * v)
+    kernel = _kernel_columns(oracle, np.arange(oracle.n))
+    op = LinearOperator(oracle.n, lambda v: kernel.apply(v) + mu * v)
     report = pcg(op, problem.y, problem.epsilon, pre.apply_inverse,
                  max_iter=problem.max_iter)
     report.meta.update(
@@ -137,71 +152,24 @@ class RestrictedKrrProblem:
             raise InputError("centers must be distinct")
         if self.centers.min() < 0 or self.centers.max() >= n:
             raise InputError("center index out of range")
-        if self.mu <= 0:
-            raise InputError("mu must be positive")
+        if not 0 < self.mu < np.inf:
+            raise InputError(f"mu must be finite and positive, got {self.mu}")
         if self.y.shape[0] != n:
             raise InputError("target length does not match oracle size")
         if self.preconditioner not in PRECONDITIONERS:
             raise InputError(f"unknown preconditioner {self.preconditioner!r}")
 
 
-class _RestrictedOperator:
-    """Streaming access to the k-dimensional restricted system.
-
-    Fuses the two rectangular products per row block:
-    A(S,:) A(:,S) v = sum_blocks A(I,S)^T (A(I,S) v).
-    """
-
-    def __init__(self, oracle: KernelOracle, centers: np.ndarray):
-        self.oracle = oracle
-        self.centers = centers
-        self.k = centers.size
-        self._cols = None
-        budget = oracle._budget_bytes()
-        if 8 * oracle.n * self.k <= budget:
-            self._cols = oracle.columns(centers)
-        # row blocks sized so each A(I,S) slab stays inside the budget
-        self._rows_per_block = max(1, int(budget // (8 * self.k)))
-
-    def _row_blocks(self):
-        for start in range(0, self.oracle.n, self._rows_per_block):
-            stop = min(start + self._rows_per_block, self.oracle.n)
-            if self._cols is not None:
-                yield self._cols[start:stop]
-            else:
-                yield self.oracle.block(np.arange(start, stop), self.centers)
-
-    def gram_apply(self, v: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.k)
-        for blk in self._row_blocks():
-            out += blk.T @ (blk @ v)
-        return out
-
-    def right_hand_side(self, y: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.k)
-        start = 0
-        for blk in self._row_blocks():
-            out += blk.T @ y[start:start + blk.shape[0]]
-            start += blk.shape[0]
-        return out
-
-    def sketch(self, phi) -> np.ndarray:
-        """Y = Phi A(:,S) accumulated over row blocks of A(:,S)."""
-        mat = phi.matrix().tocsc()
-        out = np.zeros((phi.d, self.k))
-        start = 0
-        for blk in self._row_blocks():
-            out += mat[:, start:start + blk.shape[0]] @ blk
-            start += blk.shape[0]
-        return out
-
-
 def solve_restricted_krr(problem: RestrictedKrrProblem) -> SolveReport:
-    """Preconditioned CG on the restricted system over the chosen centers."""
-    oracle, centers, mu = problem.oracle, problem.centers, problem.mu
+    """Preconditioned CG on the restricted system over the chosen centers.
+
+    The Gram apply fuses both rectangular products per row slab:
+    A(S,:) A(:,S) v = sum over slabs I of A(I,S)^T (A(I,S) v).
+    """
+    oracle, centers, mu, y = problem.oracle, problem.centers, problem.mu, problem.y
     k = centers.size
     t0 = time.perf_counter()
-    stream = _RestrictedOperator(oracle, centers)
+    a_ns = _kernel_columns(oracle, centers)
     a_ss = oracle.block(centers, centers)
     a_ss = 0.5 * (a_ss + a_ss.T)
 
@@ -211,15 +179,26 @@ def solve_restricted_krr(problem: RestrictedKrrProblem) -> SolveReport:
         d = problem.embedding_dim or d_def
         zeta = problem.embedding_nnz or zeta_def
         phi = build_embedding(d, oracle.n, zeta, seed=problem.embedding_seed)
-        pre = krill_from_sketch(stream.sketch(phi), a_ss, mu)
+        mat = phi.matrix().tocsc()
+        sketch = np.zeros((phi.d, k))  # Phi A(:,S)
+        for start, stop, slab in a_ns:
+            sketch += mat[:, start:stop] @ slab
+        pre = krill_from_sketch(sketch, a_ss, mu)
     elif problem.preconditioner == FALKON:
         pre = build_falkon(a_ss, k, oracle.n, mu)
     build_time = time.perf_counter() - t0
 
-    op = LinearOperator(k, lambda v: stream.gram_apply(v) + mu * (a_ss @ v))
-    b = stream.right_hand_side(problem.y)
-    report = pcg(op, b, problem.epsilon, None if pre is None else pre.apply_inverse,
-                 max_iter=problem.max_iter)
+    def gram_apply(v):
+        out = np.zeros(k)
+        for _, _, slab in a_ns:
+            out += slab.T @ (slab @ v)
+        return out + mu * (a_ss @ v)
+
+    b = np.zeros(k)
+    for start, stop, slab in a_ns:
+        b += slab.T @ y[start:stop]
+    report = pcg(LinearOperator(k, gram_apply), b, problem.epsilon,
+                 None if pre is None else pre.apply_inverse, max_iter=problem.max_iter)
     report.meta.update(
         mode=RESTRICTED,
         preconditioner=problem.preconditioner,
@@ -240,19 +219,16 @@ def select_centers_uniform(n: int, k: int, seed=None) -> np.ndarray:
 def predict(coefficients: np.ndarray, train_points: np.ndarray, spec: KernelSpec,
             test_points: np.ndarray,
             memory_budget: int = DEFAULT_MEMORY_BUDGET) -> np.ndarray:
-    """Kernel expansion sum_i beta_i K(x_i, x) over blocked test rows."""
+    """Kernel expansion sum_i beta_i K(x_i, x) over row slabs of test points."""
     coefficients = np.asarray(coefficients, dtype=np.float64).ravel()
     train_points = np.atleast_2d(np.asarray(train_points, dtype=np.float64))
     test_points = np.atleast_2d(np.asarray(test_points, dtype=np.float64))
     if coefficients.shape[0] != train_points.shape[0]:
         raise InputError("coefficient length does not match training points")
-    block = max(1, int(memory_budget // (8 * train_points.shape[0])))
-    out = np.empty(test_points.shape[0])
-    for start in range(0, test_points.shape[0], block):
-        stop = min(start + block, test_points.shape[0])
-        out[start:stop] = pairwise_kernel(
-            spec, test_points[start:stop], train_points) @ coefficients
-    return out
+    kernel = KernelBlocks(
+        lambda start, stop: pairwise_kernel(spec, test_points[start:stop], train_points),
+        test_points.shape[0], train_points.shape[0], memory_budget)
+    return kernel.apply(coefficients)
 
 
 def smape(predicted: np.ndarray, actual: np.ndarray) -> float:

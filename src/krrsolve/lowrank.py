@@ -17,14 +17,13 @@ must read ``factor.rank`` rather than assume the requested rank.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.linalg import LinAlgError, cholesky, solve_triangular
 
-from .errors import InputError, NumericalError
+from .errors import InputError
 from .kernels import KernelOracle
 
 # relative clamp threshold for roundoff negatives in the residual diagonal
@@ -33,15 +32,11 @@ _CLAMP_REL = 1e-10
 
 @dataclass
 class PartialCholeskyFactor:
-    """Low-rank factor F with its pivot set and final residual diagonal.
-
-    ``residual_diag`` is None for factors read back from disk (the file
-    format stores only pivots and F).
-    """
+    """Low-rank factor F with its pivot set and final residual diagonal."""
 
     F: np.ndarray
     pivots: np.ndarray
-    residual_diag: Optional[np.ndarray] = None
+    residual_diag: np.ndarray
 
     @property
     def n(self) -> int:
@@ -209,35 +204,3 @@ def trace_residual(oracle: KernelOracle, factor: PartialCholeskyFactor) -> float
     if factor.n != oracle.n:
         raise InputError("factor size does not match oracle")
     return max(0.0, float(oracle.diag().sum() - np.sum(factor.F**2)))
-
-
-_MAGIC = b"PCHF\x00\x01"
-
-
-def save_factor(factor: PartialCholeskyFactor, path: str) -> None:
-    """Write a factor to a flat binary file for harness caching.
-
-    Layout: magic, int64 N, int64 r, r int64 pivots, then F as
-    column-major float64.
-    """
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<qq", factor.n, factor.rank))
-        fh.write(np.ascontiguousarray(factor.pivots, dtype="<i8").tobytes())
-        fh.write(np.asfortranarray(factor.F, dtype="<f8").tobytes(order="F"))
-
-
-def load_factor(path: str) -> PartialCholeskyFactor:
-    """Read a factor written by ``save_factor`` (residual diagonal not stored)."""
-    with open(path, "rb") as fh:
-        if fh.read(len(_MAGIC)) != _MAGIC:
-            raise InputError(f"{path}: not a factor file")
-        n, r = struct.unpack("<qq", fh.read(16))
-        if n < 1 or r < 0 or r > n:
-            raise NumericalError(f"{path}: implausible header ({n}, {r})")
-        pivots = np.frombuffer(fh.read(8 * r), dtype="<i8").copy()
-        payload = np.frombuffer(fh.read(8 * n * r), dtype="<f8")
-        if payload.size != n * r:
-            raise InputError(f"{path}: truncated payload")
-        F = payload.reshape((n, r), order="F").copy()
-    return PartialCholeskyFactor(F, pivots, None)

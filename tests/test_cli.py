@@ -125,6 +125,17 @@ def test_exit_input_error(tmp_path, dataset, capsys, argv, match):
     assert match in cap.err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_nonfinite_mu_is_an_input_error(tmp_path, dataset, capsys, value):
+    argv = ["solve-full", "--seed", "0", "--rank", "5", "--output-dir", str(tmp_path / "e")]
+    code, cap = _run(capsys, argv + ["--dataset", dataset, "--mu-over-n", value])
+    assert code == EXIT_INPUT and "mu_over_n" in cap.err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"dataset = {dataset}\nmu_over_n = {value}\n")
+    code, cap = _run(capsys, argv + ["--config", str(cfg)])
+    assert code == EXIT_INPUT and "mu_over_n" in cap.err
+
+
 def test_flags_override_config_file(tmp_path, dataset):
     from krrsolve.cli import _config_from_args
 

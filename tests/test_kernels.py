@@ -10,6 +10,7 @@ from krrsolve.kernels import (
     SQUARED_EXPONENTIAL,
     DatasetKernelOracle,
     ExplicitMatrixOracle,
+    KernelBlocks,
     KernelSpec,
     eval_kernel,
 )
@@ -145,14 +146,58 @@ class TestOracle:
             assert ev_min >= -1e-10 * np.trace(block)
 
     def test_matvec_blocked_matches_dense(self):
-        # small budget forces many column blocks
+        # small budget forces many row slabs
         o = toy_oracle(n=50, memory_budget=8 * 50 * 3)
         dense = o.columns(np.arange(o.n))
         v = np.random.default_rng(6).standard_normal(o.n)
-        np.testing.assert_allclose(o.matvec(v), dense @ v, rtol=1e-12, atol=1e-12)
+        kernel = KernelBlocks(lambda start, stop: o.block(np.arange(start, stop),
+                                                          np.arange(o.n)),
+                              o.n, o.n, o.memory_budget)
+        assert kernel.height == 3
+        np.testing.assert_allclose(kernel.apply(v), dense @ v, rtol=1e-12, atol=1e-12)
 
     def test_nonfinite_rejected(self):
         feats = np.ones((3, 2))
         feats[1, 1] = np.nan
         with pytest.raises(InputError):
             DatasetKernelOracle(feats, KernelSpec())
+
+
+class TestKernelBlocks:
+    @staticmethod
+    def counted(matrix, budget):
+        calls = []
+
+        def generate(start, stop):
+            calls.append((start, stop))
+            return matrix[start:stop]
+        return KernelBlocks(generate, *matrix.shape, budget), calls
+
+    def test_keeps_block_that_fits(self):
+        a = np.random.default_rng(7).standard_normal((10, 4))
+        kernel, calls = self.counted(a, 8 * 10 * 4)
+        v = np.ones(4)
+        for _ in range(3):
+            np.testing.assert_array_equal(kernel.apply(v), a @ v)
+        assert calls == [(0, 10)]
+
+    def test_streams_slabs_on_every_pass(self):
+        a = np.random.default_rng(8).standard_normal((10, 4))
+        kernel, calls = self.counted(a, 8 * 4 * 3)
+        assert [(start, stop) for start, stop, _ in kernel] == \
+            [(0, 3), (3, 6), (6, 9), (9, 10)]
+        kernel.apply(np.ones(4))
+        assert calls == 2 * [(0, 3), (3, 6), (6, 9), (9, 10)]
+
+    def test_budget_below_one_row_gives_single_rows(self):
+        a = np.random.default_rng(9).standard_normal((5, 4))
+        kernel, _ = self.counted(a, 1)
+        assert kernel.height == 1
+        assert [stop - start for start, stop, _ in kernel] == [1] * 5
+
+    def test_applies_a_block_of_columns(self):
+        rng = np.random.default_rng(10)
+        a = rng.standard_normal((9, 4))
+        v = rng.standard_normal((4, 3))
+        kernel, _ = self.counted(a, 8 * 4 * 2)
+        np.testing.assert_allclose(kernel.apply(v), a @ v, rtol=1e-12, atol=1e-12)

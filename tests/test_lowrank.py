@@ -7,9 +7,7 @@ from krrsolve.errors import InputError
 from krrsolve.kernels import ExplicitMatrixOracle
 from krrsolve.lowrank import (
     greedy_cholesky,
-    load_factor,
     rpcholesky,
-    save_factor,
     tail_rank,
     trace_residual,
     uniform_nystrom,
@@ -248,18 +246,3 @@ def test_trace_bound_statistic():
     r_mu = tail_rank(lam, mu)
     resids = [trace_residual(o, rpcholesky(o, r, 1, seed=s)) for s in range(100)]
     assert np.mean(resids) <= 1.5 * 2.0 * lam[r_mu:].sum()
-
-
-def test_factor_file_roundtrip(tmp_path):
-    a = random_psd(25, seed=8)
-    o = ExplicitMatrixOracle(a)
-    f = rpcholesky(o, 9, 3, seed=7)
-    path = str(tmp_path / "factor.bin")
-    save_factor(f, path)
-    g = load_factor(path)
-    np.testing.assert_array_equal(g.F, f.F)
-    np.testing.assert_array_equal(g.pivots, f.pivots)
-    assert g.residual_diag is None
-    with pytest.raises(InputError):
-        (tmp_path / "junk.bin").write_bytes(b"nope")
-        load_factor(str(tmp_path / "junk.bin"))
