@@ -5,6 +5,15 @@ Two kernel families are supported, both with unit diagonal:
 * squared exponential,  K(x, y) = exp(-||x - y||^2 / (2 sigma^2))
 * l1 Laplace,           K(x, y) = exp(-||x - y||_1 / sigma)
 
+A squared-exponential block is built in its own output buffer from the
+norm expansion ||x - y||^2 = ||x||^2 + ||y||^2 - 2 x.y, so its cost is one
+BLAS-3 product (see ``pairwise_kernel`` for the shift, the coincident-point
+floor and the accuracy bound).  A ``DatasetKernelOracle`` shifts and scales
+its points once, by the data mean, so every block it generates uses the same
+prepared points.  The Laplace block keeps ``cdist`` and is exponentiated in
+place.  Either way a block of m x n entries allocates one m x n float array,
+never a second array of its size.
+
 The kernel matrix of N data points is accessed through a ``KernelOracle``,
 which generates entries, columns and dense blocks on demand and carries the
 byte budget for generated blocks.  Products with a kernel block A(R, C) go
@@ -30,6 +39,10 @@ DEFAULT_BANDWIDTH = 3.0
 
 DEFAULT_MEMORY_BUDGET = 1 << 30  # bytes of scratch for generated kernel blocks
 
+_EPS = np.finfo(np.float64).eps
+# entries per row tile when finishing a squared-exponential block (512 KiB)
+_TILE_ENTRIES = 1 << 16
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -46,18 +59,70 @@ class KernelSpec:
 
 
 def pairwise_kernel(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Dense kernel block K(x_i, y_j) for row sets ``x`` (m x dim), ``y`` (n x dim)."""
+    """Dense kernel block K(x_i, y_j) for row sets ``x`` (m x dim), ``y`` (n x dim).
+
+    Squared exponential: with u = (x - shift) / sigma and v = (y - shift) / sigma,
+
+        K(x_i, y_j) = exp(u_i.v_j - ||u_i||^2 / 2 - ||v_j||^2 / 2).
+
+    The shift (mean(x) + mean(y)) / 2 is symmetric in the two arguments and
+    keeps the accuracy independent of where the data sits.  One matrix
+    product u v^T fills the output buffer; then, in row tiles of about
+    ``_TILE_ENTRIES`` entries that stay in cache, the two negated half norms
+    are summed first and added (so a 1 x 1 block gives K(a, b) == K(b, a)
+    bitwise), the floor below is applied and ``exp`` runs in place.
+
+    The product cancels to a rounding error of about
+    (dim + 2) eps (max ||u||^2 + max ||v||^2) / 2.  Every exponent above
+    -floor, with floor = 4 (dim + 2) eps (max ||u||^2 + max ||v||^2) / 2, is
+    set to exactly 0, so coincident points give exactly 1.0 and every entry
+    lies in [0, 1].  As exp has slope at most 1 on exponents <= 0, the
+    absolute error of an entry is at most about floor.
+
+    Memory: the m x n float64 output plus one tile and its boolean mask;
+    the shifted copies of x and y are m x dim and n x dim.  The Laplace
+    block is ``cdist``'s output, scaled and exponentiated in place.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
     if x.shape[1] != y.shape[1]:
         raise InputError(
             f"dimension mismatch: {x.shape[1]} vs {y.shape[1]} features"
         )
-    if spec.family == SQUARED_EXPONENTIAL:
-        sq = cdist(x, y, "sqeuclidean")
-        return np.exp(-sq / (2.0 * spec.bandwidth**2))
-    dist = cdist(x, y, "cityblock")
-    return np.exp(-dist / spec.bandwidth)
+    if spec.family == LAPLACE1:
+        out = cdist(x, y, "cityblock")
+        out /= -spec.bandwidth
+        return np.exp(out, out=out)
+    if x.shape[0] == 0 or y.shape[0] == 0:
+        return np.zeros((x.shape[0], y.shape[0]))
+    shift = 0.5 * (x.mean(axis=0) + y.mean(axis=0))
+    return _squared_exponential(*_scaled(x, shift, spec.bandwidth),
+                                *_scaled(y, shift, spec.bandwidth))
+
+
+def _scaled(points: np.ndarray, shift: np.ndarray, bandwidth: float):
+    """Points u = (points - shift) / sigma and their half squared norms."""
+    u = (points - shift) / bandwidth
+    return u, 0.5 * np.einsum("ij,ij->i", u, u)
+
+
+def _squared_exponential(u: np.ndarray, u_half: np.ndarray,
+                         v: np.ndarray, v_half: np.ndarray) -> np.ndarray:
+    """exp(u_i.v_j - u_half_i - v_half_j), floored, over row tiles; see
+    ``pairwise_kernel``."""
+    floor = 4.0 * (u.shape[1] + 2) * _EPS * (u_half.max(initial=0.0)
+                                            + v_half.max(initial=0.0))
+    # numpy's BLAS, as for every other product: scipy.linalg.blas.dgemm could
+    # accumulate into the buffer, but it runs on scipy's own OpenBLAS, whose
+    # threads then spin against numpy's during the next products
+    out = u @ v.T
+    height = max(1, _TILE_ENTRIES // max(1, v.shape[0]))
+    for start in range(0, u.shape[0], height):
+        tile = out[start:start + height]
+        tile += np.add.outer(-u_half[start:start + height], -v_half)
+        tile[tile > -floor] = 0.0
+        np.exp(tile, out=tile)
+    return out
 
 
 def eval_kernel(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
@@ -118,10 +183,17 @@ class DatasetKernelOracle(KernelOracle):
         self.spec = spec
         self.memory_budget = int(memory_budget)
         self.n = features.shape[0]
+        if spec.family == SQUARED_EXPONENTIAL:
+            # one shift, the data mean, for every block: the scaled points and
+            # their norms are computed once instead of once per column block
+            self._prepared = _scaled(features, features.mean(axis=0), spec.bandwidth)
 
     def block(self, rows, cols) -> np.ndarray:
         rows = self._check_indices(rows)
         cols = self._check_indices(cols)
+        if self.spec.family == SQUARED_EXPONENTIAL:
+            u, u_half = self._prepared
+            return _squared_exponential(u[rows], u_half[rows], u[cols], u_half[cols])
         return pairwise_kernel(self.spec, self.features[rows], self.features[cols])
 
     def diag(self) -> np.ndarray:

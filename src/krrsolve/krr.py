@@ -165,6 +165,11 @@ def solve_restricted_krr(problem: RestrictedKrrProblem) -> SolveReport:
 
     The Gram apply fuses both rectangular products per row slab:
     A(S,:) A(:,S) v = sum over slabs I of A(I,S)^T (A(I,S) v).
+
+    With KRILL, the sketch Phi A(:,S) and the right-hand side A(S,:) y are
+    accumulated in the same pass over the slabs of A(:,S), so
+    ``meta["preconditioner_build_time"]`` includes the right-hand side;
+    with Falkon or no preconditioner it does not.
     """
     oracle, centers, mu, y = problem.oracle, problem.centers, problem.mu, problem.y
     k = centers.size
@@ -173,6 +178,7 @@ def solve_restricted_krr(problem: RestrictedKrrProblem) -> SolveReport:
     a_ss = oracle.block(centers, centers)
     a_ss = 0.5 * (a_ss + a_ss.T)
 
+    b = np.zeros(k)  # A(S,:) y
     pre = None  # NO_PRECONDITIONER: pcg applies the identity
     if problem.preconditioner == KRILL:
         d_def, zeta_def = practical_params(k)
@@ -183,6 +189,7 @@ def solve_restricted_krr(problem: RestrictedKrrProblem) -> SolveReport:
         sketch = np.zeros((phi.d, k))  # Phi A(:,S)
         for start, stop, slab in a_ns:
             sketch += mat[:, start:stop] @ slab
+            b += slab.T @ y[start:stop]
         pre = krill_from_sketch(sketch, a_ss, mu)
     elif problem.preconditioner == FALKON:
         pre = build_falkon(a_ss, k, oracle.n, mu)
@@ -194,9 +201,9 @@ def solve_restricted_krr(problem: RestrictedKrrProblem) -> SolveReport:
             out += slab.T @ (slab @ v)
         return out + mu * (a_ss @ v)
 
-    b = np.zeros(k)
-    for start, stop, slab in a_ns:
-        b += slab.T @ y[start:stop]
+    if problem.preconditioner != KRILL:
+        for start, stop, slab in a_ns:
+            b += slab.T @ y[start:stop]
     report = pcg(LinearOperator(k, gram_apply), b, problem.epsilon,
                  None if pre is None else pre.apply_inverse, max_iter=problem.max_iter)
     report.meta.update(

@@ -188,8 +188,8 @@ def uniform_nystrom(oracle: KernelOracle, rank: int, seed: Optional[int] = None,
 def tail_rank(eigenvalues, mu: float) -> int:
     """Smallest r >= 0 such that the eigenvalues beyond the top r sum to <= mu."""
     lam = np.asarray(eigenvalues, dtype=np.float64).ravel()
-    if mu <= 0:
-        raise InputError("mu must be positive")
+    if not 0 < mu < np.inf:
+        raise InputError(f"mu must be finite and positive, got {mu}")
     if lam.size and lam.min() < 0:
         raise InputError("eigenvalues must be nonnegative")
     if np.any(np.diff(lam) > 0):

@@ -61,8 +61,8 @@ class TriangularPreconditioner:
 def build_rpc_preconditioner(factor: PartialCholeskyFactor, mu: float) -> RpcPreconditioner:
     """Economy SVD of the factor; zero singular values are kept, so their
     inverse action degenerates to 1/mu as it should."""
-    if mu <= 0:
-        raise InputError("mu must be positive")
+    if not 0 < mu < np.inf:
+        raise InputError(f"mu must be finite and positive, got {mu}")
     if factor.rank < 1:
         raise InputError("factor has no columns")
     U, sigma, _ = np.linalg.svd(factor.F, full_matrices=False)
@@ -90,8 +90,8 @@ def _stabilized_cholesky(p: np.ndarray) -> np.ndarray:
 def krill_from_sketch(y_sketch: np.ndarray, a_ss: np.ndarray,
                       mu: float) -> TriangularPreconditioner:
     """Build the sketched preconditioner from Y = Phi A(:,S)."""
-    if mu <= 0:
-        raise InputError("mu must be positive")
+    if not 0 < mu < np.inf:
+        raise InputError(f"mu must be finite and positive, got {mu}")
     p = y_sketch.T @ y_sketch + mu * a_ss
     p = 0.5 * (p + p.T)
     return TriangularPreconditioner(_stabilized_cholesky(p))
@@ -99,8 +99,8 @@ def krill_from_sketch(y_sketch: np.ndarray, a_ss: np.ndarray,
 
 def build_falkon(a_ss: np.ndarray, k: int, n: int, mu: float) -> TriangularPreconditioner:
     """Monte Carlo Gram estimate (N/k) A_SS^2 under uniform center sampling."""
-    if mu <= 0:
-        raise InputError("mu must be positive")
+    if not 0 < mu < np.inf:
+        raise InputError(f"mu must be finite and positive, got {mu}")
     a_ss = np.asarray(a_ss, dtype=np.float64)
     if a_ss.shape != (k, k):
         raise InputError(f"A(S,S) must be {k} x {k}")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from krrsolve.data import Dataset, standardize
 from krrsolve.errors import InputError
 from krrsolve.kernels import (
+    KERNEL_FAMILIES,
     LAPLACE1,
     SQUARED_EXPONENTIAL,
     DatasetKernelOracle,
@@ -13,6 +15,7 @@ from krrsolve.kernels import (
     KernelBlocks,
     KernelSpec,
     eval_kernel,
+    pairwise_kernel,
 )
 
 
@@ -201,3 +204,82 @@ class TestKernelBlocks:
         v = rng.standard_normal((4, 3))
         kernel, _ = self.counted(a, 8 * 4 * 2)
         np.testing.assert_allclose(kernel.apply(v), a @ v, rtol=1e-12, atol=1e-12)
+
+
+def direct_kernel(family, sigma, x, y):
+    """Reference block from explicit coordinate differences."""
+    diff = x[:, None, :] - y[None, :, :]
+    if family == SQUARED_EXPONENTIAL:
+        return np.exp(-(diff**2).sum(-1) / (2.0 * sigma**2))
+    return np.exp(-np.abs(diff).sum(-1) / sigma)
+
+
+class TestTiles:
+    @pytest.mark.parametrize("family", KERNEL_FAMILIES)
+    @pytest.mark.parametrize("m,n,dim", [(1, 1, 3), (1, 40, 3), (40, 1, 3),
+                                         (30, 20, 1), (300, 50, 20)])
+    @pytest.mark.parametrize("offset", [0.0, 1e5])
+    @pytest.mark.parametrize("sigma", [0.1, 3.0])
+    def test_matches_direct_differences(self, family, m, n, dim, offset, sigma):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((m, dim)) + offset
+        y = rng.standard_normal((n, dim)) + offset
+        dup = min(m, n) // 2
+        y[:dup] = x[:dup]  # exact duplicate rows
+        block = pairwise_kernel(KernelSpec(family, sigma), x, y)
+        assert block.shape == (m, n)
+        assert np.abs(block - direct_kernel(family, sigma, x, y)).max() <= 1e-12
+        assert block.min() >= 0.0 and block.max() <= 1.0
+        np.testing.assert_array_equal(block[np.arange(dup), np.arange(dup)], 1.0)
+
+    @pytest.mark.parametrize("family", KERNEL_FAMILIES)
+    @pytest.mark.parametrize("offset", [0.0, 1e5])
+    @pytest.mark.parametrize("sigma", [0.1, 3.0])
+    def test_oracle_blocks_match_direct_differences(self, family, offset, sigma):
+        x = np.random.default_rng(15).standard_normal((120, 20)) + offset
+        x[100:] = x[:20]  # exact duplicate points
+        o = DatasetKernelOracle(x, KernelSpec(family, sigma))
+        cols = np.arange(0, 120, 3)
+        block = o.block(np.arange(120), cols)
+        assert np.abs(block - direct_kernel(family, sigma, x, x[cols])).max() <= 1e-12
+        assert block.min() >= 0.0 and block.max() <= 1.0
+        np.testing.assert_array_equal(
+            np.diag(o.block(np.arange(100, 120), np.arange(20))), 1.0)
+
+    @pytest.mark.parametrize("family", KERNEL_FAMILIES)
+    @pytest.mark.parametrize("offset", [0.0, 1e5])
+    @pytest.mark.parametrize("sigma", [0.1, 3.0])
+    def test_set_against_itself_has_unit_diagonal(self, family, offset, sigma):
+        x = np.random.default_rng(12).standard_normal((200, 20)) + offset
+        block = pairwise_kernel(KernelSpec(family, sigma), x, x)
+        np.testing.assert_array_equal(np.diag(block), 1.0)
+        assert block.min() >= 0.0 and block.max() <= 1.0
+
+    @pytest.mark.parametrize("family", KERNEL_FAMILIES)
+    @pytest.mark.parametrize("sigma", [0.7, 3.0])
+    def test_one_by_one_blocks_are_symmetric_bitwise(self, family, sigma):
+        spec = KernelSpec(family, sigma)
+        pts = np.random.default_rng(14).standard_normal((400, 5)) * 2.0 + 3.0
+        for a, b in zip(pts[:200], pts[200:]):
+            assert pairwise_kernel(spec, a[None], b[None])[0, 0] == \
+                pairwise_kernel(spec, b[None], a[None])[0, 0]
+
+    @pytest.mark.parametrize("family", KERNEL_FAMILIES)
+    def test_empty_blocks(self, family):
+        o = toy_oracle(family=family)
+        assert o.columns([]).shape == (o.n, 0)
+        assert o.block([], [1, 2]).shape == (0, 2)
+        assert pairwise_kernel(o.spec, np.zeros((0, 3)), o.features).shape == (0, o.n)
+
+    @pytest.mark.parametrize("family", KERNEL_FAMILIES)
+    def test_peak_memory_is_one_output_buffer(self, family):
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((2000, 20))
+        y = rng.standard_normal((500, 20))
+        tracemalloc.start()
+        try:
+            block = pairwise_kernel(KernelSpec(family, 3.0), x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * block.nbytes

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, lstsq
 
 from krrsolve.errors import InputError
 from krrsolve.kernels import DatasetKernelOracle, KernelSpec, pairwise_kernel
@@ -108,3 +108,64 @@ def test_problems_reject_mu_that_is_not_finite_and_positive(mu):
         FullKrrProblem(oracle(x), y, mu, rank=5)
     with pytest.raises(InputError, match="mu"):
         RestrictedKrrProblem(oracle(x), np.arange(5), y, mu)
+
+
+@pytest.mark.parametrize("kind", PIVOT_RULES)
+def test_full_solve_with_duplicate_points_matches_dense(kind):
+    x, y = points()
+    x = np.vstack([x, x[:50]])  # 50 points appear twice, with different targets
+    y = np.concatenate([y, y[:50] + 0.1])
+    report = solve_full_krr(full_problem(x, y, PivotRule(kind, seed=3)))
+    assert report.converged
+    a = pairwise_kernel(SPEC, x, x)
+    dense = cho_solve(cho_factor(a + MU * np.eye(x.shape[0])), y)
+    assert relative_gap(report.solution, dense) <= 1e-9
+
+
+@pytest.mark.parametrize("pre", PRECONDITIONERS)
+def test_restricted_solve_with_coincident_centers_matches_dense(pre):
+    # two distinct center indices with identical features: A(S,S) and the
+    # restricted system are singular, so beta is not unique but A(:,S) beta is
+    x, y = points()
+    centers = select_centers_uniform(N, K, seed=4)
+    x[centers[1]] = x[centers[0]]
+    report = solve_restricted_krr(RestrictedKrrProblem(
+        oracle(x), centers, y, MU, epsilon=1e-10, preconditioner=pre,
+        embedding_seed=5, max_iter=500))
+    assert report.converged
+    a_ns = pairwise_kernel(SPEC, x, x[centers])
+    system = a_ns.T @ a_ns + MU * pairwise_kernel(SPEC, x[centers], x[centers])
+    dense = lstsq(system, a_ns.T @ y)[0]
+    assert relative_gap(a_ns @ report.solution, a_ns @ dense) <= 1e-8
+
+
+@pytest.mark.parametrize("pre", PRECONDITIONERS)
+def test_restricted_solve_with_every_point_a_center_is_the_full_solution(pre):
+    # with S = all N points, [A^2 + mu A] beta = A y has the full solution
+    n = 40
+    x, y = points(n=n)
+    mu = 1e-3 * n
+    report = solve_restricted_krr(RestrictedKrrProblem(
+        oracle(x), np.arange(n), y, mu, epsilon=1e-10, preconditioner=pre,
+        embedding_seed=5, max_iter=500))
+    assert report.converged
+    a = pairwise_kernel(SPEC, x, x)
+    dense = cho_solve(cho_factor(a + mu * np.eye(n)), y)
+    # the system squares A's conditioning, so compare the fitted values A beta;
+    # a residual r moves them by (A + mu I)^{-1} r, at most epsilon ||A y|| / mu
+    assert relative_gap(a @ report.solution, a @ dense) <= 1e-7
+
+
+@pytest.mark.parametrize("mode,option", [("full", kind) for kind in PIVOT_RULES]
+                         + [("restricted", pre) for pre in PRECONDITIONERS])
+def test_single_point_solves_in_closed_form(mode, option):
+    x, y = points(n=1)
+    if mode == "full":
+        report = solve_full_krr(FullKrrProblem(oracle(x), y, MU, rank=1,
+                                               pivot_rule=PivotRule(option, seed=3)))
+    else:
+        report = solve_restricted_krr(RestrictedKrrProblem(
+            oracle(x), [0], y, MU, preconditioner=option, embedding_seed=5))
+    assert report.converged
+    # A = [1], so both systems reduce to (1 + mu) beta = y
+    np.testing.assert_allclose(report.solution, y / (1.0 + MU), rtol=1e-12)

@@ -210,6 +210,11 @@ class TestTailRank:
         with pytest.raises(InputError):
             tail_rank([1.0], 0.0)  # mu
 
+    @pytest.mark.parametrize("mu", [np.nan, np.inf, 0.0, -1.0])
+    def test_mu_must_be_finite_and_positive(self, mu):
+        with pytest.raises(InputError, match="mu"):
+            tail_rank([3.0, 2.0, 1.0], mu)
+
 
 class TestTraceResidual:
     def test_full_decomposition_zero(self):

@@ -14,6 +14,8 @@ from krrsolve.precond import (
 )
 from krrsolve.sketch import apply_embedding, build_embedding
 
+BAD_MU = [np.nan, np.inf, 0.0, -1.0]
+
 
 def random_psd(n, seed, rank=None):
     rng = np.random.default_rng(seed)
@@ -98,6 +100,12 @@ class TestRpcPreconditioner:
         with pytest.raises(InputError):
             build_rpc_preconditioner(f2, 0.0)
 
+    @pytest.mark.parametrize("mu", BAD_MU)
+    def test_mu_must_be_finite_and_positive(self, mu):
+        f = factor(np.eye(4)[:, :2], np.arange(2))
+        with pytest.raises(InputError, match="mu"):
+            build_rpc_preconditioner(f, mu)
+
 
 class TestKrill:
     def test_identity_embedding_gives_exact_system(self):
@@ -165,6 +173,11 @@ class TestKrill:
         with pytest.raises(NumericalError):
             krill_from_sketch(np.zeros((5, 3)), bad, 1.0)
 
+    @pytest.mark.parametrize("mu", BAD_MU)
+    def test_mu_must_be_finite_and_positive(self, mu):
+        with pytest.raises(InputError, match="mu"):
+            krill_from_sketch(np.ones((4, 2)), np.eye(2), mu)
+
 
 class TestFalkon:
     def test_no_subsampling_limit(self):
@@ -192,6 +205,11 @@ class TestFalkon:
         pre = build_falkon(a_ss, k=9, n=100, mu=0.01)
         p = pre.C @ pre.C.T
         assert np.linalg.eigvalsh(p).min() >= -1e-10 * np.trace(p)
+
+    @pytest.mark.parametrize("mu", BAD_MU)
+    def test_mu_must_be_finite_and_positive(self, mu):
+        with pytest.raises(InputError, match="mu"):
+            build_falkon(np.eye(2), k=2, n=10, mu=mu)
 
 
 class TestConditionNumber:
