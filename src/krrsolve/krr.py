@@ -124,6 +124,7 @@ def solve_full_krr(problem: FullKrrProblem) -> SolveReport:
         mode=FULL,
         pivot_rule=problem.pivot_rule.kind,
         factor_rank=factor.rank,
+        factor_rank_requested=problem.rank,
         preconditioner_build_time=build_time,
     )
     return report

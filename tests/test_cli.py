@@ -3,7 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from krrsolve.cli import EXIT_INPUT, EXIT_NOT_CONVERGED, EXIT_OK, build_parser, main
+from krrsolve.cli import (
+    EXIT_INPUT,
+    EXIT_NOT_CONVERGED,
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    build_parser,
+    main,
+)
+from krrsolve.errors import NumericalError
 
 SHARED_FLAGS = {
     "--config": ("config", None, None),
@@ -88,6 +96,7 @@ def test_solve_full_exit_ok(tmp_path, dataset, capsys):
     assert code == EXIT_OK
     summary = json.loads(cap.out)
     assert summary["converged"] and summary["mode"] == "full"
+    assert summary["factor_rank_requested"] == 20 and 1 <= summary["factor_rank"] <= 20
     assert json.loads((out / "summary.json").read_text()) == summary
 
 
@@ -123,6 +132,18 @@ def test_exit_input_error(tmp_path, dataset, capsys, argv, match):
     code, cap = _run(capsys, ["solve-full", "--output-dir", str(tmp_path / "e")] + argv)
     assert code == EXIT_INPUT
     assert match in cap.err
+
+
+def test_exit_numerical_breakdown(tmp_path, dataset, capsys, monkeypatch):
+    def breakdown(config):
+        raise NumericalError("Cholesky failed")
+
+    monkeypatch.setattr("krrsolve.cli.run_experiment", breakdown)
+    code, cap = _run(capsys, ["solve-full", "--dataset", dataset, "--seed", "0",
+                              "--rank", "5", "--output-dir", str(tmp_path / "nb")])
+    assert code == EXIT_NUMERICAL == 3
+    assert "numerical breakdown: Cholesky failed" in cap.err
+    assert cap.out == ""
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -1,6 +1,13 @@
 """The paper's claims, checked by the diagnostics module at small size."""
 
-from krrsolve.diagnostics import verify_krill_theorem
+import numpy as np
+import pytest
+
+from krrsolve.diagnostics import (
+    separation_experiment,
+    verify_krill_theorem,
+    verify_rpc_theorem,
+)
 
 
 def test_krill_bound_holds_whenever_the_embedding_is_a_good_subspace_embedding():
@@ -8,3 +15,22 @@ def test_krill_bound_holds_whenever_the_embedding_is_a_good_subspace_embedding()
     result = verify_krill_theorem(n=400, k=20, mu=0.4, n_seeds=20)
     assert result["event_count"] >= 1
     assert result["conditional_violations"] == 0
+
+
+def test_rpc_bound_holds_at_the_guarantee_rank():
+    # kappa <= 3/delta with probability >= 1 - delta, less the verify-theorems
+    # command's slack of 0.05 for the sampling error of a finite seed count
+    delta = 0.1
+    result = verify_rpc_theorem(2.0 ** -np.arange(1, 101), mu=1e-3, delta=delta,
+                                n_seeds=40)
+    assert len(result["records"]) == 40
+    assert result["event_fraction"] >= 1.0 - delta - 0.05
+    assert result["mean_trace_residual"] <= result["trace_bound"]
+
+
+@pytest.mark.parametrize("kind", ["uniform", "greedy"])
+def test_random_pivots_beat_the_baseline_on_its_adversarial_matrix(kind):
+    # at n = 300 the uniform case is not separated at 10 seeds by chance; at
+    # n = 1000 the small block holds 10 points and 20 seeds separate both
+    result = separation_experiment(kind, n=1000, rank=10, n_seeds=20)
+    assert result["separated"]

@@ -7,8 +7,10 @@ from scipy.linalg import cho_factor, cho_solve, lstsq
 from krrsolve.errors import InputError
 from krrsolve.kernels import DatasetKernelOracle, KernelSpec, pairwise_kernel
 from krrsolve.krr import (
+    GREEDY,
     PIVOT_RULES,
     PRECONDITIONERS,
+    UNIFORM,
     FullKrrProblem,
     PivotRule,
     RestrictedKrrProblem,
@@ -117,6 +119,23 @@ def test_full_solve_with_duplicate_points_matches_dense(kind):
     y = np.concatenate([y, y[:50] + 0.1])
     report = solve_full_krr(full_problem(x, y, PivotRule(kind, seed=3)))
     assert report.converged
+    a = pairwise_kernel(SPEC, x, x)
+    dense = cho_solve(cho_factor(a + MU * np.eye(x.shape[0])), y)
+    assert relative_gap(report.solution, dense) <= 1e-9
+
+
+@pytest.mark.parametrize("kind", [GREEDY, UNIFORM])
+def test_full_solve_reports_rank_reached_below_rank_requested(kind):
+    # 20 distinct points, each five times: A has rank 20, so a factor of
+    # requested rank 40 stops short once the residual diagonal is exhausted
+    # (random pivots still sample the roundoff left on duplicates, so they
+    # can reach 40 columns here)
+    x, y = points(n=100)
+    x = np.repeat(x[:20], 5, axis=0)
+    report = solve_full_krr(full_problem(x, y, PivotRule(kind, seed=3)))
+    assert report.converged
+    assert report.meta["factor_rank_requested"] == 40
+    assert report.meta["factor_rank"] <= 20
     a = pairwise_kernel(SPEC, x, x)
     dense = cho_solve(cho_factor(a + MU * np.eye(x.shape[0])), y)
     assert relative_gap(report.solution, dense) <= 1e-9

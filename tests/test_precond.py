@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from krrsolve.diagnostics import clustered_dataset
 from krrsolve.errors import InputError, NumericalError
-from krrsolve.kernels import ExplicitMatrixOracle
+from krrsolve.kernels import DatasetKernelOracle, ExplicitMatrixOracle, KernelSpec
 from krrsolve.lowrank import PartialCholeskyFactor, rpcholesky, trace_residual
 from krrsolve.precond import (
     EPS_MACH,
+    RpcPreconditioner,
     build_falkon,
     build_rpc_preconditioner,
     krill_from_sketch,
@@ -105,6 +107,52 @@ class TestRpcPreconditioner:
         f = factor(np.eye(4)[:, :2], np.arange(2))
         with pytest.raises(InputError, match="mu"):
             build_rpc_preconditioner(f, mu)
+
+
+TINY_N = 600
+TINY_RANK = 200
+
+
+@pytest.fixture(scope="module", params=["clustered", "cloud"])
+def kernel_and_factor(request):
+    """A squared-exponential kernel matrix and an RPCholesky factor of it."""
+    if request.param == "clustered":
+        x = clustered_dataset(TINY_N, 10, seed=0)
+        x = (x - x.mean(axis=0)) / x.std(axis=0)
+        spec = KernelSpec(bandwidth=1.0)
+    else:
+        x = np.random.default_rng(0).standard_normal((TINY_N, 20))
+        spec = KernelSpec(bandwidth=3.0)
+    oracle = DatasetKernelOracle(x, spec)
+    a = oracle.block(np.arange(TINY_N), np.arange(TINY_N))
+    return 0.5 * (a + a.T), rpcholesky(oracle, TINY_RANK, seed=1)
+
+
+class TestRpcPreconditionerTinyMu:
+    """The Gram eigendecomposition build against an SVD-of-F reference."""
+
+    @pytest.mark.parametrize("mu_over_n", [1e-7, 1e-10, 1e-12])
+    def test_matches_svd_reference(self, kernel_and_factor, mu_over_n):
+        a, f = kernel_and_factor
+        assert f.rank == TINY_RANK
+        mu = mu_over_n * TINY_N
+        pre = build_rpc_preconditioner(f, mu)
+        U, sigma, _ = np.linalg.svd(f.F, full_matrices=False)
+        ref = RpcPreconditioner(U, sigma**2, mu)
+
+        p_inv = pre.apply_inverse(np.eye(TINY_N))
+        np.testing.assert_allclose(p_inv, p_inv.T, rtol=0, atol=1e-12 / mu)
+        assert np.linalg.eigvalsh(0.5 * (p_inv + p_inv.T)).min() > 0
+
+        m = a + mu * np.eye(TINY_N)
+        kappa = precond_condition_number(m, pre.apply_inverse)
+        assert kappa == pytest.approx(precond_condition_number(m, ref.apply_inverse),
+                                      rel=1e-2)
+        if mu_over_n == 1e-7:
+            v = np.random.default_rng(2).standard_normal(TINY_N)
+            expect = ref.apply_inverse(v)
+            assert (np.linalg.norm(pre.apply_inverse(v) - expect)
+                    <= 1e-8 * np.linalg.norm(expect))
 
 
 class TestKrill:
