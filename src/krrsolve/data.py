@@ -2,17 +2,25 @@
 
 Supported input formats:
 
-* libsvm text: ``label idx:val idx:val ...`` with 1-based feature indices,
+* libsvm text: one row per line, ``label idx:val idx:val ...``.  The label
+  and every value use Python ``float`` syntax and every index uses Python
+  ``int`` syntax, with indices 1-based; each feature token has exactly one
+  colon with text on both sides.  ``#`` starts a comment, and blank or
+  comment-only lines are skipped.  Absent indices are zero, and an index
+  repeated within a row keeps its last value.
 * CSV with a header row; the target column is selected by name.
 
-Rows that parse to non-finite values are rejected with their line number.
+Malformed and non-finite values are rejected with an ``InputError`` that
+names ``path:line`` of the first bad line in the file.  A libsvm file is
+converted one chunk of lines at a time, so the loader's Python strings stay
+bounded by the chunk size whatever the file size.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Optional
+from typing import NoReturn, Optional
 
 import numpy as np
 
@@ -21,6 +29,10 @@ from .errors import InputError
 LIBSVM = "libsvm"
 CSV = "csv"
 FORMATS = (LIBSVM, CSV)
+
+# load_libsvm reads whole lines in chunks of about this many characters and
+# converts each chunk in bulk, so its Python strings never outgrow one chunk.
+_CHUNK_BYTES = 1 << 20
 
 
 @dataclass
@@ -100,45 +112,106 @@ def _finite_or_raise(value: float, path: str, line_no: int) -> float:
 
 
 def load_libsvm(path: str) -> Dataset:
-    """Parse libsvm text format (1-based sparse indices, zeros implicit)."""
-    labels = []
-    rows = []  # list of (indices array, values array)
-    max_index = 0
+    """Parse libsvm text format (1-based sparse indices, zeros implicit).
+
+    The grammar is the module's: Python ``float`` labels and values, Python
+    ``int`` indices of at least 1, one colon per feature token, ``#``
+    comments.  An index repeated within a row keeps its last value.  The
+    first bad line in the file is reported as ``path:line``.
+
+    Whole lines are read in chunks of about ``_CHUNK_BYTES`` characters; each
+    chunk is split once per line and converted by one NumPy call per column
+    kind.  The Python strings of one chunk are all that is held at a time,
+    next to the parsed int64 indices and float64 values (16 bytes per
+    feature token) that fill the dense features at the end.
+    """
+    chunks = []
+    first_line = 1
     with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            try:
-                label = float(parts[0])
-            except ValueError:
-                raise InputError(f"{path}:{line_no}: bad label {parts[0]!r}") from None
-            labels.append(_finite_or_raise(label, path, line_no))
-            idxs, vals = [], []
-            for tok in parts[1:]:
-                try:
-                    sidx, sval = tok.split(":", 1)
-                    idx = int(sidx)
-                    val = float(sval)
-                except ValueError:
-                    raise InputError(
-                        f"{path}:{line_no}: bad feature token {tok!r}"
-                    ) from None
-                if idx < 1:
-                    raise InputError(f"{path}:{line_no}: index {idx} not 1-based")
-                idxs.append(idx)
-                vals.append(_finite_or_raise(val, path, line_no))
-            if idxs:
-                max_index = max(max_index, max(idxs))
-            rows.append((idxs, vals))
-    if not rows:
+        while lines := fh.readlines(_CHUNK_BYTES):
+            chunks.append(_parse_libsvm_chunk(path, lines, first_line))
+            first_line += len(lines)
+    n = sum(labels.size for labels, *_ in chunks)
+    if n == 0:
         raise InputError(f"{path}: no data rows")
-    features = np.zeros((len(rows), max(max_index, 1)))
-    for r, (idxs, vals) in enumerate(rows):
-        for idx, val in zip(idxs, vals):
-            features[r, idx - 1] = val
-    return Dataset(features, np.asarray(labels))
+    dim = max((int(idx.max()) for _, _, idx, _ in chunks if idx.size), default=1)
+    features = np.zeros((n, dim))
+    row = 0
+    for labels, counts, idx, vals in chunks:
+        # row-major position of every token in features; no row spans chunks
+        flat = np.repeat(np.arange(row, row + labels.size) * dim - 1, counts)
+        flat += idx
+        if not (flat[1:] > flat[:-1]).all():
+            # Unsorted or repeated indices in some row.  Fancy assignment
+            # does not say which of several writes to one cell lands, so
+            # keep the last occurrence of each cell explicitly.
+            order = np.argsort(flat, kind="stable")
+            flat, vals = flat[order], vals[order]
+            last = np.append(flat[1:] != flat[:-1], True)
+            flat, vals = flat[last], vals[last]
+        np.put(features, flat, vals)
+        row += labels.size
+    return Dataset(features, np.concatenate([labels for labels, *_ in chunks]))
+
+
+def _parse_libsvm_chunk(path: str, lines: list, first_line: int):
+    """Labels, per-row token counts, indices and values of whole lines."""
+    labels, tokens, counts = [], [], []
+    for line in lines:
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        parts = line.split()
+        if parts:
+            labels.append(parts[0])
+            counts.append(len(parts) - 1)
+            tokens += parts[1:]
+    # One colon per token with text on both sides: the colon count, a colon
+    # in every token, and two pieces per token all have to hold.
+    n_tokens = len(tokens)
+    joined = " ".join(tokens)
+    ok = joined.count(":") == n_tokens and all(":" in tok for tok in tokens)
+    del tokens
+    pieces = joined.replace(":", " ").split()
+    ok = ok and len(pieces) == 2 * n_tokens
+    if ok:
+        try:
+            # np.array parses str with Python's own float() and int()
+            y = np.array(labels, dtype=np.float64)
+            idx = np.array(pieces[0::2], dtype=np.int64)
+            vals = np.array(pieces[1::2], dtype=np.float64)
+        except (ValueError, OverflowError):
+            ok = False
+        else:
+            ok = bool((idx >= 1).all() and np.isfinite(y).all() and np.isfinite(vals).all())
+    if not ok:
+        _raise_first_libsvm_error(path, lines, first_line)
+    return y, np.array(counts, dtype=np.int64), idx, vals
+
+
+def _raise_first_libsvm_error(path: str, lines: list, first_line: int) -> NoReturn:
+    """Check ``lines`` token by token and raise for the first bad one."""
+    for line_no, line in enumerate(lines, start=first_line):
+        parts = line.split("#", 1)[0].split()
+        if not parts:
+            continue
+        try:
+            label = float(parts[0])
+        except ValueError:
+            raise InputError(f"{path}:{line_no}: bad label {parts[0]!r}") from None
+        _finite_or_raise(label, path, line_no)
+        for tok in parts[1:]:
+            try:
+                sidx, sval = tok.split(":", 1)
+                idx = int(sidx)
+                val = float(sval)
+            except ValueError:
+                raise InputError(f"{path}:{line_no}: bad feature token {tok!r}") from None
+            if idx < 1:
+                raise InputError(f"{path}:{line_no}: index {idx} not 1-based")
+            if idx > np.iinfo(np.int64).max:
+                raise InputError(f"{path}:{line_no}: index {idx} too large")
+            _finite_or_raise(val, path, line_no)
+    raise AssertionError(f"{path}: bulk and per-token libsvm checks disagree")
 
 
 def load_csv(path: str, target_column: Optional[str] = None) -> Dataset:
@@ -160,29 +233,40 @@ def load_csv(path: str, target_column: Optional[str] = None) -> Dataset:
             tcol = header.index(target_column)
         else:
             tcol = None
-        feats, targets = [], []
+        rows, line_nos = [], []
         for line_no, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
-            if len(row) != len(header):
-                raise InputError(
-                    f"{path}:{line_no}: {len(row)} fields, expected {len(header)}"
-                )
-            try:
-                values = [float(c) for c in row]
-            except ValueError:
-                bad = next(c for c in row if not _is_float(c))
-                raise InputError(f"{path}:{line_no}: bad value {bad!r}") from None
-            for v in values:
-                _finite_or_raise(v, path, line_no)
-            if tcol is None:
-                feats.append(values)
+            if len(row) == len(header):
+                try:
+                    rows.append([float(c) for c in row])
+                    line_nos.append(line_no)
+                    continue
+                except ValueError:
+                    error = f"bad value {next(c for c in row if not _is_float(c))!r}"
             else:
-                targets.append(values[tcol])
-                feats.append(values[:tcol] + values[tcol + 1:])
-    if not feats:
+                error = f"{len(row)} fields, expected {len(header)}"
+            # a non-finite value on an earlier line is the first error
+            _raise_first_nonfinite(path, np.array(rows), line_nos)
+            raise InputError(f"{path}:{line_no}: {error}")
+    if not rows:
         raise InputError(f"{path}: no data rows")
-    return Dataset(np.asarray(feats), np.asarray(targets) if tcol is not None else None)
+    values = np.array(rows)
+    _raise_first_nonfinite(path, values, line_nos)
+    if tcol is None:
+        return Dataset(values)
+    return Dataset(np.delete(values, tcol, axis=1), values[:, tcol])
+
+
+def _raise_first_nonfinite(path: str, values: np.ndarray, line_nos: list) -> None:
+    """Raise for the first row of ``values`` (read from ``line_nos``) with a
+    non-finite entry."""
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        row, col = bad[0]
+        raise InputError(
+            f"{path}:{line_nos[row]}: non-finite value {float(values[row, col])!r}"
+        )
 
 
 def _is_float(text: str) -> bool:

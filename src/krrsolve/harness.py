@@ -3,8 +3,9 @@
 Each run produces, inside the configured output directory:
 
 * ``residuals.csv``  -- iteration, relative_residual
-* ``summary.json``   -- convergence flag, iteration counts, timings, and
-  test metrics when a test split is configured.
+* ``summary.json``   -- convergence flag, iteration counts, timings
+  (``load_time`` for reading the dataset, ``solve_time``, ``total_time``),
+  and test metrics when a test split is configured.
 
 Batch mode runs a directory of configs (in parallel up to a worker limit)
 and additionally writes ``fraction_solved.csv``, the fraction of runs whose
@@ -58,6 +59,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     config.validate()
     t_start = time.perf_counter()
     data = load_dataset(config.dataset, config.format, config.target_column)
+    load_time = time.perf_counter() - t_start
     if data.targets is None:
         raise InputError("dataset has no targets; configure target_column")
 
@@ -122,6 +124,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         "iterations": int(report.iterations),
         "iterations_to_epsilon": report.iterations_to(config.effective_epsilon),
         "final_relative_residual": float(report.residual_history[-1]),
+        "load_time": load_time,
         "solve_time": float(report.wall_time),
         "total_time": None,  # filled below
         "seed": config.seed,

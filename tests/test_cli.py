@@ -97,6 +97,7 @@ def test_solve_full_exit_ok(tmp_path, dataset, capsys):
     summary = json.loads(cap.out)
     assert summary["converged"] and summary["mode"] == "full"
     assert summary["factor_rank_requested"] == 20 and 1 <= summary["factor_rank"] <= 20
+    assert 0 <= summary["load_time"] <= summary["total_time"]
     assert json.loads((out / "summary.json").read_text()) == summary
 
 

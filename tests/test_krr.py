@@ -124,6 +124,24 @@ def test_full_solve_with_duplicate_points_matches_dense(kind):
     assert relative_gap(report.solution, dense) <= 1e-9
 
 
+@pytest.mark.parametrize("kind", PIVOT_RULES)
+def test_full_solve_at_tiny_mu_meets_its_tolerance(kind):
+    # mu/N = 1e-12 leaves A + mu I about as ill-conditioned as A itself; a
+    # rank-150 factor of this 3-d cloud still captures the spectrum down to
+    # where P^-1 (A + mu I) is well conditioned, so PCG converges, and its
+    # recursive residual must not hide a true residual far above epsilon
+    n, epsilon = 400, 1e-3
+    x, y = points(n=n, dim=3)
+    mu = 1e-12 * n
+    report = solve_full_krr(FullKrrProblem(oracle(x), y, mu, rank=150, epsilon=epsilon,
+                                           pivot_rule=PivotRule(kind, seed=3),
+                                           max_iter=250))
+    assert report.converged
+    a = pairwise_kernel(SPEC, x, x)
+    residual = y - (a @ report.solution + mu * report.solution)
+    assert np.linalg.norm(residual) <= 10 * epsilon * np.linalg.norm(y)
+
+
 @pytest.mark.parametrize("kind", [GREEDY, UNIFORM])
 def test_full_solve_reports_rank_reached_below_rank_requested(kind):
     # 20 distinct points, each five times: A has rank 20, so a factor of
