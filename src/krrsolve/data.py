@@ -233,40 +233,36 @@ def load_csv(path: str, target_column: Optional[str] = None) -> Dataset:
             tcol = header.index(target_column)
         else:
             tcol = None
-        rows, line_nos = [], []
+        rows, line_nos, error = [], [], None
         for line_no, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
-            if len(row) == len(header):
-                try:
-                    rows.append([float(c) for c in row])
-                    line_nos.append(line_no)
-                    continue
-                except ValueError:
-                    error = f"bad value {next(c for c in row if not _is_float(c))!r}"
-            else:
-                error = f"{len(row)} fields, expected {len(header)}"
-            # a non-finite value on an earlier line is the first error
-            _raise_first_nonfinite(path, np.array(rows), line_nos)
-            raise InputError(f"{path}:{line_no}: {error}")
-    if not rows:
-        raise InputError(f"{path}: no data rows")
+            if len(row) != len(header):
+                error = f"{path}:{line_no}: {len(row)} fields, expected {len(header)}"
+                break
+            try:
+                rows.append([float(c) for c in row])
+            except ValueError:
+                bad = next(c for c in row if not _is_float(c))
+                error = f"{path}:{line_no}: bad value {bad!r}"
+                break
+            line_nos.append(line_no)
+    # One finiteness check for the whole file; a non-finite value on a line
+    # before a malformed one is still the first error.
     values = np.array(rows)
-    _raise_first_nonfinite(path, values, line_nos)
-    if tcol is None:
-        return Dataset(values)
-    return Dataset(np.delete(values, tcol, axis=1), values[:, tcol])
-
-
-def _raise_first_nonfinite(path: str, values: np.ndarray, line_nos: list) -> None:
-    """Raise for the first row of ``values`` (read from ``line_nos``) with a
-    non-finite entry."""
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         row, col = bad[0]
         raise InputError(
             f"{path}:{line_nos[row]}: non-finite value {float(values[row, col])!r}"
         )
+    if error is not None:
+        raise InputError(error)
+    if not rows:
+        raise InputError(f"{path}: no data rows")
+    if tcol is None:
+        return Dataset(values)
+    return Dataset(np.delete(values, tcol, axis=1), values[:, tcol])
 
 
 def _is_float(text: str) -> bool:
