@@ -32,7 +32,10 @@ FORMATS = (LIBSVM, CSV)
 
 # load_libsvm reads whole lines in chunks of about this many characters and
 # converts each chunk in bulk, so its Python strings never outgrow one chunk.
-_CHUNK_BYTES = 1 << 20
+# At 64 KiB every per-chunk buffer is small enough to be reused from malloc's
+# free lists; 1 MiB chunks left holes in the heap whose layout, and with it
+# the resident size of the work after loading, changed from run to run.
+_CHUNK_BYTES = 1 << 16
 
 
 @dataclass
@@ -119,39 +122,54 @@ def load_libsvm(path: str) -> Dataset:
     comments.  An index repeated within a row keeps its last value.  The
     first bad line in the file is reported as ``path:line``.
 
-    Whole lines are read in chunks of about ``_CHUNK_BYTES`` characters; each
-    chunk is split once per line and converted by one NumPy call per column
-    kind.  The Python strings of one chunk are all that is held at a time,
-    next to the parsed int64 indices and float64 values (16 bytes per
-    feature token) that fill the dense features at the end.
+    A first pass counts the lines and colons; the parsed labels, indices and
+    values go into arrays allocated once at those bounds (16 bytes per line
+    and per colon), so that parsing allocates nothing but the current
+    chunk's buffers and the heap left behind is laid out the same in every
+    run.  The file is read twice, so it must be seekable.  Whole lines are
+    read in chunks of about ``_CHUNK_BYTES`` characters; each chunk is split
+    once per line and converted by one NumPy call per column kind.  The
+    Python strings of one chunk are all that is held at a time.  One scatter
+    fills the dense features at the end.
     """
-    chunks = []
-    first_line = 1
     with open(path) as fh:
+        # Bounds for the parsed arrays: a row per line, a colon per token.
+        max_rows, max_tokens = 1, 0
+        while text := fh.read(_CHUNK_BYTES):
+            max_rows += text.count("\n")
+            max_tokens += text.count(":")
+        fh.seek(0)
+        labels = np.empty(max_rows)
+        counts = np.empty(max_rows, dtype=np.int64)
+        idx = np.empty(max_tokens, dtype=np.int64)
+        vals = np.empty(max_tokens)
+        n = n_tokens = 0
+        first_line = 1
         while lines := fh.readlines(_CHUNK_BYTES):
-            chunks.append(_parse_libsvm_chunk(path, lines, first_line))
+            chunk = _parse_libsvm_chunk(path, lines, first_line)
+            rows, toks = n + chunk[0].size, n_tokens + chunk[2].size
+            labels[n:rows], counts[n:rows], idx[n_tokens:toks], vals[n_tokens:toks] = chunk
+            n, n_tokens = rows, toks
             first_line += len(lines)
-    n = sum(labels.size for labels, *_ in chunks)
     if n == 0:
         raise InputError(f"{path}: no data rows")
-    dim = max((int(idx.max()) for _, _, idx, _ in chunks if idx.size), default=1)
+    labels, counts, idx, vals = labels[:n], counts[:n], idx[:n_tokens], vals[:n_tokens]
+    dim = int(idx.max()) if n_tokens else 1
+    # row-major position of every token in the dense features
+    flat = np.repeat(np.arange(n) * dim - 1, counts)
+    flat += idx
+    if not (flat[1:] > flat[:-1]).all():
+        # Unsorted or repeated indices in some row.  Fancy assignment
+        # does not say which of several writes to one cell lands, so
+        # keep the last occurrence of each cell explicitly.
+        order = np.argsort(flat, kind="stable")
+        flat, vals = flat[order], vals[order]
+        last = np.append(flat[1:] != flat[:-1], True)
+        flat, vals = flat[last], vals[last]
     features = np.zeros((n, dim))
-    row = 0
-    for labels, counts, idx, vals in chunks:
-        # row-major position of every token in features; no row spans chunks
-        flat = np.repeat(np.arange(row, row + labels.size) * dim - 1, counts)
-        flat += idx
-        if not (flat[1:] > flat[:-1]).all():
-            # Unsorted or repeated indices in some row.  Fancy assignment
-            # does not say which of several writes to one cell lands, so
-            # keep the last occurrence of each cell explicitly.
-            order = np.argsort(flat, kind="stable")
-            flat, vals = flat[order], vals[order]
-            last = np.append(flat[1:] != flat[:-1], True)
-            flat, vals = flat[last], vals[last]
-        np.put(features, flat, vals)
-        row += labels.size
-    return Dataset(features, np.concatenate([labels for labels, *_ in chunks]))
+    np.put(features, flat, vals)
+    # a copy, so that the array sized by the line count is freed
+    return Dataset(features, labels.copy())
 
 
 def _parse_libsvm_chunk(path: str, lines: list, first_line: int):

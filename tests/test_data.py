@@ -253,9 +253,9 @@ def test_csv_property_names_the_corrupted_line(tmp_path, table, corruption, draw
 
 
 def test_libsvm_memory_stays_within_one_chunk_of_strings(tmp_path):
-    # Six MiB of dense rows span six default chunks.  Chunked parsing holds
+    # Six MiB of dense rows span many default chunks.  Chunked parsing holds
     # one chunk's strings plus 16 bytes per token of parsed arrays, and
-    # peaks near half of what the file's tokens alone take as a list of
+    # peaks near two fifths of what the file's tokens alone take as a list of
     # Python strings; reading the whole file before converting peaks above
     # twice that list.
     rng = np.random.default_rng(0)
