@@ -48,8 +48,7 @@ from .lowrank import (
 )
 from .pcg import LinearOperator, SolveReport, pcg
 from .precond import (
-    RpcPreconditioner,
-    TriangularPreconditioner,
+    SpectralPreconditioner,
     build_falkon,
     build_rpc_preconditioner,
     krill_from_sketch,

@@ -166,7 +166,12 @@ def load_libsvm(path: str) -> Dataset:
         flat, vals = flat[order], vals[order]
         last = np.append(flat[1:] != flat[:-1], True)
         flat, vals = flat[last], vals[last]
-    features = np.zeros((n, dim))
+    try:
+        features = np.zeros((n, dim))
+    except (MemoryError, ValueError):  # ValueError: n * dim overflows the address space
+        raise InputError(
+            f"{path}: the dense features, {n} x {dim} float64, need "
+            f"{8 * n * dim / 2**30:.1f} GiB, which cannot be allocated") from None
     np.put(features, flat, vals)
     # a copy, so that the array sized by the line count is freed
     return Dataset(features, labels.copy())

@@ -186,7 +186,7 @@ def solve_restricted_krr(problem: RestrictedKrrProblem) -> SolveReport:
         d = problem.embedding_dim or d_def
         zeta = problem.embedding_nnz or zeta_def
         phi = build_embedding(d, oracle.n, zeta, seed=problem.embedding_seed)
-        mat = phi.matrix().tocsc()
+        mat = phi.matrix()
         sketch = np.zeros((phi.d, k))  # Phi A(:,S)
         for start, stop, slab in a_ns:
             sketch += mat[:, start:stop] @ slab

@@ -1,30 +1,39 @@
 """Preconditioners for the full-data and restricted regression systems.
 
+Every preconditioner is held in one spectral form,
+
+    P = U diag(sigma_sq) U^T + mu I,
+
+and applied as P^{-1} v = U (c * U^T v) + v / mu with
+c = 1/(sigma_sq + mu) - 1/mu, or as U (c * U^T v) with c = 1/sigma_sq when
+there is no mu I term.
+
 Full-data system (A + mu I) beta = y: the preconditioner is
 P = A_hat + mu I where A_hat = F F^T comes from a partial Cholesky factor.
 The build diagonalizes the r x r Gram matrix F^T F = V S^2 V^T and sets
-U = F V S^{-1}, so that F F^T = U S^2 U^T with orthonormal U.  The inverse
-is then applied in the Woodbury form
-
-    P^{-1} v = U [(S^2 + mu I)^{-1} - mu^{-1} I] U^T v + mu^{-1} v,
-
-which costs O(N r) per application.  The build costs O(N r^2) in two
-matrix products and an r x r eigensolve, all in numpy's BLAS.
+U = F V S^{-1}, so that F F^T = U S^2 U^T with orthonormal U, and applies
+the inverse in the Woodbury form above at O(N r) per application.  The
+build costs O(N r^2) in two matrix products and an r x r eigensolve.
 
 Restricted system (G + mu A_SS) beta = A(S,:) y with G = A(S,:) A(:,S):
 the sketched preconditioner replaces G by Y^T Y with Y = Phi A(:,S) for a
 sparse sign embedding Phi; the Monte Carlo baseline replaces it by
-(N/k) A_SS^2.  Both are Cholesky-factored after adding the stabilizer
-eps_mach * tr(P) * I, with the jitter escalated when the factorization
-fails, so the two baselines differ only in how G is approximated.
+(N/k) A_SS^2.  Both diagonalize the k x k matrix P = W Lambda W^T and add
+the stabilizer jitter * I, with jitter the first eps_mach * tr(P) * 10^j
+(j = 0, 1, ...) that makes lambda_min + jitter positive, up to
+1e-8 * tr(P); so U = W is square, sigma_sq = Lambda + jitter, and there is
+no mu I term.  The two baselines differ only in how G is approximated.
+
+Everything runs in numpy's BLAS and LAPACK, the library the kernel products
+and PCG use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky, solve_triangular
 
 from .errors import InputError, NumericalError
 from .lowrank import PartialCholeskyFactor
@@ -33,35 +42,31 @@ EPS_MACH = np.finfo(np.float64).eps
 
 
 @dataclass
-class RpcPreconditioner:
-    """P = U S^2 U^T + mu I held in factored form."""
+class SpectralPreconditioner:
+    """P = U diag(sigma_sq) U^T + mu I held in factored form.
+
+    With ``mu`` None there is no mu I term; U is then square and
+    orthogonal and every sigma_sq is positive.
+    """
 
     U: np.ndarray
     sigma_sq: np.ndarray
-    mu: float
+    mu: Optional[float] = None
 
     def apply_inverse(self, v: np.ndarray) -> np.ndarray:
         """P^{-1} v for a vector or a stack of column vectors."""
         v = np.asarray(v, dtype=np.float64)
-        coef = 1.0 / (self.sigma_sq + self.mu) - 1.0 / self.mu
+        if self.mu is None:
+            coef = 1.0 / self.sigma_sq
+        else:
+            coef = 1.0 / (self.sigma_sq + self.mu) - 1.0 / self.mu
         w = self.U.T @ v
         w = coef[:, None] * w if w.ndim > 1 else coef * w
-        return self.U @ w + v / self.mu
+        w = self.U @ w
+        return w if self.mu is None else w + v / self.mu
 
 
-@dataclass
-class TriangularPreconditioner:
-    """Preconditioner held as a lower Cholesky factor C with C C^T = P."""
-
-    C: np.ndarray
-
-    def apply_inverse(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=np.float64)
-        w = solve_triangular(self.C, v, lower=True)
-        return solve_triangular(self.C, w, lower=True, trans="T")
-
-
-def build_rpc_preconditioner(factor: PartialCholeskyFactor, mu: float) -> RpcPreconditioner:
+def build_rpc_preconditioner(factor: PartialCholeskyFactor, mu: float) -> SpectralPreconditioner:
     """Orthonormal eigenbasis of F F^T from the eigendecomposition of F^T F.
 
     With F^T F = V S^2 V^T, U = F V S^{-1} and sigma_sq = S^2.  Eigenvalues
@@ -83,38 +88,39 @@ def build_rpc_preconditioner(factor: PartialCholeskyFactor, mu: float) -> RpcPre
     scale = np.zeros_like(lam)
     pos = lam > 0
     scale[pos] = 1.0 / np.sqrt(lam[pos])
-    return RpcPreconditioner(F @ (V * scale), np.maximum(lam, 0.0), float(mu))
+    return SpectralPreconditioner(F @ (V * scale), np.maximum(lam, 0.0), float(mu))
 
 
-def _stabilized_cholesky(p: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of P + jitter*I, escalating the jitter tenfold
-    from eps_mach*tr(P) up to 1e-8*tr(P) before giving up."""
+def _stabilized_eigh(p: np.ndarray) -> SpectralPreconditioner:
+    """P + jitter*I = W diag(lambda + jitter) W^T, the jitter escalated
+    tenfold from eps_mach*tr(P) until lambda_min + jitter > 0, giving up
+    past 1e-8*tr(P)."""
     trace = float(np.trace(p))
-    if not np.isfinite(trace):
-        raise NumericalError("preconditioner matrix has non-finite trace")
+    if not 0 < trace < np.inf:
+        raise NumericalError(f"preconditioner matrix has trace {trace}; "
+                             "it must be finite and positive")
+    lam, w = np.linalg.eigh(p)
     jitter = EPS_MACH * trace
-    eye = np.eye(p.shape[0])
-    while jitter <= 1e-8 * trace:
-        try:
-            return cholesky(p + jitter * eye, lower=True)
-        except LinAlgError:
-            jitter *= 10.0
-    raise NumericalError(
-        "Cholesky failed up to jitter 1e-8*tr(P); problem is numerically degenerate"
-    )
+    while not lam[0] + jitter > 0:
+        jitter *= 10.0
+        if not jitter <= 1e-8 * trace:
+            raise NumericalError(
+                "preconditioner matrix is not positive definite up to jitter "
+                "1e-8*tr(P); problem is numerically degenerate")
+    return SpectralPreconditioner(w, lam + jitter)
 
 
 def krill_from_sketch(y_sketch: np.ndarray, a_ss: np.ndarray,
-                      mu: float) -> TriangularPreconditioner:
+                      mu: float) -> SpectralPreconditioner:
     """Build the sketched preconditioner from Y = Phi A(:,S)."""
     if not 0 < mu < np.inf:
         raise InputError(f"mu must be finite and positive, got {mu}")
     p = y_sketch.T @ y_sketch + mu * a_ss
     p = 0.5 * (p + p.T)
-    return TriangularPreconditioner(_stabilized_cholesky(p))
+    return _stabilized_eigh(p)
 
 
-def build_falkon(a_ss: np.ndarray, k: int, n: int, mu: float) -> TriangularPreconditioner:
+def build_falkon(a_ss: np.ndarray, k: int, n: int, mu: float) -> SpectralPreconditioner:
     """Monte Carlo Gram estimate (N/k) A_SS^2 under uniform center sampling."""
     if not 0 < mu < np.inf:
         raise InputError(f"mu must be finite and positive, got {mu}")
@@ -124,7 +130,7 @@ def build_falkon(a_ss: np.ndarray, k: int, n: int, mu: float) -> TriangularPreco
     g_hat = (n / k) * (a_ss @ a_ss)
     p = g_hat + mu * a_ss
     p = 0.5 * (p + p.T)
-    return TriangularPreconditioner(_stabilized_cholesky(p))
+    return _stabilized_eigh(p)
 
 
 def precond_condition_number(m: np.ndarray, apply_inv) -> float:
@@ -141,10 +147,7 @@ def precond_condition_number(m: np.ndarray, apply_inv) -> float:
     if not np.isfinite(w).all():
         raise NumericalError("non-finite eigenvalues of M")
     m_half = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
-    x = apply_inv(m_half)
-    if np.shape(x) != m_half.shape:  # vector-only preconditioner action
-        x = np.column_stack([apply_inv(col) for col in m_half.T])
-    w_mat = m_half @ x
+    w_mat = m_half @ apply_inv(m_half)
     if not np.isfinite(w_mat).all():
         raise NumericalError("preconditioner action produced non-finite values")
     try:

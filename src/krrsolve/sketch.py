@@ -5,6 +5,13 @@ column, placed at distinct uniformly random rows, each equal to
 +1/sqrt(zeta) or -1/sqrt(zeta) with equal probability.  Applying it to a
 tall matrix costs O(zeta N k).
 
+The rows of each column are a uniform zeta-subset of range(d) drawn by
+Floyd's algorithm (Bentley and Floyd, "A sample of brilliance", 1987),
+vectorized over the N columns, so drawing an embedding costs O(N zeta^2)
+time and O(N zeta) memory whatever d is.  The embedding drawn for a given
+seed is not the one that earlier versions, which ranked a block of N x d
+uniforms per column, drew for that seed; the law is the same.
+
 Practical parameter defaults are d = 2k and zeta = min(8, 2k); the
 theory-mode scalings d ~ k log k and zeta ~ log k are exposed for the
 diagnostics experiments with calibration constants recorded below.
@@ -44,7 +51,7 @@ def theory_params(k: int, delta: float = THEORY_DEFAULT_DELTA) -> tuple[int, int
 
 @dataclass(eq=False)
 class SparseSignEmbedding:
-    """d x N sparse sign matrix in triplet form, zeta nonzeros per column."""
+    """d x N sparse sign matrix, zeta nonzeros per column."""
 
     d: int
     n: int
@@ -52,37 +59,38 @@ class SparseSignEmbedding:
     rows: np.ndarray  # (n, zeta) distinct row indices per column
     values: np.ndarray  # (n, zeta) entries, +-1/sqrt(zeta)
     seed: object = None
-    _csr: sp.csr_matrix = field(default=None, repr=False)
+    _csc: sp.csc_matrix = field(default=None, repr=False)
 
-    def matrix(self) -> sp.csr_matrix:
-        """The embedding as a scipy CSR matrix (built once, then cached)."""
-        if self._csr is None:
-            cols = np.repeat(np.arange(self.n), self.zeta)
-            self._csr = sp.csr_matrix(
-                (self.values.ravel(), (self.rows.ravel(), cols)),
+    def matrix(self) -> sp.csc_matrix:
+        """The embedding as a scipy CSC matrix (built once, then cached).
+
+        Column j holds ``values[j]`` at ``rows[j]``, so the arrays are the
+        CSC data and indices as they stand, with zeta entries per column.
+        The row indices within a column are not sorted.
+        """
+        if self._csc is None:
+            indptr = self.zeta * np.arange(self.n + 1)
+            self._csc = sp.csc_matrix(
+                (self.values.ravel(), self.rows.ravel(), indptr),
                 shape=(self.d, self.n),
             )
-        return self._csr
+        return self._csc
 
 
-def _distinct_rows(rng: np.random.Generator, n_cols: int, d: int, zeta: int,
-                   block: int = 4096) -> np.ndarray:
-    """n_cols x zeta distinct uniform indices from range(d), blockwise.
+def _distinct_rows(rng: np.random.Generator, n_cols: int, d: int,
+                   zeta: int) -> np.ndarray:
+    """n_cols x zeta distinct uniform indices from range(d), by Floyd's algorithm.
 
-    The zeta smallest entries of a column of iid uniforms form a uniformly
-    random zeta-subset, so argpartition over a random block does the job
-    without per-column rejection loops.
+    Step i of a column draws t uniformly from [0, j] with j = d - zeta + i
+    and takes t, or j when t is already among the column's picks; after
+    zeta steps the picks are a uniformly random zeta-subset.  The steps
+    run over all columns at once, with every t drawn up front.
     """
-    out = np.empty((n_cols, zeta), dtype=np.int64)
-    block = max(1, min(block, max(1, (1 << 24) // max(d, 1))))
-    for start in range(0, n_cols, block):
-        stop = min(start + block, n_cols)
-        u = rng.random((stop - start, d))
-        if zeta < d:
-            out[start:stop] = np.argpartition(u, zeta, axis=1)[:, :zeta]
-        else:
-            out[start:stop] = np.arange(d)
-    return out
+    rows = rng.integers(0, np.arange(d - zeta, d) + 1, size=(n_cols, zeta))
+    for i in range(1, zeta):
+        taken = (rows[:, :i] == rows[:, i, None]).any(axis=1)
+        rows[taken, i] = d - zeta + i
+    return rows
 
 
 def build_embedding(d: int, n: int, zeta: int, seed=None) -> SparseSignEmbedding:

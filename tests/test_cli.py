@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import krrsolve
 
 from krrsolve.cli import (
     EXIT_INPUT,
@@ -133,6 +139,27 @@ def test_exit_input_error(tmp_path, dataset, capsys, argv, match):
     code, cap = _run(capsys, ["solve-full", "--output-dir", str(tmp_path / "e")] + argv)
     assert code == EXIT_INPUT
     assert match in cap.err
+
+
+def test_unallocatable_libsvm_features_exit_with_input_error(tmp_path):
+    # One index sizes a 2 x 3e9 dense matrix (44.7 GiB).  The child caps its
+    # own address space at 3 GiB after its imports, so the allocation fails
+    # there whatever the host would grant.
+    path = tmp_path / "huge.txt"
+    path.write_text("1 1:0.5\n-1 3000000000:1\n")
+    script = ("import resource, sys\n"
+              "from krrsolve.cli import main\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    src = str(Path(krrsolve.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "solve-full", "--dataset", str(path),
+         "--seed", "0", "--rank", "1", "--output-dir", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_INPUT, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"{path}: the dense features, 2 x 3000000000 float64, need 44.7 GiB" in proc.stderr
 
 
 def test_exit_numerical_breakdown(tmp_path, dataset, capsys, monkeypatch):

@@ -58,6 +58,15 @@ def test_libsvm_first_bad_line(tmp_path, text, error):
         load_libsvm(str(p))
 
 
+def test_libsvm_dense_size_beyond_address_space(tmp_path):
+    # 2 x (2^63 - 1) float64 entries: numpy refuses the shape outright
+    p = tmp_path / "wide.txt"
+    p.write_text("1 1:2\n1 9223372036854775807:1\n")
+    with pytest.raises(InputError, match=re.escape(
+            f"{p}: the dense features, 2 x 9223372036854775807 float64, need")):
+        load_libsvm(str(p))
+
+
 def test_csv_roundtrip(tmp_path):
     p = tmp_path / "toy.csv"
     p.write_text("a,target,b\n1,10,2\n3,20,4\n")

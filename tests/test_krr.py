@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve, lstsq
+
+import krrsolve.krr as krr_module
 
 from krrsolve.errors import InputError
 from krrsolve.kernels import DatasetKernelOracle, KernelSpec, pairwise_kernel
@@ -19,6 +22,7 @@ from krrsolve.krr import (
     solve_full_krr,
     solve_restricted_krr,
 )
+from krrsolve.sketch import build_embedding
 
 N = 200
 K = 30
@@ -76,6 +80,38 @@ def test_restricted_solve_matches_dense_solve(pre):
                                                   x[problem.centers])
     dense = cho_solve(cho_factor(system), a_ns.T @ y)
     assert relative_gap(report.solution, dense) <= 1e-8
+
+
+@pytest.mark.parametrize("columns", [None, 7])
+def test_krill_sketch_and_rhs_match_the_csr_to_csc_round_trip(monkeypatch, columns):
+    """Phi built as CSC directly gives the bits of the COO -> CSR -> CSC path."""
+    x, y = points()
+    problem = restricted_problem(x, y, "krill", columns=columns)
+    seen = {}
+    real_krill, real_pcg = krr_module.krill_from_sketch, krr_module.pcg
+
+    def krill(sketch, a_ss, mu):
+        seen["sketch"] = sketch.copy()
+        return real_krill(sketch, a_ss, mu)
+
+    def pcg(op, b, *args, **kwargs):
+        seen["b"] = b.copy()
+        return real_pcg(op, b, *args, **kwargs)
+
+    monkeypatch.setattr(krr_module, "krill_from_sketch", krill)
+    monkeypatch.setattr(krr_module, "pcg", pcg)
+    solve_restricted_krr(problem)
+
+    phi = build_embedding(2 * K, N, 8, seed=5)
+    cols = np.repeat(np.arange(N), phi.zeta)
+    mat = sp.csr_matrix((phi.values.ravel(), (phi.rows.ravel(), cols)),
+                        shape=(phi.d, N)).tocsc()
+    sketch, b = np.zeros((phi.d, K)), np.zeros(K)
+    for start, stop, slab in krr_module._kernel_columns(problem.oracle, problem.centers):
+        sketch += mat[:, start:stop] @ slab
+        b += slab.T @ y[start:stop]
+    np.testing.assert_array_equal(seen["sketch"], sketch)
+    np.testing.assert_array_equal(seen["b"], b)
 
 
 @pytest.mark.parametrize("mode", ["full", "restricted"])

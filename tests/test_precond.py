@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import LinAlgError, cholesky
 
 from krrsolve.diagnostics import clustered_dataset
 from krrsolve.errors import InputError, NumericalError
@@ -8,7 +9,7 @@ from krrsolve.kernels import DatasetKernelOracle, ExplicitMatrixOracle, KernelSp
 from krrsolve.lowrank import PartialCholeskyFactor, rpcholesky, trace_residual
 from krrsolve.precond import (
     EPS_MACH,
-    RpcPreconditioner,
+    SpectralPreconditioner,
     build_falkon,
     build_rpc_preconditioner,
     krill_from_sketch,
@@ -138,7 +139,7 @@ class TestRpcPreconditionerTinyMu:
         mu = mu_over_n * TINY_N
         pre = build_rpc_preconditioner(f, mu)
         U, sigma, _ = np.linalg.svd(f.F, full_matrices=False)
-        ref = RpcPreconditioner(U, sigma**2, mu)
+        ref = SpectralPreconditioner(U, sigma**2, mu)
 
         p_inv = pre.apply_inverse(np.eye(TINY_N))
         np.testing.assert_allclose(p_inv, p_inv.T, rtol=0, atol=1e-12 / mu)
@@ -189,23 +190,20 @@ class TestKrill:
         pre = krill_from_sketch(apply_embedding(phi, cols), a_ss, mu)
         y = phi.matrix() @ cols
         p = y.T @ y + mu * a_ss
-        assert np.all(np.diag(pre.C) > 0)
-        np.testing.assert_allclose(np.triu(pre.C, 1), 0.0)
+        assert np.all(pre.sigma_sq > 0)
+        np.testing.assert_allclose(pre.U.T @ pre.U, np.eye(k), atol=1e-12)
         np.testing.assert_allclose(
-            pre.C @ pre.C.T, p + EPS_MACH * np.trace(p) * np.eye(k),
+            _rebuilt(pre), p + EPS_MACH * np.trace(p) * np.eye(k),
             atol=1e-8 * np.trace(p))
 
     def test_triangular_inverse_identity(self):
-        from krrsolve.precond import TriangularPreconditioner
-
-        pre = TriangularPreconditioner(np.eye(4))
+        pre = SpectralPreconditioner(np.eye(4), np.ones(4))
         v = np.arange(4.0)
         np.testing.assert_array_equal(pre.apply_inverse(v), v)
 
     def test_triangular_inverse_scalar(self):
-        from krrsolve.precond import TriangularPreconditioner
-
-        pre = TriangularPreconditioner(np.array([[2.0]]))
+        # P = 2^2, the square of the old 1 x 1 factor C = 2
+        pre = SpectralPreconditioner(np.array([[1.0]]), np.array([4.0]))
         np.testing.assert_allclose(pre.apply_inverse(np.array([6.0])), [1.5])
 
     def test_triangular_inverse_matches_dense(self):
@@ -221,6 +219,34 @@ class TestKrill:
         with pytest.raises(NumericalError):
             krill_from_sketch(np.zeros((5, 3)), bad, 1.0)
 
+    def test_zero_matrix_raises(self):
+        # tr(P) = 0: no jitter on the ladder is positive
+        with pytest.raises(NumericalError, match="trace"):
+            krill_from_sketch(np.zeros((2, 3)), np.zeros((3, 3)), 1.0)
+
+    @pytest.mark.parametrize("lam_min", [1e-3, -1e-13, -1e-10])
+    def test_jitter_decade_matches_the_cholesky_ladder(self, lam_min):
+        # P with trace 1 and smallest eigenvalue lam_min * tr(P); the old
+        # build tried Cholesky at eps * tr(P) * 10^j for j = 0, 1, ...
+        k = 12
+        q, _ = np.linalg.qr(np.random.default_rng(21).standard_normal((k, k)))
+        lam = np.linspace(1.0, 2.0, k - 1)
+        lam *= (1.0 - lam_min) / lam.sum()
+        p = (q * np.append(lam_min, lam)) @ q.T
+        p = 0.5 * (p + p.T)
+        trace = np.trace(p)
+        ladder = EPS_MACH * trace
+        while True:
+            try:
+                cholesky(p + ladder * np.eye(k), lower=True)
+                break
+            except LinAlgError:
+                ladder *= 10.0
+        pre = krill_from_sketch(np.zeros((1, k)), p, 1.0)  # P = 0 + 1 * p
+        jitter = pre.sigma_sq[0] - np.linalg.eigh(p)[0][0]
+        assert jitter == pytest.approx(ladder, rel=1e-6)
+        assert ladder <= 1e-8 * trace
+
     @pytest.mark.parametrize("mu", BAD_MU)
     def test_mu_must_be_finite_and_positive(self, mu):
         with pytest.raises(InputError, match="mu"):
@@ -233,7 +259,7 @@ class TestFalkon:
         pre = build_falkon(a, k=12, n=12, mu=0.4)
         p = a @ a + 0.4 * a
         np.testing.assert_allclose(
-            pre.C @ pre.C.T, p + EPS_MACH * np.trace(p) * np.eye(12),
+            _rebuilt(pre), p + EPS_MACH * np.trace(p) * np.eye(12),
             atol=1e-8 * np.trace(p))
 
     def test_hand_monte_carlo_scale(self):
@@ -242,7 +268,7 @@ class TestFalkon:
         g_hat = 5.0 * (a_ss @ a_ss)
         p = g_hat + 1e-6 * a_ss
         np.testing.assert_allclose(
-            pre.C @ pre.C.T, p + EPS_MACH * np.trace(p) * np.eye(2),
+            _rebuilt(pre), p + EPS_MACH * np.trace(p) * np.eye(2),
             rtol=1e-12)
 
     def test_preconditioner_is_psd(self):
@@ -251,7 +277,7 @@ class TestFalkon:
         np.fill_diagonal(a_ss, 1.0)
         a_ss = 0.5 * (a_ss + a_ss.T)
         pre = build_falkon(a_ss, k=9, n=100, mu=0.01)
-        p = pre.C @ pre.C.T
+        p = _rebuilt(pre)
         assert np.linalg.eigvalsh(p).min() >= -1e-10 * np.trace(p)
 
     @pytest.mark.parametrize("mu", BAD_MU)
@@ -327,6 +353,12 @@ class TestConditionBoundInvariants:
             assert kappa <= 3.0 + 1e-6
             checked += 1
         assert checked > 0
+
+
+def _rebuilt(pre):
+    """P + jitter*I from a restricted preconditioner, U diag(sigma_sq) U^T."""
+    assert pre.mu is None
+    return (pre.U * pre.sigma_sq) @ pre.U.T
 
 
 def _sqrtm(m):

@@ -1,7 +1,10 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
 from krrsolve.errors import InputError
 from krrsolve.sketch import (
@@ -45,6 +48,47 @@ class TestStructure:
             build_embedding(4, 10, 5, seed=0)
         with pytest.raises(InputError):
             build_embedding(4, 10, 0, seed=0)
+
+
+class TestSampler:
+    """The law of the rows drawn per column: a uniform zeta-subset of range(d)."""
+
+    @pytest.mark.parametrize("d,zeta", [(5, 2), (6, 3), (7, 1), (4, 4)])
+    def test_every_subset_equally_likely(self, d, zeta):
+        subsets = {s: i for i, s in enumerate(itertools.combinations(range(d), zeta))}
+        n = 2000 * len(subsets)
+        rows = build_embedding(d, n, zeta, seed=12).rows
+        counts = np.bincount([subsets[tuple(r)] for r in np.sort(rows, axis=1).tolist()],
+                             minlength=len(subsets))
+        if len(subsets) == 1:
+            assert counts[0] == n
+        else:
+            assert chisquare(counts).pvalue > 1e-3
+
+    def test_every_row_equally_likely(self):
+        d, n, zeta = 1200, 30_000, 8
+        rows = build_embedding(d, n, zeta, seed=13).rows
+        counts = np.bincount(rows.ravel(), minlength=d)
+        assert counts.size == d and counts.sum() == n * zeta
+        assert chisquare(counts).pvalue > 1e-3
+
+    def test_rows_distinct_in_every_column(self):
+        for d, n, zeta, seed in [(1200, 8000, 8, 14), (9, 5000, 8, 15), (3, 100, 3, 16)]:
+            rows = np.sort(build_embedding(d, n, zeta, seed=seed).rows, axis=1)
+            assert rows.min() >= 0 and rows.max() < d
+            assert (np.diff(rows, axis=1) > 0).all()
+
+    def test_memory_is_linear_in_the_nonzeros(self):
+        # the embedding's own arrays are 1 MB; ranking an N x d block of
+        # uniforms would take about 78 MB at this size
+        build_embedding(1200, 8000, 8, seed=17)
+        tracemalloc.start()
+        try:
+            phi = build_embedding(1200, 8000, 8, seed=17)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * (phi.rows.nbytes + phi.values.nbytes)
 
 
 class TestApply:
