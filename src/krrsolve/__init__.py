@@ -48,7 +48,7 @@ from .lowrank import (
 )
 from .pcg import LinearOperator, SolveReport, pcg
 from .precond import (
-    SpectralPreconditioner,
+    CholeskyPreconditioner,
     build_falkon,
     build_rpc_preconditioner,
     krill_from_sketch,

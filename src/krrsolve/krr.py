@@ -170,7 +170,9 @@ def solve_restricted_krr(problem: RestrictedKrrProblem) -> SolveReport:
     With KRILL, the sketch Phi A(:,S) and the right-hand side A(S,:) y are
     accumulated in the same pass over the slabs of A(:,S), so
     ``meta["preconditioner_build_time"]`` includes the right-hand side;
-    with Falkon or no preconditioner it does not.
+    with Falkon or no preconditioner it does not.  With KRILL or Falkon,
+    ``meta["preconditioner_jitter"]`` is the multiple of the identity the
+    build added to make the k x k matrix factorable.
     """
     oracle, centers, mu, y = problem.oracle, problem.centers, problem.mu, problem.y
     k = centers.size
@@ -213,6 +215,8 @@ def solve_restricted_krr(problem: RestrictedKrrProblem) -> SolveReport:
         centers=k,
         preconditioner_build_time=build_time,
     )
+    if pre is not None:
+        report.meta["preconditioner_jitter"] = pre.jitter
     return report
 
 

@@ -18,6 +18,7 @@ from krrsolve.cli import (
     main,
 )
 from krrsolve.errors import NumericalError
+from krrsolve.lowrank import PartialCholeskyFactor
 
 SHARED_FLAGS = {
     "--config": ("config", None, None),
@@ -116,6 +117,12 @@ def test_solve_restricted_exit_ok(tmp_path, dataset, capsys):
         assert code == EXIT_OK, pre
         summary = json.loads(cap.out)
         assert summary["mode"] == "restricted" and summary["preconditioner"] == pre
+        assert json.loads((out / "summary.json").read_text()) == summary
+        if pre == "none":
+            assert "preconditioner_jitter" not in summary
+        else:
+            # at least the first rung, eps_mach * tr(P), of the jitter ladder
+            assert 0 < summary["preconditioner_jitter"] < np.inf, pre
 
 
 def test_exit_not_converged(tmp_path, dataset, capsys):
@@ -172,6 +179,24 @@ def test_exit_numerical_breakdown(tmp_path, dataset, capsys, monkeypatch):
     assert code == EXIT_NUMERICAL == 3
     assert "numerical breakdown: Cholesky failed" in cap.err
     assert cap.out == ""
+
+
+def test_rank_deficient_factor_at_tiny_mu_exits_numerical(tmp_path, dataset, capsys,
+                                                          monkeypatch):
+    def repeated_column(oracle, rank, rule):
+        # two equal columns of squared norm 4: F^T F + mu I rounds to
+        # [[4, 4], [4, 4]] at mu = 1e-300 * N, and its Cholesky breaks down
+        f = np.zeros((oracle.n, 2))
+        f[:4] = 1.0
+        return PartialCholeskyFactor(f, np.arange(2), np.zeros(oracle.n))
+
+    monkeypatch.setattr("krrsolve.krr.build_factor", repeated_column)
+    code, cap = _run(capsys, ["solve-full", "--dataset", dataset, "--seed", "0",
+                              "--rank", "2", "--mu-over-n", "1e-300",
+                              "--output-dir", str(tmp_path / "rd")])
+    assert code == EXIT_NUMERICAL
+    assert "numerical breakdown: F^T F + mu I is not numerically positive definite" in cap.err
+    assert "Traceback" not in cap.err and cap.out == ""
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -1,15 +1,23 @@
+import ast
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import LinAlgError, cholesky
+
+import krrsolve.precond as precond_module
 
 from krrsolve.diagnostics import clustered_dataset
 from krrsolve.errors import InputError, NumericalError
 from krrsolve.kernels import DatasetKernelOracle, ExplicitMatrixOracle, KernelSpec
 from krrsolve.lowrank import PartialCholeskyFactor, rpcholesky, trace_residual
 from krrsolve.precond import (
+    _TRIANGULAR_BASE,
     EPS_MACH,
-    SpectralPreconditioner,
+    CholeskyPreconditioner,
+    _lower_triangular_inverse,
     build_falkon,
     build_rpc_preconditioner,
     krill_from_sketch,
@@ -62,18 +70,20 @@ class TestRpcPreconditioner:
         rng = np.random.default_rng(2)
         f = factor(rng.standard_normal((50, 5)), np.arange(5))
         pre = build_rpc_preconditioner(f, mu=0.5)
-        gram = (pre.U * pre.sigma_sq) @ pre.U.T
+        U, sigma, _ = np.linalg.svd(f.F, full_matrices=False)
+        gram = np.linalg.inv(pre.apply_inverse(np.eye(50))) - 0.5 * np.eye(50)
         np.testing.assert_allclose(
-            gram, f.F @ f.F.T, atol=1e-10 * np.sum(f.F**2))
+            gram, (U * sigma**2) @ U.T, atol=1e-10 * np.sum(f.F**2))
 
     def test_eigenvector_action(self):
         rng = np.random.default_rng(3)
         f = factor(rng.standard_normal((20, 4)), np.arange(4))
         mu = 0.7
         pre = build_rpc_preconditioner(f, mu)
+        U, sigma, _ = np.linalg.svd(f.F, full_matrices=False)
         for j in range(4):
-            u = pre.U[:, j]
-            s = pre.sigma_sq[j]
+            u = U[:, j]
+            s = sigma[j] ** 2
             np.testing.assert_allclose(pre.apply_inverse(u), u / (s + mu), rtol=1e-10)
 
     def test_matches_dense_solve(self):
@@ -109,6 +119,13 @@ class TestRpcPreconditioner:
         with pytest.raises(InputError, match="mu"):
             build_rpc_preconditioner(f, mu)
 
+    def test_rank_deficient_gram_below_roundoff_raises_numerical_error(self):
+        # a repeated column with squared norm 4: F^T F + mu I is [[4, 4], [4, 4]]
+        # in floating point, and its Cholesky factorization breaks down exactly
+        f = factor(np.ones((4, 2)), np.arange(2))
+        with pytest.raises(NumericalError, match="positive definite"):
+            build_rpc_preconditioner(f, 1e-300)
+
 
 TINY_N = 600
 TINY_RANK = 200
@@ -130,7 +147,7 @@ def kernel_and_factor(request):
 
 
 class TestRpcPreconditionerTinyMu:
-    """The Gram eigendecomposition build against an SVD-of-F reference."""
+    """The Cholesky-form build against an SVD-of-F reference."""
 
     @pytest.mark.parametrize("mu_over_n", [1e-7, 1e-10, 1e-12])
     def test_matches_svd_reference(self, kernel_and_factor, mu_over_n):
@@ -138,8 +155,13 @@ class TestRpcPreconditionerTinyMu:
         assert f.rank == TINY_RANK
         mu = mu_over_n * TINY_N
         pre = build_rpc_preconditioner(f, mu)
+        # P^{-1} = U diag(1/(sigma^2 + mu) - 1/mu) U^T + I/mu from F = U S W^T
         U, sigma, _ = np.linalg.svd(f.F, full_matrices=False)
-        ref = SpectralPreconditioner(U, sigma**2, mu)
+        coef = 1.0 / (sigma**2 + mu) - 1.0 / mu
+
+        def ref_apply_inverse(v):
+            w = U.T @ v
+            return U @ (coef[:, None] * w if w.ndim > 1 else coef * w) + v / mu
 
         p_inv = pre.apply_inverse(np.eye(TINY_N))
         np.testing.assert_allclose(p_inv, p_inv.T, rtol=0, atol=1e-12 / mu)
@@ -147,13 +169,41 @@ class TestRpcPreconditionerTinyMu:
 
         m = a + mu * np.eye(TINY_N)
         kappa = precond_condition_number(m, pre.apply_inverse)
-        assert kappa == pytest.approx(precond_condition_number(m, ref.apply_inverse),
+        assert kappa == pytest.approx(precond_condition_number(m, ref_apply_inverse),
                                       rel=1e-2)
         if mu_over_n == 1e-7:
             v = np.random.default_rng(2).standard_normal(TINY_N)
-            expect = ref.apply_inverse(v)
+            expect = ref_apply_inverse(v)
             assert (np.linalg.norm(pre.apply_inverse(v) - expect)
                     <= 1e-8 * np.linalg.norm(expect))
+
+
+def _well_conditioned_lower(n, seed):
+    """Cholesky factor of a Wishart matrix with twice as many samples as n."""
+    g = np.random.default_rng(seed).standard_normal((2 * n, n))
+    return np.linalg.cholesky(g.T @ g / (2 * n))
+
+
+class TestLowerTriangularInverse:
+    @pytest.mark.parametrize("n", [1, _TRIANGULAR_BASE - 1, _TRIANGULAR_BASE,
+                                   _TRIANGULAR_BASE + 1, 1000])
+    def test_matches_dense_inverse_and_is_lower_triangular(self, n):
+        l = _well_conditioned_lower(n, seed=n)
+        x = _lower_triangular_inverse(l)
+        assert np.all(np.triu(x, 1) == 0)
+        expect = np.linalg.inv(l)
+        assert np.linalg.norm(x - expect) <= 1e-12 * np.linalg.norm(expect)
+
+    @pytest.mark.parametrize("kernel_and_factor", ["clustered"], indirect=True)
+    def test_backward_error_on_the_tiny_mu_factor(self, kernel_and_factor):
+        # the factor the full-data build inverts at mu/N = 1e-12, where
+        # F^T F + mu I has condition number near 1e8
+        _, f = kernel_and_factor
+        m = f.F.T @ f.F + 1e-12 * TINY_N * np.eye(f.rank)
+        l = np.linalg.cholesky(m)
+        x = _lower_triangular_inverse(l)
+        assert np.linalg.cond(l) > 1e3
+        assert np.linalg.norm(x @ l - np.eye(f.rank), 2) <= EPS_MACH * f.rank
 
 
 class TestKrill:
@@ -190,20 +240,21 @@ class TestKrill:
         pre = krill_from_sketch(apply_embedding(phi, cols), a_ss, mu)
         y = phi.matrix() @ cols
         p = y.T @ y + mu * a_ss
-        assert np.all(pre.sigma_sq > 0)
-        np.testing.assert_allclose(pre.U.T @ pre.U, np.eye(k), atol=1e-12)
+        assert pre.jitter == pytest.approx(EPS_MACH * np.trace(p), rel=1e-12)
+        assert np.all(np.triu(pre.l_inv, 1) == 0)
+        assert np.all(np.diag(pre.l_inv) > 0)
         np.testing.assert_allclose(
             _rebuilt(pre), p + EPS_MACH * np.trace(p) * np.eye(k),
             atol=1e-8 * np.trace(p))
 
     def test_triangular_inverse_identity(self):
-        pre = SpectralPreconditioner(np.eye(4), np.ones(4))
+        pre = CholeskyPreconditioner(np.eye(4))
         v = np.arange(4.0)
         np.testing.assert_array_equal(pre.apply_inverse(v), v)
 
     def test_triangular_inverse_scalar(self):
-        # P = 2^2, the square of the old 1 x 1 factor C = 2
-        pre = SpectralPreconditioner(np.array([[1.0]]), np.array([4.0]))
+        # P = 2^2 = L L^T with the 1 x 1 factor L = 2
+        pre = CholeskyPreconditioner(np.array([[0.5]]))
         np.testing.assert_allclose(pre.apply_inverse(np.array([6.0])), [1.5])
 
     def test_triangular_inverse_matches_dense(self):
@@ -243,8 +294,7 @@ class TestKrill:
             except LinAlgError:
                 ladder *= 10.0
         pre = krill_from_sketch(np.zeros((1, k)), p, 1.0)  # P = 0 + 1 * p
-        jitter = pre.sigma_sq[0] - np.linalg.eigh(p)[0][0]
-        assert jitter == pytest.approx(ladder, rel=1e-6)
+        assert pre.jitter == pytest.approx(ladder, rel=1e-6)
         assert ladder <= 1e-8 * trace
 
     @pytest.mark.parametrize("mu", BAD_MU)
@@ -284,6 +334,60 @@ class TestFalkon:
     def test_mu_must_be_finite_and_positive(self, mu):
         with pytest.raises(InputError, match="mu"):
             build_falkon(np.eye(2), k=2, n=10, mu=mu)
+
+
+SPECTRAL_SOLVERS = ("eigh", "eigvalsh", "svd")
+
+
+def spectral_solver_uses(source: str) -> list:
+    """(line, name) of every eigh, eigvalsh or svd outside precond_condition_number."""
+    found = []
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.FunctionDef) and top.name == "precond_condition_number":
+            continue
+        for node in ast.walk(top):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name)
+                    else node.name.rsplit(".", 1)[-1] if isinstance(node, ast.alias)
+                    else None)
+            if name in SPECTRAL_SOLVERS:
+                found.append((node.lineno, name))
+    return found
+
+
+class TestBuildCost:
+    """The builds run no eigensolve and form no N x r array besides F."""
+
+    def test_precond_runs_spectral_solvers_only_in_the_diagnostic(self):
+        assert spectral_solver_uses(Path(precond_module.__file__).read_text()) == []
+
+    @pytest.mark.parametrize("source", [
+        "def build(f):\n    lam, v = np.linalg.eigh(f.T @ f)\n",
+        "def build(f):\n    return eigvalsh(f)\n",
+        "from numpy.linalg import svd\n",
+        "from numpy.linalg import eigh as spectrum\n",
+        "def precond_condition_number(m, f):\n    pass\n"
+        "def other(m):\n    return np.linalg.eigh(m)\n",
+    ])
+    def test_every_use_outside_the_diagnostic_is_caught(self, source):
+        assert len(spectral_solver_uses(source)) == 1
+
+    def test_uses_inside_the_diagnostic_pass(self):
+        source = ("def precond_condition_number(m, apply_inv):\n"
+                  "    w, v = np.linalg.eigh(m)\n"
+                  "    return np.linalg.eigvalsh(apply_inv(m))\n")
+        assert spectral_solver_uses(source) == []
+
+    def test_rpc_build_peaks_below_one_n_by_r_array(self):
+        n, r = 4000, 200
+        f = factor(np.random.default_rng(30).standard_normal((n, r)), np.arange(r))
+        tracemalloc.start()
+        try:
+            build_rpc_preconditioner(f, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * r * 8
 
 
 class TestConditionNumber:
@@ -356,9 +460,11 @@ class TestConditionBoundInvariants:
 
 
 def _rebuilt(pre):
-    """P + jitter*I from a restricted preconditioner, U diag(sigma_sq) U^T."""
-    assert pre.mu is None
-    return (pre.U * pre.sigma_sq) @ pre.U.T
+    """P + jitter*I = L L^T from a restricted preconditioner's L^{-1}."""
+    assert pre.F is None and pre.mu is None
+    assert np.all(np.triu(pre.l_inv, 1) == 0)
+    l = np.linalg.inv(pre.l_inv)
+    return l @ l.T
 
 
 def _sqrtm(m):
