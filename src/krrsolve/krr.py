@@ -28,13 +28,7 @@ from .kernels import (
     KernelSpec,
     pairwise_kernel,
 )
-from .lowrank import (
-    PartialCholeskyFactor,
-    default_block_size,
-    greedy_cholesky,
-    rpcholesky,
-    uniform_nystrom,
-)
+from .lowrank import PartialCholeskyFactor, greedy_cholesky, rpcholesky, uniform_nystrom
 from .pcg import LinearOperator, SolveReport, pcg
 from .precond import build_falkon, build_rpc_preconditioner, krill_from_sketch
 from .sketch import build_embedding, practical_params
@@ -75,8 +69,7 @@ class PivotRule:
 
 def build_factor(oracle: KernelOracle, rank: int, rule: PivotRule) -> PartialCholeskyFactor:
     if rule.kind == RPCHOLESKY:
-        block = rule.block_size or default_block_size(rank)
-        return rpcholesky(oracle, rank, block, seed=rule.seed)
+        return rpcholesky(oracle, rank, rule.block_size, seed=rule.seed)
     if rule.kind == GREEDY:
         return greedy_cholesky(oracle, rank)
     return uniform_nystrom(oracle, rank, seed=rule.seed)
@@ -167,10 +160,9 @@ def solve_restricted_krr(problem: RestrictedKrrProblem) -> SolveReport:
     The Gram apply fuses both rectangular products per row slab:
     A(S,:) A(:,S) v = sum over slabs I of A(I,S)^T (A(I,S) v).
 
-    With KRILL, the sketch Phi A(:,S) and the right-hand side A(S,:) y are
-    accumulated in the same pass over the slabs of A(:,S), so
-    ``meta["preconditioner_build_time"]`` includes the right-hand side;
-    with Falkon or no preconditioner it does not.  With KRILL or Falkon,
+    One pass over the slabs of A(:,S) accumulates the right-hand side
+    A(S,:) y and, with KRILL, the sketch Phi A(:,S); it counts towards
+    ``meta["preconditioner_build_time"]``.  With KRILL or Falkon,
     ``meta["preconditioner_jitter"]`` is the multiple of the identity the
     build added to make the k x k matrix factorable.
     """
@@ -181,18 +173,22 @@ def solve_restricted_krr(problem: RestrictedKrrProblem) -> SolveReport:
     a_ss = oracle.block(centers, centers)
     a_ss = 0.5 * (a_ss + a_ss.T)
 
-    b = np.zeros(k)  # A(S,:) y
-    pre = None  # NO_PRECONDITIONER: pcg applies the identity
+    sketch = None  # Phi A(:,S), KRILL only
     if problem.preconditioner == KRILL:
         d_def, zeta_def = practical_params(k)
         d = problem.embedding_dim or d_def
         zeta = problem.embedding_nnz or zeta_def
         phi = build_embedding(d, oracle.n, zeta, seed=problem.embedding_seed)
         mat = phi.matrix()
-        sketch = np.zeros((phi.d, k))  # Phi A(:,S)
-        for start, stop, slab in a_ns:
+        sketch = np.zeros((phi.d, k))
+    b = np.zeros(k)  # A(S,:) y
+    for start, stop, slab in a_ns:
+        if sketch is not None:
             sketch += mat[:, start:stop] @ slab
-            b += slab.T @ y[start:stop]
+        b += slab.T @ y[start:stop]
+
+    pre = None  # NO_PRECONDITIONER: pcg applies the identity
+    if sketch is not None:
         pre = krill_from_sketch(sketch, a_ss, mu)
     elif problem.preconditioner == FALKON:
         pre = build_falkon(a_ss, k, oracle.n, mu)
@@ -204,9 +200,6 @@ def solve_restricted_krr(problem: RestrictedKrrProblem) -> SolveReport:
             out += slab.T @ (slab @ v)
         return out + mu * (a_ss @ v)
 
-    if problem.preconditioner != KRILL:
-        for start, stop, slab in a_ns:
-            b += slab.T @ y[start:stop]
     report = pcg(LinearOperator(k, gram_apply), b, problem.epsilon,
                  None if pre is None else pre.apply_inverse, max_iter=problem.max_iter)
     report.meta.update(

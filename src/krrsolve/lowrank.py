@@ -1,18 +1,29 @@
 """Partial-Cholesky column Nystrom approximation with three pivot rules.
 
 All three rules produce a factor F (N x r') with A_hat = F F^T psd and
-A_hat <= A in the Loewner order.  They differ only in pivot selection:
+A_hat <= A in the Loewner order.  They share one block Cholesky loop and
+differ only in the candidate pivots they propose each round:
 
-* randomly pivoted Cholesky: at each round, a block of candidate pivots is
-  sampled iid with probability proportional to the residual diagonal, then
-  deduplicated.  This adapts to the spectrum and avoids the failure modes
-  of the other two rules.
+* randomly pivoted Cholesky: a block of candidates sampled iid with
+  probability proportional to the residual diagonal, then deduplicated.
+  This adapts to the spectrum and avoids the failure modes of the other two
+  rules.
 * greedy: the largest residual diagonal entry (ties to the lowest index).
-* uniform: pivots drawn uniformly without replacement up front.
+* uniform: pivots drawn uniformly without replacement up front and taken in
+  one block.
 
-The returned factor can have fewer columns than requested: block
-deduplication, or a residual that hits zero early, both shrink it.  Callers
-must read ``factor.rank`` rather than assume the requested rank.
+One exhaustion rule serves all three.  A residual diagonal entry is live
+while it exceeds a roundoff threshold, 1e-10 tr(A)/N; once it falls to the
+threshold it is zeroed, and only live entries are proposed.  Within a block,
+a candidate whose residual given the candidates taken before it is at or
+below the same threshold is skipped, so nearly dependent candidates (copies
+of one point, say) are never factored.
+
+The returned factor has fewer columns than requested when the residual is
+exhausted first, that is when the numerical rank of A is below the request,
+and with the uniform rule also when some of its pre-drawn pivots are
+exhausted by the time they are reached: those are skipped, not replaced.
+Callers must read ``factor.rank`` rather than assume the requested rank.
 """
 
 from __future__ import annotations
@@ -25,7 +36,7 @@ import numpy as np
 from .errors import InputError
 from .kernels import KernelOracle
 
-# relative clamp threshold for roundoff negatives in the residual diagonal
+# residual diagonal entries at or below this multiple of tr(A)/N are roundoff
 _CLAMP_REL = 1e-10
 
 
@@ -55,136 +66,123 @@ def _clamp_threshold(trace: float, n: int) -> float:
     return _CLAMP_REL * trace / n
 
 
-def _clamp(d: np.ndarray, thr: float) -> None:
-    d[d < -thr] = 0.0
+def _check_rank(oracle: KernelOracle, rank: int) -> None:
+    if not 1 <= rank <= oracle.n:
+        raise InputError(f"rank must be in [1, {oracle.n}], got {rank}")
 
 
-def rpcholesky(oracle: KernelOracle, rank: int, block_size: Optional[int] = None,
-               seed: Optional[int] = None,
-               rng: Optional[np.random.Generator] = None) -> PartialCholeskyFactor:
-    """Randomly pivoted partial Cholesky with blockwise sampling.
+def _skip_cholesky(H: np.ndarray, thr: float):
+    """Cholesky factor of the candidates' block H under the skip rule.
 
-    Each round samples ``min(block_size, rank - i)`` iid indices with
-    probability proportional to the residual diagonal d, deduplicates them,
-    extends the factor by a block Cholesky step, and subtracts the new
-    columns' squared row norms from d.  Stops at ``rank`` columns or when
-    the residual diagonal is exhausted.
+    Returns (taken, L): the positions taken, in order, and the lower
+    Cholesky factor of H[taken][:, taken].  One LAPACK call serves the
+    common case, where every pivot's residual L_jj^2 exceeds thr.
+    Otherwise a left-looking loop takes the candidates in order and skips
+    each one whose residual, given those taken before it, is at most thr.
+    """
+    m = H.shape[0]
+    try:
+        L = np.linalg.cholesky(H)
+        if np.all(np.diagonal(L) ** 2 > thr):
+            return np.arange(m), L
+    except np.linalg.LinAlgError:
+        pass
+    C = np.zeros((m, m))  # factor columns over all candidate rows
+    taken: list[int] = []
+    for j in range(m):
+        t = len(taken)
+        v = H[j:, j] - C[j:, :t] @ C[j, :t]
+        if v[0] > thr:
+            C[j:, t] = v / np.sqrt(v[0])
+            taken.append(j)
+    return np.asarray(taken, dtype=np.int64), C[taken, :len(taken)]
+
+
+def _partial_cholesky(oracle: KernelOracle, rank: int, propose) -> PartialCholeskyFactor:
+    """Block partial Cholesky over the candidates a pivot rule proposes.
+
+    ``propose(d, i)`` receives the residual diagonal d, whose exhausted
+    entries are zero, and the number i of columns so far.  It returns at
+    most ``rank - i`` distinct live candidates (d > 0), or none to stop.
+    Each round forms the candidates' residual columns G, takes the
+    candidates that ``_skip_cholesky`` keeps, and appends G(:, taken) L^{-T}.
     """
     n = oracle.n
-    if not 1 <= rank <= n:
-        raise InputError(f"rank must be in [1, {n}], got {rank}")
-    if block_size is None:
-        block_size = default_block_size(rank)
-    if block_size < 1:
-        raise InputError("block size must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng(seed)
-
     d = oracle.diag().astype(np.float64).copy()
-    trace = d.sum()
-    thr = _clamp_threshold(max(trace, np.finfo(float).tiny), n)
+    thr = _clamp_threshold(max(d.sum(), np.finfo(float).tiny), n)
+    d[d <= thr] = 0.0
     F = np.zeros((n, rank))
     pivots: list[int] = []
     i = 0
-    cur_block = block_size
     while i < rank:
-        weights = np.clip(d, 0.0, None)
-        total = weights.sum()
-        if total <= 0.0:
-            break  # residual exhausted: exact recovery with fewer columns
-        m = min(cur_block, rank - i)
-        cand = rng.choice(n, size=m, replace=True, p=weights / total)
-        new = np.unique(cand)
-        G = oracle.columns(new) - F[:, :i] @ F[new, :i].T
-        H = G[new, :]
-        try:
-            L = np.linalg.cholesky(H)
-        except np.linalg.LinAlgError:
-            # nearly dependent block pivots: jitter once, then shrink the
-            # block and resample fresh candidates
-            try:
-                L = np.linalg.cholesky(H + 1e-12 * np.trace(H) * np.eye(len(new)))
-            except np.linalg.LinAlgError:
-                if m == 1:
-                    # a single pivot whose residual column lost positivity
-                    # to roundoff carries no usable mass; drop it
-                    d[new] = 0.0
-                    continue
-                cur_block = max(1, m // 2)
-                continue
-        cur_block = block_size
+        cand = np.asarray(propose(d, i), dtype=np.int64)
+        if cand.size == 0:
+            break
+        G = oracle.columns(cand) - F[:, :i] @ F[cand, :i].T
+        taken, L = _skip_cholesky(G[cand, :], thr)
+        if taken.size < cand.size:
+            G = G[:, taken]  # copy only when needed: it is N x m
         # G L^{-T} through the m x m inverse: numpy has no triangular solve,
         # and one product is 5x faster than an LU solve with N right-hand
         # sides, at a backward error still near eps
         cols = G @ np.linalg.inv(L).T
-        F[:, i:i + len(new)] = cols
+        F[:, i:i + taken.size] = cols
         d -= np.einsum("ij,ij->i", cols, cols)
-        _clamp(d, thr)
-        pivots.extend(int(s) for s in new)
-        d[pivots] = 0.0
-        i += len(new)
+        d[cand] = 0.0  # taken, or skipped as exhausted
+        d[d <= thr] = 0.0
+        pivots.extend(cand[taken].tolist())
+        i += taken.size
     return PartialCholeskyFactor(F[:, :i], np.asarray(pivots, dtype=np.int64), d)
 
 
-def _sequential_cholesky(oracle: KernelOracle, pivot_order, rank: int,
-                         skip_exhausted: bool) -> PartialCholeskyFactor:
-    """Rank-1 partial Cholesky steps over a pivot stream.
+def rpcholesky(oracle: KernelOracle, rank: int, block_size: Optional[int] = None,
+               seed: Optional[int] = None) -> PartialCholeskyFactor:
+    """Randomly pivoted partial Cholesky with blockwise sampling.
 
-    ``pivot_order`` is either an explicit index sequence (uniform rule) or
-    None, which means greedy argmax selection on the residual diagonal.
+    Each round samples ``min(block_size, rank - i)`` iid indices with
+    probability proportional to the residual diagonal d, where exhausted
+    entries (at most the roundoff threshold) weigh zero, and deduplicates
+    them.  One block Cholesky step then takes the candidates in order,
+    skipping any whose residual given those taken before it is exhausted.
+    Stops at ``rank`` columns or when no entry of d is live.
     """
-    n = oracle.n
-    d = oracle.diag().astype(np.float64).copy()
-    trace = d.sum()
-    thr = _clamp_threshold(max(trace, np.finfo(float).tiny), n)
-    F = np.zeros((n, rank))
-    pivots: list[int] = []
-    i = 0
-    stream = iter(pivot_order) if pivot_order is not None else None
-    while i < rank:
-        if stream is None:
-            s = int(np.argmax(d))
-            if d[s] <= thr:
-                break  # zero residual diagonal: early return
-        else:
-            try:
-                s = int(next(stream))
-            except StopIteration:
-                break
-            if d[s] <= thr:
-                if skip_exhausted:
-                    continue
-                break
-        g = oracle.columns([s])[:, 0] - F[:, :i] @ F[s, :i]
-        if g[s] <= 0.0:
-            d[s] = 0.0
-            continue
-        col = g / np.sqrt(g[s])
-        F[:, i] = col
-        d -= col * col
-        _clamp(d, thr)
-        pivots.append(s)
-        d[pivots] = 0.0
-        i += 1
-    return PartialCholeskyFactor(F[:, :i], np.asarray(pivots, dtype=np.int64), d)
+    _check_rank(oracle, rank)
+    if block_size is None:
+        block_size = default_block_size(rank)
+    if block_size < 1:
+        raise InputError("block size must be >= 1")
+    rng = np.random.default_rng(seed)
+
+    def propose(d, i):
+        total = d.sum()
+        if total <= 0.0:
+            return []
+        return np.unique(rng.choice(d.size, size=min(block_size, rank - i), p=d / total))
+
+    return _partial_cholesky(oracle, rank, propose)
 
 
 def greedy_cholesky(oracle: KernelOracle, rank: int) -> PartialCholeskyFactor:
     """Partial Cholesky pivoting on the largest residual diagonal entry."""
-    if not 1 <= rank <= oracle.n:
-        raise InputError(f"rank must be in [1, {oracle.n}], got {rank}")
-    return _sequential_cholesky(oracle, None, rank, skip_exhausted=False)
+    _check_rank(oracle, rank)
+
+    def propose(d, i):
+        s = int(np.argmax(d))
+        return [s] if d[s] > 0.0 else []
+
+    return _partial_cholesky(oracle, rank, propose)
 
 
-def uniform_nystrom(oracle: KernelOracle, rank: int, seed: Optional[int] = None,
-                    rng: Optional[np.random.Generator] = None) -> PartialCholeskyFactor:
-    """Column Nystrom approximation on uniformly sampled distinct pivots."""
-    if not 1 <= rank <= oracle.n:
-        raise InputError(f"rank must be in [1, {oracle.n}], got {rank}")
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    chosen = rng.choice(oracle.n, size=rank, replace=False)
-    return _sequential_cholesky(oracle, chosen, rank, skip_exhausted=True)
+def uniform_nystrom(oracle: KernelOracle, rank: int,
+                    seed: Optional[int] = None) -> PartialCholeskyFactor:
+    """Column Nystrom approximation on uniformly sampled distinct pivots.
+
+    The ``rank`` pivots are drawn up front; one block step takes those still
+    live, in the order drawn.
+    """
+    _check_rank(oracle, rank)
+    chosen = np.random.default_rng(seed).choice(oracle.n, size=rank, replace=False)
+    return _partial_cholesky(oracle, rank, lambda d, i: chosen[d[chosen] > 0.0])
 
 
 def tail_rank(eigenvalues, mu: float) -> int:

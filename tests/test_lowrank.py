@@ -1,10 +1,18 @@
+import ast
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+import krrsolve.lowrank as lowrank_module
 from krrsolve.diagnostics import build_greedy_failure_matrix, build_uniform_failure_matrix
 from krrsolve.errors import InputError
-from krrsolve.kernels import ExplicitMatrixOracle
+from krrsolve.kernels import DatasetKernelOracle, ExplicitMatrixOracle, KernelSpec
+from krrsolve.krr import GREEDY, PIVOT_RULES, RPCHOLESKY, UNIFORM, PivotRule, build_factor
 from krrsolve.lowrank import (
     greedy_cholesky,
     rpcholesky,
@@ -71,8 +79,8 @@ class TestRpcholesky:
         f = rpcholesky(o, 4, 1, seed=3)
         assert f.rank == 1  # rank-1 input exhausts d after one pivot
         assert trace_residual(o, f) == pytest.approx(0.0, abs=1e-8)
-        # blocked sampling may add jitter-level columns but recovery holds
         fb = rpcholesky(o, 4, 2, seed=3)
+        assert fb.rank == 1
         assert trace_residual(o, fb) == pytest.approx(0.0, abs=1e-8)
 
     def test_zero_matrix_yields_empty_factor(self):
@@ -186,6 +194,82 @@ class TestDominationAllRules:
         for f in factors:
             lam_max = np.linalg.eigvalsh(f.F @ f.F.T - a).max()
             assert lam_max <= 1e-8 * np.trace(a)
+
+
+def repeated_points():
+    """20 distinct points, each five times: the kernel has rank 20."""
+    x = np.random.default_rng(0).standard_normal((20, 5))
+    return DatasetKernelOracle(np.repeat(x, 5, axis=0), KernelSpec(bandwidth=3.0))
+
+
+class TestExhaustion:
+    """Every rule stops at the roundoff left on copies of taken points."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("rule", [RPCHOLESKY, GREEDY])
+    def test_adaptive_rules_reach_the_kernel_rank(self, rule, seed):
+        assert build_factor(repeated_points(), 40, PivotRule(rule, seed=seed)).rank == 20
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("rule", PIVOT_RULES)
+    def test_no_roundoff_columns_and_no_copies(self, rule, seed):
+        o = repeated_points()
+        f = build_factor(o, 40, PivotRule(rule, seed=seed))
+        thr = lowrank_module._clamp_threshold(o.diag().sum(), o.n)
+        assert (np.sum(f.F**2, axis=0) > thr).all()
+        assert np.unique(f.pivots // 5).size == f.rank  # point i is rows 5i..5i+4
+
+
+@st.composite
+def lowrank_with_copies(draw):
+    """A = X X^T over rows of X repeated, in shuffled order, at any scale."""
+    distinct = draw(st.integers(1, 8))
+    rows = np.array([*range(distinct), *draw(st.lists(st.integers(0, distinct - 1),
+                                                      max_size=16))])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((distinct, draw(st.integers(1, 6))))
+    x *= 10.0 ** draw(st.integers(-3, 3))
+    xr = x[rng.permutation(rows)]
+    return xr @ xr.T, distinct
+
+
+@settings(max_examples=150, deadline=None)
+@given(lowrank_with_copies(),
+       st.sampled_from([PivotRule(RPCHOLESKY, block) for block in (1, 3, 16)]
+                       + [PivotRule(GREEDY), PivotRule(UNIFORM)]),
+       st.data())
+def test_engine_property_on_repeated_rows(case, rule, data):
+    a, distinct = case
+    o = ExplicitMatrixOracle(a)
+    rule = replace(rule, seed=data.draw(st.integers(0, 1000)))
+    f = build_factor(o, data.draw(st.integers(1, o.n)), rule)
+    assert np.unique(f.pivots).size == f.rank
+    np.testing.assert_array_equal(f.residual_diag[f.pivots], 0.0)
+    assert np.linalg.eigvalsh(f.F @ f.F.T - a).max() <= 1e-8 * np.trace(a)
+    assert f.rank <= distinct
+
+
+def call_sites(source: str, dotted: str) -> list:
+    """Names of the top-level functions, one per occurrence of ``dotted``."""
+    return [top.name for top in ast.parse(source).body
+            if isinstance(top, ast.FunctionDef)
+            for node in ast.walk(top)
+            if isinstance(node, ast.Attribute) and ast.unparse(node) == dotted]
+
+
+class TestOneCholeskyLoop:
+    """Kernel columns are fetched, and blocks factored, in one place each."""
+
+    @pytest.mark.parametrize("dotted", ["oracle.columns", "np.linalg.cholesky"])
+    def test_one_call_site(self, dotted):
+        assert len(call_sites(Path(lowrank_module.__file__).read_text(), dotted)) == 1
+
+    def test_a_second_site_is_caught(self):
+        source = ("def a(oracle):\n    return oracle.columns([0])\n"
+                  "def b(oracle, h):\n    np.linalg.cholesky(h)\n"
+                  "    return np.linalg.cholesky(h + 1.0), oracle.columns([1])\n")
+        assert call_sites(source, "oracle.columns") == ["a", "b"]
+        assert call_sites(source, "np.linalg.cholesky") == ["b", "b"]
 
 
 class TestTailRank:
