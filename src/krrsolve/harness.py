@@ -5,7 +5,9 @@ Each run produces, inside the configured output directory:
 * ``residuals.csv``  -- iteration, relative_residual
 * ``summary.json``   -- convergence flag, iteration counts, timings
   (``load_time`` for reading the dataset, ``solve_time``, ``total_time``),
-  and test metrics when a test split is configured.
+  and test metrics when a test split is configured: ``test_error``,
+  ``test_size`` and ``predict_time``, the wall time of predicting the test
+  targets.
 
 Batch mode runs a directory of configs (in parallel up to a worker limit)
 and additionally writes ``fraction_solved.csv``, the fraction of runs whose
@@ -133,9 +135,11 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
     if test_set is not None:
         test_feats = apply_standardization(test_set.features, params)
+        t_predict = time.perf_counter()
         preds = predict(report.solution, coeff_points,
                         KernelSpec(config.kernel, config.bandwidth), test_feats,
                         memory_budget=config.memory_budget_bytes) + shift
+        summary["predict_time"] = time.perf_counter() - t_predict
         summary["test_error"] = test_error(preds, test_set.targets, config.task)
         summary["test_size"] = int(test_set.n)
 

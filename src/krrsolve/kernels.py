@@ -10,21 +10,25 @@ norm expansion ||x - y||^2 = ||x||^2 + ||y||^2 - 2 x.y, so its cost is one
 BLAS-3 product (see ``pairwise_kernel`` for the shift, the coincident-point
 floor and the accuracy bound).  A ``DatasetKernelOracle`` shifts and scales
 its points once, by the data mean, so every block it generates uses the same
-prepared points.  The Laplace block keeps ``cdist`` and is exponentiated in
-place.  Either way a block of m x n entries allocates one m x n float array,
-never a second array of its size.
+prepared points; ``kernel_rows`` does the same for the rows of K(x, y).  The
+Laplace block keeps ``cdist`` and is exponentiated in place.  Either way a
+block of m x n entries allocates one m x n float array, never a second array
+of its size, and ``pairwise_kernel(..., out=buf)`` writes it into a caller's
+C-contiguous float64 buffer instead, with the same bits.
 
 The kernel matrix of N data points is accessed through a ``KernelOracle``,
 which generates entries, columns and dense blocks on demand and carries the
 byte budget for generated blocks.  Products with a kernel block A(R, C) go
 through ``KernelBlocks``, which holds the one slab rule: when all of A(R, C)
 fits in the budget it is generated once and kept, otherwise each product
-regenerates it in row slabs as tall as the budget allows.
+regenerates it in row slabs as tall as the budget allows, all written into
+one slab buffer that every pass reuses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -58,7 +62,8 @@ class KernelSpec:
             raise InputError(f"bandwidth must be positive, got {self.bandwidth}")
 
 
-def pairwise_kernel(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def pairwise_kernel(spec: KernelSpec, x: np.ndarray, y: np.ndarray,
+                    out: Optional[np.ndarray] = None) -> np.ndarray:
     """Dense kernel block K(x_i, y_j) for row sets ``x`` (m x dim), ``y`` (n x dim).
 
     Squared exponential: with u = (x - shift) / sigma and v = (y - shift) / sigma,
@@ -79,43 +84,88 @@ def pairwise_kernel(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarra
     lies in [0, 1].  As exp has slope at most 1 on exponents <= 0, the
     absolute error of an entry is at most about floor.
 
-    Memory: the m x n float64 output plus one tile and its boolean mask;
-    the shifted copies of x and y are m x dim and n x dim.  The Laplace
-    block is ``cdist``'s output, scaled and exponentiated in place.
+    ``out``, when given, must be a writeable C-contiguous float64 array of
+    shape (m, n); the block is written into it, with the same bits as the
+    allocating call, and ``out`` is returned.  Anything else raises
+    ``InputError``.
+
+    Memory: the m x n float64 output (allocated unless ``out`` is given)
+    plus one tile and its boolean mask; the shifted copies of x and y are
+    m x dim and n x dim.  The Laplace block is ``cdist``'s output, scaled
+    and exponentiated in place.
     """
+    x, y = _point_sets(x, y)
+    if out is not None:
+        _check_out(out, (x.shape[0], y.shape[0]))
+    if spec.family == LAPLACE1:
+        out = cdist(x, y, "cityblock", out=out)
+        out /= -spec.bandwidth
+        return np.exp(out, out=out)
+    if x.shape[0] == 0 or y.shape[0] == 0:
+        return np.zeros((x.shape[0], y.shape[0])) if out is None else out
+    shift = 0.5 * (x.mean(axis=0) + y.mean(axis=0))
+    return _squared_exponential(*_scaled(x, shift, spec.bandwidth),
+                                *_scaled(y, shift, spec.bandwidth), out=out)
+
+
+def kernel_rows(spec: KernelSpec, x: np.ndarray, y: np.ndarray):
+    """``rows(start, stop, out)``: the block K(x[start:stop], y), for streaming.
+
+    For the squared exponential, x and y are shifted and scaled once, by the
+    shift ``pairwise_kernel(spec, x, y)`` uses, so no slab redoes it; each
+    slab takes its floor from its own rows.  ``out`` is as for
+    ``pairwise_kernel``, or None.
+    """
+    x, y = _point_sets(x, y)
+    if spec.family == LAPLACE1 or x.shape[0] == 0 or y.shape[0] == 0:
+        return lambda start, stop, out: pairwise_kernel(spec, x[start:stop], y, out)
+    shift = 0.5 * (x.mean(axis=0) + y.mean(axis=0))
+    u, u_half = _scaled(x, shift, spec.bandwidth)
+    v, v_half = _scaled(y, shift, spec.bandwidth)
+
+    def rows(start, stop, out):
+        if out is not None:
+            _check_out(out, (stop - start, v.shape[0]))
+        return _squared_exponential(u[start:stop], u_half[start:stop], v, v_half, out)
+    return rows
+
+
+def _point_sets(x, y):
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
     if x.shape[1] != y.shape[1]:
         raise InputError(
             f"dimension mismatch: {x.shape[1]} vs {y.shape[1]} features"
         )
-    if spec.family == LAPLACE1:
-        out = cdist(x, y, "cityblock")
-        out /= -spec.bandwidth
-        return np.exp(out, out=out)
-    if x.shape[0] == 0 or y.shape[0] == 0:
-        return np.zeros((x.shape[0], y.shape[0]))
-    shift = 0.5 * (x.mean(axis=0) + y.mean(axis=0))
-    return _squared_exponential(*_scaled(x, shift, spec.bandwidth),
-                                *_scaled(y, shift, spec.bandwidth))
+    return x, y
+
+
+def _check_out(out, shape) -> None:
+    if not (isinstance(out, np.ndarray) and out.shape == shape
+            and out.dtype == np.float64 and out.flags.c_contiguous
+            and out.flags.writeable):
+        raise InputError(f"out must be a writeable C-contiguous float64 array "
+                         f"of shape {shape}")
 
 
 def _scaled(points: np.ndarray, shift: np.ndarray, bandwidth: float):
     """Points u = (points - shift) / sigma and their half squared norms."""
-    u = (points - shift) / bandwidth
+    u = points - shift
+    u /= bandwidth
     return u, 0.5 * np.einsum("ij,ij->i", u, u)
 
 
 def _squared_exponential(u: np.ndarray, u_half: np.ndarray,
-                         v: np.ndarray, v_half: np.ndarray) -> np.ndarray:
-    """exp(u_i.v_j - u_half_i - v_half_j), floored, over row tiles; see
-    ``pairwise_kernel``."""
+                         v: np.ndarray, v_half: np.ndarray,
+                         out: Optional[np.ndarray] = None) -> np.ndarray:
+    """exp(u_i.v_j - u_half_i - v_half_j), floored, over row tiles, written
+    into ``out`` when it is given; see ``pairwise_kernel``."""
     floor = 4.0 * (u.shape[1] + 2) * _EPS * (u_half.max(initial=0.0)
                                             + v_half.max(initial=0.0))
     # numpy's BLAS, as for every other product: scipy.linalg.blas.dgemm could
     # accumulate into the buffer, but it runs on scipy's own OpenBLAS, whose
     # threads then spin against numpy's during the next products
-    out = u @ v.T
+    out = np.matmul(u, v.T, out=out)
     height = max(1, _TILE_ENTRIES // max(1, v.shape[0]))
     for start in range(0, u.shape[0], height):
         tile = out[start:start + height]
@@ -231,29 +281,39 @@ class ExplicitMatrixOracle(KernelOracle):
 class KernelBlocks:
     """Products with a kernel block A(R, C), one budgeted row slab at a time.
 
-    ``generate(start, stop)`` returns the dense rows A(R[start:stop], C).
+    ``generate(start, stop, out)`` returns the dense rows A(R[start:stop], C).
     Iterating yields ``(start, stop, slab)`` over row slabs of at most
     ``budget`` bytes (at least one row).  When one slab holds all of
-    A(R, C), it is generated on first use and kept; otherwise every pass
-    regenerates the slabs.
+    A(R, C), it is generated on first use with ``out=None`` and kept.
+    Otherwise every pass regenerates the slabs into one ``height x n_cols``
+    buffer, allocated on the first pass and kept: ``out`` is the C-contiguous
+    view of its first ``stop - start`` rows, which ``generate`` may fill and
+    return, or ignore and return an array of its own.  A streamed slab is
+    then overwritten by the next one, so each must be used before the
+    iteration advances.
     """
 
     def __init__(self, generate, n_rows: int, n_cols: int,
                  budget: int = DEFAULT_MEMORY_BUDGET):
         self.generate = generate
         self.n_rows = n_rows
-        self.height = max(1, int(budget // (8 * n_cols)))
+        self.n_cols = n_cols
+        # a block with no columns takes no bytes, so any budget holds all of it
+        self.height = max(1, int(budget // (8 * n_cols)) if n_cols else n_rows)
         self._kept = None
+        self._buffer = None
 
     def __iter__(self):
         if self.height >= self.n_rows:
             if self._kept is None:
-                self._kept = self.generate(0, self.n_rows)
+                self._kept = self.generate(0, self.n_rows, None)
             yield 0, self.n_rows, self._kept
             return
+        if self._buffer is None:
+            self._buffer = np.empty((self.height, self.n_cols))
         for start in range(0, self.n_rows, self.height):
             stop = min(start + self.height, self.n_rows)
-            yield start, stop, self.generate(start, stop)
+            yield start, stop, self.generate(start, stop, self._buffer[:stop - start])
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """A(R, C) @ v for a vector or a block of columns v."""

@@ -1,10 +1,12 @@
 import csv
+import json
 import os
 
 import numpy as np
 import pytest
 
 from krrsolve import harness
+from krrsolve.config import ExperimentConfig
 from krrsolve.data import load_dataset
 from krrsolve.errors import InputError
 
@@ -47,3 +49,14 @@ def test_unknown_names_raise(tmp_path):
         load_dataset(str(tmp_path / "x"), "parquet")
     with pytest.raises(InputError, match="task"):
         harness.test_error(np.ones(2), np.ones(2), "ranking")
+
+
+@pytest.mark.parametrize("mode", ["full", "restricted"])
+def test_summary_times_prediction_within_the_run(tmp_path, mode):
+    dataset = write_libsvm(tmp_path / "toy.txt", n=60)
+    config = ExperimentConfig(dataset=dataset, seed=3, mode=mode, rank=4, centers=8,
+                              test_fraction=0.25, output_dir=str(tmp_path / "out"))
+    summary = harness.run_experiment(config)
+    assert 0 <= summary["predict_time"] <= summary["total_time"]
+    with open(tmp_path / "out" / "summary.json") as fh:
+        assert json.load(fh)["predict_time"] == summary["predict_time"]

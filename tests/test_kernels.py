@@ -15,6 +15,7 @@ from krrsolve.kernels import (
     KernelBlocks,
     KernelSpec,
     eval_kernel,
+    kernel_rows,
     pairwise_kernel,
 )
 
@@ -153,8 +154,8 @@ class TestOracle:
         o = toy_oracle(n=50, memory_budget=8 * 50 * 3)
         dense = o.columns(np.arange(o.n))
         v = np.random.default_rng(6).standard_normal(o.n)
-        kernel = KernelBlocks(lambda start, stop: o.block(np.arange(start, stop),
-                                                          np.arange(o.n)),
+        kernel = KernelBlocks(lambda start, stop, out: o.block(np.arange(start, stop),
+                                                               np.arange(o.n)),
                               o.n, o.n, o.memory_budget)
         assert kernel.height == 3
         np.testing.assert_allclose(kernel.apply(v), dense @ v, rtol=1e-12, atol=1e-12)
@@ -171,10 +172,23 @@ class TestKernelBlocks:
     def counted(matrix, budget):
         calls = []
 
-        def generate(start, stop):
+        def generate(start, stop, out):
             calls.append((start, stop))
             return matrix[start:stop]
         return KernelBlocks(generate, *matrix.shape, budget), calls
+
+    @staticmethod
+    def buffered(matrix, budget):
+        """Blocks whose generator fills ``out`` and records every ``out`` it got."""
+        outs = []
+
+        def generate(start, stop, out):
+            outs.append(out)
+            if out is None:
+                return matrix[start:stop].copy()
+            out[...] = matrix[start:stop]
+            return out
+        return KernelBlocks(generate, *matrix.shape, budget), outs
 
     def test_keeps_block_that_fits(self):
         a = np.random.default_rng(7).standard_normal((10, 4))
@@ -191,6 +205,29 @@ class TestKernelBlocks:
             [(0, 3), (3, 6), (6, 9), (9, 10)]
         kernel.apply(np.ones(4))
         assert calls == 2 * [(0, 3), (3, 6), (6, 9), (9, 10)]
+
+    def test_streamed_passes_reuse_one_buffer(self):
+        a = np.random.default_rng(8).standard_normal((10, 4))
+        kernel, outs = self.buffered(a, 8 * 4 * 3)
+        v = np.ones(4)
+        for _ in range(2):
+            np.testing.assert_array_equal(kernel.apply(v), a @ v)
+        assert [out.shape for out in outs] == 2 * [(3, 4), (3, 4), (3, 4), (1, 4)]
+        for out in outs:  # leading rows of one kept buffer
+            assert out.flags.c_contiguous
+            assert out.base is outs[0].base is kernel._buffer
+
+    def test_kept_block_is_generated_once_without_buffer(self):
+        a = np.random.default_rng(7).standard_normal((10, 4))
+        kernel, outs = self.buffered(a, 8 * 10 * 4)
+        for _ in range(3):
+            np.testing.assert_array_equal(kernel.apply(np.ones(4)), a @ np.ones(4))
+        assert outs == [None]
+
+    def test_no_columns_gives_zero_products(self):
+        kernel, calls = self.counted(np.zeros((5, 0)), 8)
+        np.testing.assert_array_equal(kernel.apply(np.zeros(0)), np.zeros(5))
+        assert calls == [(0, 5)]
 
     def test_budget_below_one_row_gives_single_rows(self):
         a = np.random.default_rng(9).standard_normal((5, 4))
@@ -270,6 +307,58 @@ class TestTiles:
         assert o.columns([]).shape == (o.n, 0)
         assert o.block([], [1, 2]).shape == (0, 2)
         assert pairwise_kernel(o.spec, np.zeros((0, 3)), o.features).shape == (0, o.n)
+
+    @pytest.mark.parametrize("family", KERNEL_FAMILIES)
+    @pytest.mark.parametrize("offset", [0.0, 1e5])
+    def test_out_buffer_gives_the_same_bits(self, family, offset):
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((300, 20)) + offset
+        y = rng.standard_normal((50, 20)) + offset
+        y[:10] = x[:10]
+        spec = KernelSpec(family, 3.0)
+        buf = np.full((300, 50), np.nan)
+        block = pairwise_kernel(spec, x, y, out=buf)
+        assert np.shares_memory(block, buf)
+        np.testing.assert_array_equal(block, pairwise_kernel(spec, x, y))
+
+    @pytest.mark.parametrize("family", KERNEL_FAMILIES)
+    @pytest.mark.parametrize("out", [
+        np.empty((4, 6)),                      # wrong shape
+        np.empty((6, 4)),                      # transposed shape
+        np.empty((4, 5), dtype=np.float32),    # wrong dtype
+        np.empty((5, 4)).T,                    # not C-contiguous
+        np.empty((4, 10))[:, ::2],             # strided view
+        [[0.0] * 5] * 4,                       # not an array
+    ], ids=["shape", "transposed", "float32", "fortran", "strided", "list"])
+    def test_bad_out_raises(self, family, out):
+        x = np.random.default_rng(17).standard_normal((4, 3))
+        y = np.random.default_rng(18).standard_normal((5, 3))
+        with pytest.raises(InputError, match="out"):
+            pairwise_kernel(KernelSpec(family, 3.0), x, y, out=out)
+
+    def test_read_only_out_raises(self):
+        buf = np.empty((2, 2))
+        buf.flags.writeable = False
+        with pytest.raises(InputError, match="out"):
+            pairwise_kernel(KernelSpec(), np.zeros((2, 3)), np.ones((2, 3)), out=buf)
+
+    @pytest.mark.parametrize("family", KERNEL_FAMILIES)
+    def test_kernel_rows_match_one_block(self, family):
+        rng = np.random.default_rng(19)
+        x = rng.standard_normal((70, 5)) + 3.0
+        y = rng.standard_normal((30, 5))
+        y[:5] = x[:5]
+        spec = KernelSpec(family, 1.5)
+        whole = pairwise_kernel(spec, x, y)
+        rows = kernel_rows(spec, x, y)
+        buf = np.empty((32, 30))
+        for start in range(0, 70, 32):
+            stop = min(start + 32, 70)
+            slab = rows(start, stop, buf[:stop - start])
+            assert np.shares_memory(slab, buf)
+            assert np.abs(slab - whole[start:stop]).max() <= 1e-14
+            np.testing.assert_array_equal(rows(start, stop, None), slab)
+        np.testing.assert_array_equal(np.diag(rows(0, 5, None)), 1.0)
 
     @pytest.mark.parametrize("family", KERNEL_FAMILIES)
     def test_peak_memory_is_one_output_buffer(self, family):

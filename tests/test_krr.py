@@ -1,5 +1,7 @@
 """The two solvers and ``predict`` against dense direct computations at small N."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,10 +10,17 @@ from scipy.linalg import cho_factor, cho_solve, lstsq
 import krrsolve.krr as krr_module
 
 from krrsolve.errors import InputError
-from krrsolve.kernels import DatasetKernelOracle, KernelSpec, pairwise_kernel
+from krrsolve.kernels import (
+    DEFAULT_MEMORY_BUDGET,
+    KERNEL_FAMILIES,
+    DatasetKernelOracle,
+    KernelSpec,
+    pairwise_kernel,
+)
 from krrsolve.krr import (
     GREEDY,
     PIVOT_RULES,
+    PREDICT_BUDGET,
     PRECONDITIONERS,
     UNIFORM,
     FullKrrProblem,
@@ -137,6 +146,42 @@ def test_predict_one_row_at_a_time_matches_dense():
     expect = pairwise_kernel(SPEC, test, x) @ beta
     got = predict(beta, x, SPEC, test, memory_budget=8)
     np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("family", KERNEL_FAMILIES)
+@pytest.mark.parametrize("budget", [8, PREDICT_BUDGET, DEFAULT_MEMORY_BUDGET])
+def test_predict_streamed_matches_dense(family, budget):
+    # 3000 x 200 entries take 4.8 MB, so every budget here streams the block
+    spec = KernelSpec(family, 3.0)
+    x, _ = points()
+    test = np.random.default_rng(11).standard_normal((3000, 5)) + 2.0
+    beta = np.random.default_rng(12).standard_normal(N)
+    expect = pairwise_kernel(spec, test, x) @ beta
+    got = predict(beta, x, spec, test, memory_budget=budget)
+    np.testing.assert_allclose(got, expect, rtol=1e-12,
+                               atol=1e-12 * np.abs(expect).max())
+
+
+def test_predict_with_no_training_points_is_zero():
+    test, _ = points(n=7, seed=9)
+    got = predict(np.zeros(0), np.zeros((0, test.shape[1])), SPEC, test)
+    np.testing.assert_array_equal(got, np.zeros(7))
+
+
+@pytest.mark.parametrize("family", KERNEL_FAMILIES)
+def test_predict_peak_memory_is_one_slab_buffer(family):
+    rng = np.random.default_rng(13)
+    train = rng.standard_normal((600, 20))
+    test = rng.standard_normal((8000, 20))
+    beta = rng.standard_normal(600)
+    assert test.shape[0] * train.shape[0] * 8 >= 32 << 20  # the whole block
+    tracemalloc.start()
+    try:
+        got = predict(beta, train, KernelSpec(family, 3.0), test)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * PREDICT_BUDGET + test.nbytes + train.nbytes + got.nbytes
 
 
 @pytest.mark.parametrize("mu", [np.nan, np.inf, 0.0, -1.0])

@@ -88,12 +88,14 @@ class TestRpcholesky:
         f = rpcholesky(o, 3, 1, seed=0)
         assert f.rank == 0
 
-    def test_block_dedup_can_shrink_factor(self):
-        # two distinct diag entries, block of 4 iid draws will collide
+    def test_duplicate_draws_are_resampled_to_full_rank(self):
+        # two distinct diag entries, so a block of 4 iid draws collides; the
+        # duplicates are dropped and the loop draws again until rank 2
         o = ExplicitMatrixOracle(np.diag([1.0, 1.0]))
-        f = rpcholesky(o, 2, block_size=4, seed=1)
-        assert 1 <= f.rank <= 2
-        assert np.unique(f.pivots).size == f.rank
+        for seed in range(20):
+            f = rpcholesky(o, 2, block_size=4, seed=seed)
+            assert f.rank == 2
+            assert np.unique(f.pivots).size == 2
 
     @pytest.mark.parametrize("block", [1, 3, 60])
     def test_block_size_independence_of_validity(self, block):
