@@ -6,7 +6,7 @@ materializing the N x N kernel matrix, using preconditioned conjugate
 gradient with randomized Nystrom and sketched-Gram preconditioners.
 """
 
-from .data import Dataset, load_csv, load_dataset, load_libsvm, standardize
+from .data import Dataset, load_csv, load_dataset, load_libsvm
 from .diagnostics import (
     build_greedy_failure_matrix,
     build_uniform_failure_matrix,
@@ -24,7 +24,6 @@ from .kernels import (
     ExplicitMatrixOracle,
     KernelOracle,
     KernelSpec,
-    eval_kernel,
     pairwise_kernel,
 )
 from .krr import (
@@ -54,13 +53,6 @@ from .precond import (
     krill_from_sketch,
     precond_condition_number,
 )
-from .sketch import (
-    SparseSignEmbedding,
-    apply_embedding,
-    build_embedding,
-    distortion_check,
-    practical_params,
-    theory_params,
-)
+from .sketch import build_embedding, distortion_check, practical_params, theory_params
 
 __version__ = "0.1.0"

@@ -81,7 +81,7 @@ class ExperimentConfig:
     preconditioner: str = _key(KRILL, choices=PRECONDITIONERS, mode=RESTRICTED)
     centers: int = _key(0, mode=RESTRICTED)
     embedding_dim: int = _key(0, mode=RESTRICTED)  # 0 = 2k
-    embedding_nnz: int = _key(0, mode=RESTRICTED)  # 0 = min(8, 2k)
+    embedding_nnz: int = _key(0, mode=RESTRICTED)  # 0 = min(8, embedding_dim)
     epsilon: float = 0.0  # 0 = mode default
     max_iter: int = 0  # 0 = mode default
     memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET

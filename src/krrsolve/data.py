@@ -93,21 +93,6 @@ def apply_standardization(features: np.ndarray, params) -> np.ndarray:
     return out
 
 
-def standardize(data: Dataset, center_targets: bool = False) -> Dataset:
-    """Shift each feature column to mean 0 and scale to standard deviation 1.
-
-    Uses the population (divide-by-N) convention; constant columns become
-    all zeros.  Targets pass through unchanged unless ``center_targets``.
-    """
-    if data.n < 2:
-        raise InputError("standardization needs at least 2 rows")
-    feats = apply_standardization(data.features, standardization_params(data.features))
-    targets = data.targets
-    if targets is not None and center_targets:
-        targets = targets - targets.mean()
-    return Dataset(feats, targets)
-
-
 def _finite_or_raise(value: float, path: str, line_no: int) -> float:
     if not np.isfinite(value):
         raise InputError(f"{path}:{line_no}: non-finite value {value!r}")

@@ -26,13 +26,12 @@ from .errors import InputError
 from .kernels import DEFAULT_BANDWIDTH, ExplicitMatrixOracle
 from .lowrank import rpcholesky, tail_rank, trace_residual
 from .precond import build_rpc_preconditioner, krill_from_sketch, precond_condition_number
-from .sketch import (
-    apply_embedding,
-    build_embedding,
-    distortion_check,
-    practical_params,
-    theory_params,
-)
+from .sketch import build_embedding, distortion_check, practical_params, theory_params
+
+
+def _check_seeds(n_seeds: int) -> None:
+    if n_seeds < 1:
+        raise InputError(f"need n_seeds >= 1, got {n_seeds}")
 
 
 def _cube_root_block(n: int) -> int:
@@ -102,6 +101,7 @@ def verify_rpc_theorem(spectrum, mu: float, delta: float, n_seeds: int = 200,
     lam = np.sort(np.asarray(spectrum, dtype=np.float64))[::-1]
     if mu <= 0 or not 0 < delta < 1:
         raise InputError("need mu > 0 and delta in (0, 1)")
+    _check_seeds(n_seeds)
     a = psd_matrix_with_spectrum(lam, seed=seed0)
     oracle = ExplicitMatrixOracle(a)
     r_mu = tail_rank(lam, mu)
@@ -151,6 +151,7 @@ def verify_krill_theorem(n: int, k: int, mu: float, n_seeds: int = 100,
     from .kernels import DatasetKernelOracle, KernelSpec
     from .krr import select_centers_uniform
 
+    _check_seeds(n_seeds)
     if params == "theory":
         d, zeta = theory_params(k)
     elif params == "practical":
@@ -171,7 +172,7 @@ def verify_krill_theorem(n: int, k: int, mu: float, n_seeds: int = 100,
     for s in range(n_seeds):
         phi = build_embedding(d, n, zeta, seed=seed0 + 1 + s)
         lo, hi = distortion_check(phi, basis)
-        pre = krill_from_sketch(apply_embedding(phi, a_cols), a_ss, mu)
+        pre = krill_from_sketch(phi @ a_cols, a_ss, mu)
         kappa = precond_condition_number(m, pre.apply_inverse)
         event = bool(lo >= 0.5 and hi <= 1.5)
         records.append({
@@ -211,6 +212,7 @@ def separation_experiment(kind: str, n: int = 1000, rank: int = 10,
     """
     from .lowrank import greedy_cholesky, uniform_nystrom
 
+    _check_seeds(n_seeds)
     if kind == "uniform":
         a = build_uniform_failure_matrix(n)
     elif kind == "greedy":

@@ -5,19 +5,21 @@ Two kernel families are supported, both with unit diagonal:
 * squared exponential,  K(x, y) = exp(-||x - y||^2 / (2 sigma^2))
 * l1 Laplace,           K(x, y) = exp(-||x - y||_1 / sigma)
 
-A squared-exponential block is built in its own output buffer from the
-norm expansion ||x - y||^2 = ||x||^2 + ||y||^2 - 2 x.y, so its cost is one
-BLAS-3 product (see ``pairwise_kernel`` for the shift, the coincident-point
-floor and the accuracy bound).  A ``DatasetKernelOracle`` shifts and scales
-its points once, by the data mean, so every block it generates uses the same
-prepared points; ``kernel_rows`` does the same for the rows of K(x, y).  The
-Laplace block keeps ``cdist`` and is exponentiated in place.  Either way a
-block of m x n entries allocates one m x n float array, never a second array
-of its size, and ``pairwise_kernel(..., out=buf)`` writes it into a caller's
-C-contiguous float64 buffer instead, with the same bits.
+Every block comes from one path.  ``_prepare`` turns a point set into the
+arrays a tile is computed from: the shifted, scaled points and their half
+squared norms for the squared exponential, the points for Laplace.
+``_tile`` computes the block of two prepared sets in one m x n output: a
+BLAS-3 product u v^T finished in place by the norms, a floor and ``exp``
+(see ``pairwise_kernel`` for the shift, the floor and the accuracy bound),
+or ``cdist`` scaled and exponentiated in place.  ``kernel_rows`` prepares x
+and y once and tiles their slabs, ``pairwise_kernel`` is its one slab, and
+a ``DatasetKernelOracle`` prepares its points once, shifted by their mean,
+and tiles the rows and columns of each block.  A block never allocates a
+second array of its size, and ``pairwise_kernel(..., out=buf)`` writes it
+into a caller's C-contiguous float64 buffer instead, with the same bits.
 
 The kernel matrix of N data points is accessed through a ``KernelOracle``,
-which generates entries, columns and dense blocks on demand and carries the
+which generates columns and dense blocks on demand and carries the
 byte budget for generated blocks.  Products with a kernel block A(R, C) go
 through ``KernelBlocks``, which holds the one slab rule: when all of A(R, C)
 fits in the budget it is generated once and kept, otherwise each product
@@ -66,6 +68,8 @@ def pairwise_kernel(spec: KernelSpec, x: np.ndarray, y: np.ndarray,
                     out: Optional[np.ndarray] = None) -> np.ndarray:
     """Dense kernel block K(x_i, y_j) for row sets ``x`` (m x dim), ``y`` (n x dim).
 
+    The single slab ``kernel_rows(spec, x, y)(0, m, out)``.
+
     Squared exponential: with u = (x - shift) / sigma and v = (y - shift) / sigma,
 
         K(x_i, y_j) = exp(u_i.v_j - ||u_i||^2 / 2 - ||v_j||^2 / 2).
@@ -90,43 +94,31 @@ def pairwise_kernel(spec: KernelSpec, x: np.ndarray, y: np.ndarray,
     ``InputError``.
 
     Memory: the m x n float64 output (allocated unless ``out`` is given)
-    plus one tile and its boolean mask; the shifted copies of x and y are
-    m x dim and n x dim.  The Laplace block is ``cdist``'s output, scaled
-    and exponentiated in place.
+    plus one tile and its boolean mask; the prepared copies of x and y are
+    m x dim and n x dim.  The Laplace block is ``cdist``'s output, of the
+    unshifted points, scaled and exponentiated in place.
     """
     x, y = _point_sets(x, y)
-    if out is not None:
-        _check_out(out, (x.shape[0], y.shape[0]))
-    if spec.family == LAPLACE1:
-        out = cdist(x, y, "cityblock", out=out)
-        out /= -spec.bandwidth
-        return np.exp(out, out=out)
-    if x.shape[0] == 0 or y.shape[0] == 0:
-        return np.zeros((x.shape[0], y.shape[0])) if out is None else out
-    shift = 0.5 * (x.mean(axis=0) + y.mean(axis=0))
-    return _squared_exponential(*_scaled(x, shift, spec.bandwidth),
-                                *_scaled(y, shift, spec.bandwidth), out=out)
+    return kernel_rows(spec, x, y)(0, len(x), out)
 
 
 def kernel_rows(spec: KernelSpec, x: np.ndarray, y: np.ndarray):
     """``rows(start, stop, out)``: the block K(x[start:stop], y), for streaming.
 
-    For the squared exponential, x and y are shifted and scaled once, by the
-    shift ``pairwise_kernel(spec, x, y)`` uses, so no slab redoes it; each
-    slab takes its floor from its own rows.  ``out`` is as for
+    x and y are prepared once, with the shift ``pairwise_kernel`` uses, so
+    no slab redoes it; each slab is one ``_tile`` on its rows and takes its
+    squared-exponential floor from them.  ``out`` is as for
     ``pairwise_kernel``, or None.
     """
     x, y = _point_sets(x, y)
-    if spec.family == LAPLACE1 or x.shape[0] == 0 or y.shape[0] == 0:
-        return lambda start, stop, out: pairwise_kernel(spec, x[start:stop], y, out)
-    shift = 0.5 * (x.mean(axis=0) + y.mean(axis=0))
-    u, u_half = _scaled(x, shift, spec.bandwidth)
-    v, v_half = _scaled(y, shift, spec.bandwidth)
+    # an empty block needs no shift, and the mean of no rows would warn
+    shift = 0.5 * (x.mean(axis=0) + y.mean(axis=0)) if len(x) and len(y) else 0.0
+    p, q = _prepare(spec, x, shift), _prepare(spec, y, shift)
 
     def rows(start, stop, out):
         if out is not None:
-            _check_out(out, (stop - start, v.shape[0]))
-        return _squared_exponential(u[start:stop], u_half[start:stop], v, v_half, out)
+            _check_out(out, (stop - start, len(y)))
+        return _tile(spec, tuple(a[start:stop] for a in p), q, out)
     return rows
 
 
@@ -148,11 +140,25 @@ def _check_out(out, shape) -> None:
                          f"of shape {shape}")
 
 
-def _scaled(points: np.ndarray, shift: np.ndarray, bandwidth: float):
-    """Points u = (points - shift) / sigma and their half squared norms."""
+def _prepare(spec: KernelSpec, points: np.ndarray, shift) -> tuple:
+    """The arrays a tile is computed from: u = (points - shift) / sigma and
+    ||u||^2 / 2 for the squared exponential, the points for Laplace."""
+    if spec.family == LAPLACE1:
+        return (points,)
     u = points - shift
-    u /= bandwidth
+    u /= spec.bandwidth
     return u, 0.5 * np.einsum("ij,ij->i", u, u)
+
+
+def _tile(spec: KernelSpec, p: tuple, q: tuple,
+          out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The block between prepared point sets ``p`` and ``q``, written into
+    ``out`` when it is given; see ``pairwise_kernel``."""
+    if spec.family == LAPLACE1:
+        out = cdist(*p, *q, "cityblock", out=out)
+        out /= -spec.bandwidth
+        return np.exp(out, out=out)
+    return _squared_exponential(*p, *q, out=out)
 
 
 def _squared_exponential(u: np.ndarray, u_half: np.ndarray,
@@ -173,15 +179,6 @@ def _squared_exponential(u: np.ndarray, u_half: np.ndarray,
         tile[tile > -floor] = 0.0
         np.exp(tile, out=tile)
     return out
-
-
-def eval_kernel(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
-    """Evaluate K(x, y) for a single pair of points."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if x.shape != y.shape:
-        raise InputError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    return float(pairwise_kernel(spec, x[None, :], y[None, :])[0, 0])
 
 
 class KernelOracle:
@@ -205,13 +202,9 @@ class KernelOracle:
             )
         return idx
 
-    def entry(self, i: int, j: int) -> float:
-        return float(self.block(np.array([i]), np.array([j]))[0, 0])
-
     def columns(self, indices) -> np.ndarray:
         """Columns A(:, S) as an N x |S| array.  Duplicate indices allowed."""
-        idx = self._check_indices(indices)
-        return self.block(np.arange(self.n), idx)
+        return self.block(np.arange(self.n), indices)
 
     def diag(self) -> np.ndarray:
         raise NotImplementedError
@@ -233,18 +226,15 @@ class DatasetKernelOracle(KernelOracle):
         self.spec = spec
         self.memory_budget = int(memory_budget)
         self.n = features.shape[0]
-        if spec.family == SQUARED_EXPONENTIAL:
-            # one shift, the data mean, for every block: the scaled points and
-            # their norms are computed once instead of once per column block
-            self._prepared = _scaled(features, features.mean(axis=0), spec.bandwidth)
+        # one shift, the data mean, for every block: the points are prepared
+        # once instead of once per column block
+        self._prepared = _prepare(spec, features, features.mean(axis=0))
 
     def block(self, rows, cols) -> np.ndarray:
         rows = self._check_indices(rows)
         cols = self._check_indices(cols)
-        if self.spec.family == SQUARED_EXPONENTIAL:
-            u, u_half = self._prepared
-            return _squared_exponential(u[rows], u_half[rows], u[cols], u_half[cols])
-        return pairwise_kernel(self.spec, self.features[rows], self.features[cols])
+        p = self._prepared
+        return _tile(self.spec, tuple(a[rows] for a in p), tuple(a[cols] for a in p))
 
     def diag(self) -> np.ndarray:
         # both families satisfy K(x, x) = 1

@@ -138,7 +138,7 @@ class RestrictedKrrProblem:
     epsilon: float = DEFAULT_EPSILON[RESTRICTED]
     preconditioner: str = KRILL
     embedding_dim: Optional[int] = None  # default 2k
-    embedding_nnz: Optional[int] = None  # default min(8, 2k)
+    embedding_nnz: Optional[int] = None  # default min(8, d)
     embedding_seed: Optional[int] = None
     max_iter: int = DEFAULT_MAX_ITER[RESTRICTED]
 
@@ -181,16 +181,14 @@ def solve_restricted_krr(problem: RestrictedKrrProblem) -> SolveReport:
 
     sketch = None  # Phi A(:,S), KRILL only
     if problem.preconditioner == KRILL:
-        d_def, zeta_def = practical_params(k)
-        d = problem.embedding_dim or d_def
-        zeta = problem.embedding_nnz or zeta_def
+        d = problem.embedding_dim or practical_params(k)[0]
+        zeta = problem.embedding_nnz or min(8, d)
         phi = build_embedding(d, oracle.n, zeta, seed=problem.embedding_seed)
-        mat = phi.matrix()
-        sketch = np.zeros((phi.d, k))
+        sketch = np.zeros((phi.shape[0], k))
     b = np.zeros(k)  # A(S,:) y
     for start, stop, slab in a_ns:
         if sketch is not None:
-            sketch += mat[:, start:stop] @ slab
+            sketch += phi[:, start:stop] @ slab
         b += slab.T @ y[start:stop]
 
     pre = None  # NO_PRECONDITIONER: pcg applies the identity

@@ -1,9 +1,9 @@
 """Sparse sign embeddings and subspace-embedding diagnostics.
 
-An embedding is a d x N sparse matrix with exactly ``zeta`` nonzeros per
-column, placed at distinct uniformly random rows, each equal to
-+1/sqrt(zeta) or -1/sqrt(zeta) with equal probability.  Applying it to a
-tall matrix costs O(zeta N k).
+An embedding is a d x N ``scipy.sparse.csc_matrix`` with exactly ``zeta``
+nonzeros per column, placed at distinct uniformly random rows, each equal
+to +1/sqrt(zeta) or -1/sqrt(zeta) with equal probability.  Applying it to
+a tall N x k matrix, ``phi @ m``, costs O(zeta N k).
 
 The rows of each column are a uniform zeta-subset of range(d) drawn by
 Floyd's algorithm (Bentley and Floyd, "A sample of brilliance", 1987),
@@ -12,7 +12,7 @@ time and O(N zeta) memory whatever d is.  The embedding drawn for a given
 seed is not the one that earlier versions, which ranked a block of N x d
 uniforms per column, drew for that seed; the law is the same.
 
-Practical parameter defaults are d = 2k and zeta = min(8, 2k); the
+Practical parameter defaults are d = 2k and zeta = min(8, d); the
 theory-mode scalings d ~ k log k and zeta ~ log k are exposed for the
 diagnostics experiments with calibration constants recorded below.
 """
@@ -20,7 +20,6 @@ diagnostics experiments with calibration constants recorded below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,34 +48,6 @@ def theory_params(k: int, delta: float = THEORY_DEFAULT_DELTA) -> tuple[int, int
     return d, min(zeta, d)
 
 
-@dataclass(eq=False)
-class SparseSignEmbedding:
-    """d x N sparse sign matrix, zeta nonzeros per column."""
-
-    d: int
-    n: int
-    zeta: int
-    rows: np.ndarray  # (n, zeta) distinct row indices per column
-    values: np.ndarray  # (n, zeta) entries, +-1/sqrt(zeta)
-    seed: object = None
-    _csc: sp.csc_matrix = field(default=None, repr=False)
-
-    def matrix(self) -> sp.csc_matrix:
-        """The embedding as a scipy CSC matrix (built once, then cached).
-
-        Column j holds ``values[j]`` at ``rows[j]``, so the arrays are the
-        CSC data and indices as they stand, with zeta entries per column.
-        The row indices within a column are not sorted.
-        """
-        if self._csc is None:
-            indptr = self.zeta * np.arange(self.n + 1)
-            self._csc = sp.csc_matrix(
-                (self.values.ravel(), self.rows.ravel(), indptr),
-                shape=(self.d, self.n),
-            )
-        return self._csc
-
-
 def _distinct_rows(rng: np.random.Generator, n_cols: int, d: int,
                    zeta: int) -> np.ndarray:
     """n_cols x zeta distinct uniform indices from range(d), by Floyd's algorithm.
@@ -93,8 +64,13 @@ def _distinct_rows(rng: np.random.Generator, n_cols: int, d: int,
     return rows
 
 
-def build_embedding(d: int, n: int, zeta: int, seed=None) -> SparseSignEmbedding:
-    """Draw a sparse sign embedding; deterministic for a given seed."""
+def build_embedding(d: int, n: int, zeta: int, seed=None) -> sp.csc_matrix:
+    """Draw a d x n sparse sign embedding; deterministic for a given seed.
+
+    Column j holds its zeta entries at its distinct rows, in the order
+    drawn, so ``indices.reshape(n, zeta)`` and ``data.reshape(n, zeta)``
+    give each column's rows and values; the rows are not sorted.
+    """
     if n < 1:
         raise InputError("input dimension must be >= 1")
     if not 1 <= zeta <= d:
@@ -103,18 +79,11 @@ def build_embedding(d: int, n: int, zeta: int, seed=None) -> SparseSignEmbedding
     rows = _distinct_rows(rng, n, d, zeta)
     signs = rng.integers(0, 2, size=(n, zeta)) * 2 - 1
     values = signs / math.sqrt(zeta)
-    return SparseSignEmbedding(d, n, zeta, rows, values, seed)
+    return sp.csc_matrix((values.ravel(), rows.ravel(), zeta * np.arange(n + 1)),
+                         shape=(d, n))
 
 
-def apply_embedding(phi: SparseSignEmbedding, m: np.ndarray) -> np.ndarray:
-    """Sparse-dense product Phi @ M for an N x k (or length-N) array."""
-    m = np.asarray(m, dtype=np.float64)
-    if m.shape[0] != phi.n:
-        raise InputError(f"matrix has {m.shape[0]} rows, embedding expects {phi.n}")
-    return phi.matrix() @ m
-
-
-def distortion_check(phi: SparseSignEmbedding, basis: np.ndarray) -> tuple[float, float]:
+def distortion_check(phi: sp.csc_matrix, basis: np.ndarray) -> tuple[float, float]:
     """Extreme values of ||Phi v||^2 / ||v||^2 over the span of ``basis``.
 
     ``basis`` must have orthonormal columns; the extremes are the smallest
@@ -126,6 +95,9 @@ def distortion_check(phi: SparseSignEmbedding, basis: np.ndarray) -> tuple[float
     gram = basis.T @ basis
     if np.abs(gram - np.eye(basis.shape[1])).max() > 1e-8:
         raise InputError("basis columns are not orthonormal")
-    y = apply_embedding(phi, basis)
+    if basis.shape[0] != phi.shape[1]:
+        raise InputError(f"basis has {basis.shape[0]} rows, "
+                         f"embedding expects {phi.shape[1]}")
+    y = phi @ basis
     evals = np.linalg.eigvalsh(y.T @ y)
     return float(evals[0]), float(evals[-1])

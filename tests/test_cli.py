@@ -250,3 +250,12 @@ def test_adversarial_stdout_has_no_lists(tmp_path, capsys):
         assert not any(isinstance(v, list) for v in summary.values())
         assert summary == {k: v for k, v in report.items() if not isinstance(v, list)}
         assert len(report["rpcholesky_residuals"]) == 3
+
+
+@pytest.mark.parametrize("command", ["verify-theorems", "adversarial"])
+@pytest.mark.parametrize("n_seeds", ["0", "-2"])
+def test_no_seeds_is_an_input_error(capsys, command, n_seeds):
+    code, cap = _run(capsys, [command, "--seed", "1", "--n-seeds", n_seeds])
+    assert code == EXIT_INPUT
+    assert "n_seeds >= 1" in cap.err and "Traceback" not in cap.err
+    assert cap.out == ""

@@ -8,7 +8,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from krrsolve import data
-from krrsolve.data import Dataset, load_csv, load_libsvm
+from krrsolve.data import (
+    Dataset,
+    apply_standardization,
+    load_csv,
+    load_libsvm,
+    standardization_params,
+)
 from krrsolve.errors import InputError
 
 
@@ -17,6 +23,38 @@ def test_dataset_validation():
         Dataset(np.empty((0, 2)))
     with pytest.raises(InputError):
         Dataset(np.ones((3, 2)), np.ones(2))
+
+
+def standardized(features):
+    return apply_standardization(features, standardization_params(features))
+
+
+class TestStandardize:
+    def test_hand_case(self):
+        out = standardized(np.array([[1.0], [3.0]]))
+        np.testing.assert_allclose(out[:, 0], [-1.0, 1.0])
+
+    def test_idempotent(self):
+        rng = np.random.default_rng(1)
+        once = standardized(rng.standard_normal((40, 5)) * 3 + 1)
+        np.testing.assert_allclose(standardized(once), once, atol=1e-12)
+
+    def test_constant_column_zeroed(self):
+        out = standardized(np.array([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]]))
+        np.testing.assert_array_equal(out[:, 0], 0.0)
+
+    def test_moments(self):
+        rng = np.random.default_rng(2)
+        out = standardized(rng.standard_normal((100, 4)) * 7 - 2)
+        np.testing.assert_allclose(out.mean(0), 0.0, atol=1e-12)
+        np.testing.assert_allclose(out.std(0), 1.0, atol=1e-12)
+
+    def test_training_parameters_apply_to_new_rows(self):
+        train = np.array([[1.0, 4.0], [3.0, 4.0]])
+        params = standardization_params(train)
+        out = apply_standardization(np.array([[5.0, 9.0]]), params)
+        np.testing.assert_array_equal(out, [[3.0, 0.0]])
+        np.testing.assert_array_equal(train, [[1.0, 4.0], [3.0, 4.0]])
 
 
 def test_libsvm_roundtrip(tmp_path):

@@ -8,6 +8,7 @@ from krrsolve.diagnostics import (
     verify_krill_theorem,
     verify_rpc_theorem,
 )
+from krrsolve.errors import InputError
 
 
 def test_krill_bound_holds_whenever_the_embedding_is_a_good_subspace_embedding():
@@ -34,3 +35,14 @@ def test_random_pivots_beat_the_baseline_on_its_adversarial_matrix(kind):
     # n = 1000 the small block holds 10 points and 20 seeds separate both
     result = separation_experiment(kind, n=1000, rank=10, n_seeds=20)
     assert result["separated"]
+
+
+@pytest.mark.parametrize("experiment", [
+    lambda: verify_rpc_theorem(2.0 ** -np.arange(1, 21), mu=1e-3, delta=0.1, n_seeds=0),
+    lambda: verify_krill_theorem(n=100, k=5, mu=0.4, n_seeds=0),
+    lambda: separation_experiment("uniform", n=100, n_seeds=0),
+    lambda: separation_experiment("greedy", n=100, n_seeds=0),
+], ids=["rpc", "krill", "uniform", "greedy"])
+def test_no_seeds_is_an_input_error(experiment):
+    with pytest.raises(InputError, match="n_seeds >= 1"):
+        experiment()

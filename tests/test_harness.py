@@ -60,3 +60,20 @@ def test_summary_times_prediction_within_the_run(tmp_path, mode):
     assert 0 <= summary["predict_time"] <= summary["total_time"]
     with open(tmp_path / "out" / "summary.json") as fh:
         assert json.load(fh)["predict_time"] == summary["predict_time"]
+
+
+@pytest.mark.parametrize("mode", ["full", "restricted"])
+def test_center_targets_adds_the_target_mean_back(tmp_path, mode):
+    # constant targets centre to zero, so the solution is zero and every
+    # prediction is exactly the mean; uncentred, the kernel expansion misses it
+    dataset = tmp_path / "flat.txt"
+    x = np.random.default_rng(4).standard_normal((40, 3))
+    dataset.write_text("".join(f"5 1:{a} 2:{b} 3:{c}\n" for a, b, c in x))
+    errors = {}
+    for center in (False, True):
+        config = ExperimentConfig(dataset=str(dataset), seed=3, mode=mode, rank=4,
+                                  centers=8, test_fraction=0.25, center_targets=center,
+                                  output_dir=str(tmp_path / str(center)))
+        errors[center] = harness.run_experiment(config)["test_error"]
+    assert errors[True] == 0.0
+    assert errors[False] > 1e-3

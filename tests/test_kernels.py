@@ -4,7 +4,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from krrsolve.data import Dataset, standardize
 from krrsolve.errors import InputError
 from krrsolve.kernels import (
     KERNEL_FAMILIES,
@@ -14,7 +13,6 @@ from krrsolve.kernels import (
     ExplicitMatrixOracle,
     KernelBlocks,
     KernelSpec,
-    eval_kernel,
     kernel_rows,
     pairwise_kernel,
 )
@@ -30,25 +28,25 @@ class TestEvalKernel:
     def test_zero_distance_is_one(self):
         spec = KernelSpec(SQUARED_EXPONENTIAL, 3.0)
         x = np.array([1.0, -2.0, 0.5])
-        assert eval_kernel(spec, x, x) == 1.0
+        assert pairwise_kernel(spec, x, x)[0, 0] == 1.0
 
     def test_squared_exponential_closed_form(self):
         # ||x - y||^2 = 18 with sigma = 3 gives exp(-1)
         spec = KernelSpec(SQUARED_EXPONENTIAL, 3.0)
         x = np.zeros(2)
         y = np.array([3.0, 3.0])
-        assert eval_kernel(spec, x, y) == pytest.approx(math.exp(-1.0), rel=1e-12)
+        assert pairwise_kernel(spec, x, y)[0, 0] == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_laplace_closed_form(self):
         # |1| + |-1| = 2 with sigma = 1 gives exp(-2)
         spec = KernelSpec(LAPLACE1, 1.0)
-        assert eval_kernel(spec, np.array([1.0, 0.0]), np.array([0.0, 1.0])) == \
+        assert pairwise_kernel(spec, np.array([1.0, 0.0]), np.array([0.0, 1.0]))[0, 0] == \
             pytest.approx(math.exp(-2.0), rel=1e-12)
 
     def test_dimension_mismatch(self):
         spec = KernelSpec()
         with pytest.raises(InputError):
-            eval_kernel(spec, np.zeros(2), np.zeros(3))
+            pairwise_kernel(spec, np.zeros(2), np.zeros(3))
 
     def test_bad_bandwidth(self):
         with pytest.raises(InputError):
@@ -59,38 +57,9 @@ class TestEvalKernel:
         for family in (SQUARED_EXPONENTIAL, LAPLACE1):
             spec = KernelSpec(family, 1.7)
             for _ in range(50):
-                v = eval_kernel(spec, rng.standard_normal(4), rng.standard_normal(4))
+                x, y = rng.standard_normal(4), rng.standard_normal(4)
+                v = pairwise_kernel(spec, x, y)[0, 0]
                 assert 0.0 < v <= 1.0
-
-
-class TestStandardize:
-    def test_hand_case(self):
-        ds = standardize(Dataset(np.array([[1.0], [3.0]])))
-        np.testing.assert_allclose(ds.features[:, 0], [-1.0, 1.0])
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(1)
-        ds = Dataset(rng.standard_normal((40, 5)) * 3 + 1)
-        once = standardize(ds)
-        twice = standardize(once)
-        np.testing.assert_allclose(twice.features, once.features, atol=1e-12)
-
-    def test_constant_column_zeroed(self):
-        ds = standardize(Dataset(np.array([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]])))
-        np.testing.assert_array_equal(ds.features[:, 0], 0.0)
-
-    def test_moments(self):
-        rng = np.random.default_rng(2)
-        ds = standardize(Dataset(rng.standard_normal((100, 4)) * 7 - 2))
-        np.testing.assert_allclose(ds.features.mean(0), 0.0, atol=1e-12)
-        np.testing.assert_allclose(ds.features.std(0), 1.0, atol=1e-12)
-
-    def test_targets_untouched_by_default(self):
-        y = np.array([1.0, 2.0, 3.0])
-        ds = standardize(Dataset(np.arange(3.0)[:, None], y))
-        np.testing.assert_array_equal(ds.targets, y)
-        centered = standardize(Dataset(np.arange(3.0)[:, None], y), center_targets=True)
-        assert centered.targets.mean() == pytest.approx(0.0, abs=1e-15)
 
 
 class TestOracle:
@@ -99,7 +68,7 @@ class TestOracle:
         cols = o.columns([0, 1])
         for i in range(3):
             for j in range(2):
-                expect = eval_kernel(o.spec, o.features[i], o.features[j])
+                expect = pairwise_kernel(o.spec, o.features[i], o.features[j])[0, 0]
                 assert cols[i, j] == pytest.approx(expect, rel=1e-14)
 
     def test_unit_diagonal_column(self):
@@ -138,7 +107,7 @@ class TestOracle:
         rng = np.random.default_rng(4)
         for _ in range(30):
             i, j = rng.integers(0, o.n, 2)
-            assert o.entry(i, j) == o.entry(j, i)
+            assert o.block([i], [j]) == o.block([j], [i])
 
     def test_psd_spot_check(self):
         rng = np.random.default_rng(5)

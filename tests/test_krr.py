@@ -91,6 +91,24 @@ def test_restricted_solve_matches_dense_solve(pre):
     assert relative_gap(report.solution, dense) <= 1e-8
 
 
+@pytest.mark.parametrize("k,dim,nnz", [(20, 5, 5), (2, 10, 8), (20, 12, 8), (20, None, 8)])
+def test_default_nnz_is_min_8_and_the_embedding_dim_used(monkeypatch, k, dim, nnz):
+    x, y = points()
+    drawn = []
+    real = krr_module.build_embedding
+
+    def build(d, n, zeta, seed=None):
+        drawn.append((d, zeta))
+        return real(d, n, zeta, seed)
+
+    monkeypatch.setattr(krr_module, "build_embedding", build)
+    centers = select_centers_uniform(N, k, seed=4)
+    report = solve_restricted_krr(RestrictedKrrProblem(
+        oracle(x), centers, y, MU, epsilon=1e-8, embedding_dim=dim, embedding_seed=5))
+    assert report.converged
+    assert drawn == [(dim or 2 * k, nnz)]
+
+
 @pytest.mark.parametrize("columns", [None, 7])
 def test_krill_sketch_and_rhs_match_the_csr_to_csc_round_trip(monkeypatch, columns):
     """Phi built as CSC directly gives the bits of the COO -> CSR -> CSC path."""
@@ -112,10 +130,9 @@ def test_krill_sketch_and_rhs_match_the_csr_to_csc_round_trip(monkeypatch, colum
     solve_restricted_krr(problem)
 
     phi = build_embedding(2 * K, N, 8, seed=5)
-    cols = np.repeat(np.arange(N), phi.zeta)
-    mat = sp.csr_matrix((phi.values.ravel(), (phi.rows.ravel(), cols)),
-                        shape=(phi.d, N)).tocsc()
-    sketch, b = np.zeros((phi.d, K)), np.zeros(K)
+    cols = np.repeat(np.arange(N), 8)
+    mat = sp.csr_matrix((phi.data, (phi.indices, cols)), shape=phi.shape).tocsc()
+    sketch, b = np.zeros((2 * K, K)), np.zeros(K)
     for start, stop, slab in krr_module._kernel_columns(problem.oracle, problem.centers):
         sketch += mat[:, start:stop] @ slab
         b += slab.T @ y[start:stop]

@@ -23,7 +23,7 @@ from krrsolve.precond import (
     krill_from_sketch,
     precond_condition_number,
 )
-from krrsolve.sketch import apply_embedding, build_embedding
+from krrsolve.sketch import build_embedding
 
 BAD_MU = [np.nan, np.inf, 0.0, -1.0]
 
@@ -37,17 +37,6 @@ def random_psd(n, seed, rank=None):
 def factor(F, pivots):
     """A factor for tests that do not read its residual diagonal."""
     return PartialCholeskyFactor(F, pivots, np.zeros(F.shape[0]))
-
-
-class IdentityEmbedding:
-    """Test stub: Phi = I, so the sketch is exact."""
-
-    def __init__(self, n):
-        self.n = n
-        self.d = n
-
-    def matrix(self):
-        return sp.identity(self.n, format="csr")
 
 
 class TestRpcPreconditioner:
@@ -213,7 +202,7 @@ class TestKrill:
         a = random_psd(n, seed=7)
         cols = a[:, :k]
         a_ss = a[:k, :k]
-        pre = krill_from_sketch(apply_embedding(IdentityEmbedding(n), cols), a_ss, mu)
+        pre = krill_from_sketch(sp.identity(n, format="csc") @ cols, a_ss, mu)
         m = cols.T @ cols + mu * a_ss
         kappa = precond_condition_number(m, pre.apply_inverse)
         assert kappa == pytest.approx(1.0, abs=1e-6)
@@ -224,8 +213,8 @@ class TestKrill:
         a_col = rng.standard_normal((n, 1))
         a_ss = np.array([[2.0]])
         phi = build_embedding(10, n, 4, seed=0)
-        pre = krill_from_sketch(apply_embedding(phi, a_col), a_ss, mu)
-        y = phi.matrix() @ a_col
+        pre = krill_from_sketch(phi @ a_col, a_ss, mu)
+        y = phi @ a_col
         p_scalar = float((y.T @ y)[0, 0] + mu * 2.0)
         v = np.array([6.0])
         assert pre.apply_inverse(v)[0] == pytest.approx(
@@ -237,8 +226,8 @@ class TestKrill:
         cols = rng.standard_normal((n, k))
         a_ss = random_psd(k, seed=10)
         phi = build_embedding(2 * k, n, 8, seed=1)
-        pre = krill_from_sketch(apply_embedding(phi, cols), a_ss, mu)
-        y = phi.matrix() @ cols
+        pre = krill_from_sketch(phi @ cols, a_ss, mu)
+        y = phi @ cols
         p = y.T @ y + mu * a_ss
         assert pre.jitter == pytest.approx(EPS_MACH * np.trace(p), rel=1e-12)
         assert np.all(np.triu(pre.l_inv, 1) == 0)
@@ -452,7 +441,7 @@ class TestConditionBoundInvariants:
             lo, hi = distortion_check(phi, basis)
             if not (lo >= 0.5 and hi <= 1.5):
                 continue
-            pre = krill_from_sketch(apply_embedding(phi, cols), a_ss, mu)
+            pre = krill_from_sketch(phi @ cols, a_ss, mu)
             kappa = precond_condition_number(m, pre.apply_inverse)
             assert kappa <= 3.0 + 1e-6
             checked += 1
