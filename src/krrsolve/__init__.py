@@ -28,7 +28,6 @@ from .kernels import (
 )
 from .krr import (
     FullKrrProblem,
-    PivotRule,
     RestrictedKrrProblem,
     predict,
     select_centers_uniform,
@@ -39,11 +38,10 @@ from .krr import (
 )
 from .lowrank import (
     PartialCholeskyFactor,
-    greedy_cholesky,
-    rpcholesky,
+    PivotRule,
+    build_factor,
     tail_rank,
     trace_residual,
-    uniform_nystrom,
 )
 from .pcg import LinearOperator, SolveReport, pcg
 from .precond import (

@@ -15,13 +15,13 @@ Lines starting with '#' and blank lines are ignored.  Unknown keys are hard
 errors so that protocol drift never passes silently.  Defaults follow the
 standard protocol: bandwidth 3, mu/N = 1e-7, and per mode either
 (epsilon 1e-3, 250 iterations) for full or (epsilon 1e-4, 100 iterations,
-d = 2k, zeta = min(8, 2k)) for restricted runs.
+d = 2k, zeta = min(8, d)) for restricted runs.
 
 ``ExperimentConfig`` is the one list of keys and their types; the parser
 and the CLI flags are derived from its fields.  Each allowed-name set is a
 tuple kept beside the code that implements it: ``data.FORMATS``,
-``kernels.KERNEL_FAMILIES``, and ``krr.MODES``, ``krr.TASKS``,
-``krr.PIVOT_RULES`` and ``krr.PRECONDITIONERS``.  The per-mode epsilon and
+``kernels.KERNEL_FAMILIES``, ``lowrank.PIVOT_RULES``, and ``krr.MODES``,
+``krr.TASKS`` and ``krr.PRECONDITIONERS``.  The per-mode epsilon and
 iteration defaults are ``krr.DEFAULT_EPSILON`` and ``krr.DEFAULT_MAX_ITER``;
 the bandwidth and memory budget defaults are ``kernels.DEFAULT_BANDWIDTH``
 and ``kernels.DEFAULT_MEMORY_BUDGET``.
@@ -48,13 +48,12 @@ from .krr import (
     FULL,
     KRILL,
     MODES,
-    PIVOT_RULES,
     PRECONDITIONERS,
     REGRESSION,
     RESTRICTED,
-    RPCHOLESKY,
     TASKS,
 )
+from .lowrank import PIVOT_RULES, RPCHOLESKY
 
 
 def _key(default, choices=None, mode=None):

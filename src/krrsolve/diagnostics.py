@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InputError
 from .kernels import DEFAULT_BANDWIDTH, ExplicitMatrixOracle
-from .lowrank import rpcholesky, tail_rank, trace_residual
+from .lowrank import GREEDY, UNIFORM, PivotRule, build_factor, tail_rank, trace_residual
 from .precond import build_rpc_preconditioner, krill_from_sketch, precond_condition_number
 from .sketch import build_embedding, distortion_check, practical_params, theory_params
 
@@ -110,7 +110,7 @@ def verify_rpc_theorem(spectrum, mu: float, delta: float, n_seeds: int = 200,
     tail_sum = float(lam[r_mu:].sum())
     records = []
     for s in range(n_seeds):
-        factor = rpcholesky(oracle, r, block_size, seed=seed0 + 1 + s)
+        factor = build_factor(oracle, r, PivotRule(block_size=block_size, seed=seed0 + 1 + s))
         pre = build_rpc_preconditioner(factor, mu)
         kappa = precond_condition_number(m, pre.apply_inverse)
         resid = trace_residual(oracle, factor)
@@ -210,8 +210,6 @@ def separation_experiment(kind: str, n: int = 1000, rank: int = 10,
     ``kind`` selects the matrix: 'uniform' compares random pivoting against
     uniform pivoting, 'greedy' against the deterministic greedy rule.
     """
-    from .lowrank import greedy_cholesky, uniform_nystrom
-
     _check_seeds(n_seeds)
     if kind == "uniform":
         a = build_uniform_failure_matrix(n)
@@ -222,13 +220,13 @@ def separation_experiment(kind: str, n: int = 1000, rank: int = 10,
     oracle = ExplicitMatrixOracle(a)
     rpc_resids, base_resids = [], []
     for s in range(n_seeds):
-        f = rpcholesky(oracle, rank, seed=seed0 + s)
+        f = build_factor(oracle, rank, PivotRule(seed=seed0 + s))
         rpc_resids.append(trace_residual(oracle, f))
         if kind == "uniform":
-            g = uniform_nystrom(oracle, rank, seed=seed0 + 10_000 + s)
+            g = build_factor(oracle, rank, PivotRule(UNIFORM, seed=seed0 + 10_000 + s))
             base_resids.append(trace_residual(oracle, g))
     if kind == "greedy":
-        g = greedy_cholesky(oracle, rank)
+        g = build_factor(oracle, rank, PivotRule(GREEDY))
         base_resids = [trace_residual(oracle, g)]
     return {
         "experiment": f"{kind}_failure_separation",

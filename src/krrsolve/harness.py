@@ -124,7 +124,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
         "epsilon": config.effective_epsilon,
         "converged": bool(report.converged),
         "iterations": int(report.iterations),
-        "iterations_to_epsilon": report.iterations_to(config.effective_epsilon),
+        # PCG stops at the first residual below epsilon
+        "iterations_to_epsilon": int(report.iterations) if report.converged else None,
         "final_relative_residual": float(report.residual_history[-1]),
         "load_time": load_time,
         "solve_time": float(report.wall_time),

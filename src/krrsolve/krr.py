@@ -30,7 +30,7 @@ from .kernels import (
     KernelSpec,
     kernel_rows,
 )
-from .lowrank import PartialCholeskyFactor, greedy_cholesky, rpcholesky, uniform_nystrom
+from .lowrank import PivotRule, build_factor
 from .pcg import LinearOperator, SolveReport, pcg
 from .precond import build_falkon, build_rpc_preconditioner, krill_from_sketch
 from .sketch import build_embedding, practical_params
@@ -43,11 +43,6 @@ MODES = (FULL, RESTRICTED)
 DEFAULT_EPSILON = {FULL: 1e-3, RESTRICTED: 1e-4}
 DEFAULT_MAX_ITER = {FULL: 250, RESTRICTED: 100}
 
-RPCHOLESKY = "rpcholesky"
-GREEDY = "greedy"
-UNIFORM = "uniform"
-PIVOT_RULES = (RPCHOLESKY, GREEDY, UNIFORM)
-
 KRILL = "krill"
 FALKON = "falkon"
 NO_PRECONDITIONER = "none"
@@ -56,29 +51,6 @@ PRECONDITIONERS = (KRILL, FALKON, NO_PRECONDITIONER)
 # bytes of the slab buffer ``predict`` streams its test kernel through; of
 # 2, 4, 8 and 16 MiB, 4 MiB predicted fastest
 PREDICT_BUDGET = 4 << 20
-
-
-@dataclass(frozen=True)
-class PivotRule:
-    """Pivot selection strategy for the low-rank factor."""
-
-    kind: str = RPCHOLESKY
-    block_size: Optional[int] = None  # random rule only; None = min(100, r/10)
-    seed: Optional[int] = None
-
-    def __post_init__(self):
-        if self.kind not in PIVOT_RULES:
-            raise InputError(f"unknown pivot rule {self.kind!r}")
-        if self.block_size is not None and self.block_size < 1:
-            raise InputError("block size must be >= 1")
-
-
-def build_factor(oracle: KernelOracle, rank: int, rule: PivotRule) -> PartialCholeskyFactor:
-    if rule.kind == RPCHOLESKY:
-        return rpcholesky(oracle, rank, rule.block_size, seed=rule.seed)
-    if rule.kind == GREEDY:
-        return greedy_cholesky(oracle, rank)
-    return uniform_nystrom(oracle, rank, seed=rule.seed)
 
 
 def _kernel_columns(oracle: KernelOracle, cols: np.ndarray) -> KernelBlocks:

@@ -1,16 +1,18 @@
 """Partial-Cholesky column Nystrom approximation with three pivot rules.
 
-All three rules produce a factor F (N x r') with A_hat = F F^T psd and
-A_hat <= A in the Loewner order.  They share one block Cholesky loop and
-differ only in the candidate pivots they propose each round:
+``build_factor(oracle, rank, rule)`` is the one entry point.  All three
+rules produce a factor F (N x r') with A_hat = F F^T psd and A_hat <= A in
+the Loewner order.  They share one block Cholesky loop and differ only in
+the candidate pivots they propose each round:
 
-* randomly pivoted Cholesky: a block of candidates sampled iid with
-  probability proportional to the residual diagonal, then deduplicated.
+* randomly pivoted Cholesky: each round samples ``min(block_size, rank - i)``
+  iid indices with probability proportional to the residual diagonal d,
+  then deduplicates them; the block size defaults to min(100, rank/10).
   This adapts to the spectrum and avoids the failure modes of the other two
   rules.
 * greedy: the largest residual diagonal entry (ties to the lowest index).
-* uniform: pivots drawn uniformly without replacement up front and taken in
-  one block.
+* uniform: ``rank`` distinct pivots drawn uniformly without replacement up
+  front; one block step takes those still live, in the order drawn.
 
 One exhaustion rule serves all three.  A residual diagonal entry is live
 while it exceeds a roundoff threshold, 1e-10 tr(A)/N; once it falls to the
@@ -36,8 +38,28 @@ import numpy as np
 from .errors import InputError
 from .kernels import KernelOracle
 
+RPCHOLESKY = "rpcholesky"
+GREEDY = "greedy"
+UNIFORM = "uniform"
+PIVOT_RULES = (RPCHOLESKY, GREEDY, UNIFORM)
+
 # residual diagonal entries at or below this multiple of tr(A)/N are roundoff
 _CLAMP_REL = 1e-10
+
+
+@dataclass(frozen=True)
+class PivotRule:
+    """Pivot selection strategy for the low-rank factor."""
+
+    kind: str = RPCHOLESKY
+    block_size: Optional[int] = None  # random rule only; None = min(100, r/10)
+    seed: Optional[int] = None
+
+    def __post_init__(self):
+        if self.kind not in PIVOT_RULES:
+            raise InputError(f"unknown pivot rule {self.kind!r}")
+        if self.block_size is not None and self.block_size < 1:
+            raise InputError("block size must be >= 1")
 
 
 @dataclass
@@ -57,18 +79,8 @@ class PartialCholeskyFactor:
         return self.F.shape[1]
 
 
-def default_block_size(rank: int) -> int:
-    """Default sampling block: min(100, rank/10), at least 1."""
-    return max(1, min(100, -(-rank // 10)))
-
-
 def _clamp_threshold(trace: float, n: int) -> float:
     return _CLAMP_REL * trace / n
-
-
-def _check_rank(oracle: KernelOracle, rank: int) -> None:
-    if not 1 <= rank <= oracle.n:
-        raise InputError(f"rank must be in [1, {oracle.n}], got {rank}")
 
 
 def _skip_cholesky(H: np.ndarray, thr: float):
@@ -135,54 +147,32 @@ def _partial_cholesky(oracle: KernelOracle, rank: int, propose) -> PartialCholes
     return PartialCholeskyFactor(F[:, :i], np.asarray(pivots, dtype=np.int64), d)
 
 
-def rpcholesky(oracle: KernelOracle, rank: int, block_size: Optional[int] = None,
-               seed: Optional[int] = None) -> PartialCholeskyFactor:
-    """Randomly pivoted partial Cholesky with blockwise sampling.
+def build_factor(oracle: KernelOracle, rank: int,
+                 rule: PivotRule = PivotRule()) -> PartialCholeskyFactor:
+    """Partial-Cholesky factor of at most ``rank`` columns under ``rule``."""
+    if not 1 <= rank <= oracle.n:
+        raise InputError(f"rank must be in [1, {oracle.n}], got {rank}")
+    rng = np.random.default_rng(rule.seed)
 
-    Each round samples ``min(block_size, rank - i)`` iid indices with
-    probability proportional to the residual diagonal d, where exhausted
-    entries (at most the roundoff threshold) weigh zero, and deduplicates
-    them.  One block Cholesky step then takes the candidates in order,
-    skipping any whose residual given those taken before it is exhausted.
-    Stops at ``rank`` columns or when no entry of d is live.
-    """
-    _check_rank(oracle, rank)
-    if block_size is None:
-        block_size = default_block_size(rank)
-    if block_size < 1:
-        raise InputError("block size must be >= 1")
-    rng = np.random.default_rng(seed)
+    if rule.kind == RPCHOLESKY:
+        block_size = rule.block_size or min(100, -(-rank // 10))  # ceil(rank/10)
 
-    def propose(d, i):
-        total = d.sum()
-        if total <= 0.0:
-            return []
-        return np.unique(rng.choice(d.size, size=min(block_size, rank - i), p=d / total))
+        def propose(d, i):
+            total = d.sum()
+            if total <= 0.0:
+                return []
+            return np.unique(rng.choice(d.size, size=min(block_size, rank - i), p=d / total))
+    elif rule.kind == GREEDY:
+        def propose(d, i):
+            s = int(np.argmax(d))
+            return [s] if d[s] > 0.0 else []
+    else:
+        chosen = rng.choice(oracle.n, size=rank, replace=False)
 
-    return _partial_cholesky(oracle, rank, propose)
-
-
-def greedy_cholesky(oracle: KernelOracle, rank: int) -> PartialCholeskyFactor:
-    """Partial Cholesky pivoting on the largest residual diagonal entry."""
-    _check_rank(oracle, rank)
-
-    def propose(d, i):
-        s = int(np.argmax(d))
-        return [s] if d[s] > 0.0 else []
+        def propose(d, i):
+            return chosen[d[chosen] > 0.0]
 
     return _partial_cholesky(oracle, rank, propose)
-
-
-def uniform_nystrom(oracle: KernelOracle, rank: int,
-                    seed: Optional[int] = None) -> PartialCholeskyFactor:
-    """Column Nystrom approximation on uniformly sampled distinct pivots.
-
-    The ``rank`` pivots are drawn up front; one block step takes those still
-    live, in the order drawn.
-    """
-    _check_rank(oracle, rank)
-    chosen = np.random.default_rng(seed).choice(oracle.n, size=rank, replace=False)
-    return _partial_cholesky(oracle, rank, lambda d, i: chosen[d[chosen] > 0.0])
 
 
 def tail_rank(eigenvalues, mu: float) -> int:

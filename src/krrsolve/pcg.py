@@ -47,11 +47,6 @@ class SolveReport:
     wall_time: float
     meta: dict = field(default_factory=dict)
 
-    def iterations_to(self, epsilon: float) -> Optional[int]:
-        """First iteration with relative residual below epsilon, or None."""
-        hits = np.nonzero(self.residual_history < epsilon)[0]
-        return int(hits[0]) if hits.size else None
-
 
 def pcg(product: LinearOperator, b: np.ndarray, epsilon: float,
         precond: Optional[Callable[[np.ndarray], np.ndarray]] = None,
@@ -65,8 +60,8 @@ def pcg(product: LinearOperator, b: np.ndarray, epsilon: float,
     initial one.  ``true_residual_every`` > 0 records ||b - M beta|| / ||b||
     every that many iterations in ``meta['true_residual_drift']``.
     """
-    if epsilon <= 0:
-        raise InputError("epsilon must be positive")
+    if not epsilon > 0:
+        raise InputError(f"epsilon must be positive, got {epsilon}")
     if max_iter < 1:
         raise InputError("max_iter must be >= 1")
     b = np.asarray(b, dtype=np.float64)

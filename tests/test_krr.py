@@ -18,19 +18,16 @@ from krrsolve.kernels import (
     pairwise_kernel,
 )
 from krrsolve.krr import (
-    GREEDY,
-    PIVOT_RULES,
     PREDICT_BUDGET,
     PRECONDITIONERS,
-    UNIFORM,
     FullKrrProblem,
-    PivotRule,
     RestrictedKrrProblem,
     predict,
     select_centers_uniform,
     solve_full_krr,
     solve_restricted_krr,
 )
+from krrsolve.lowrank import GREEDY, PIVOT_RULES, UNIFORM, PivotRule
 from krrsolve.sketch import build_embedding
 
 N = 200

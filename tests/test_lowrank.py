@@ -12,13 +12,15 @@ import krrsolve.lowrank as lowrank_module
 from krrsolve.diagnostics import build_greedy_failure_matrix, build_uniform_failure_matrix
 from krrsolve.errors import InputError
 from krrsolve.kernels import DatasetKernelOracle, ExplicitMatrixOracle, KernelSpec
-from krrsolve.krr import GREEDY, PIVOT_RULES, RPCHOLESKY, UNIFORM, PivotRule, build_factor
 from krrsolve.lowrank import (
-    greedy_cholesky,
-    rpcholesky,
+    GREEDY,
+    PIVOT_RULES,
+    RPCHOLESKY,
+    UNIFORM,
+    PivotRule,
+    build_factor,
     tail_rank,
     trace_residual,
-    uniform_nystrom,
 )
 
 
@@ -34,14 +36,14 @@ class TestRpcholesky:
         a[:2, :2] = 1.0
         a[2:, 2:] = 2.0
         o = ExplicitMatrixOracle(a)
-        f = rpcholesky(o, 2, 1, seed=0)
+        f = build_factor(o, 2, PivotRule(block_size=1, seed=0))
         assert f.rank == 2
         assert trace_residual(o, f) == pytest.approx(0.0, abs=1e-10)
 
     def test_single_nonzero_diagonal_forces_pivot(self):
         o = ExplicitMatrixOracle(np.diag([1.0, 0.0, 0.0]))
         for seed in range(20):
-            f = rpcholesky(o, 1, 1, seed=seed)
+            f = build_factor(o, 1, PivotRule(block_size=1, seed=seed))
             assert f.pivots.tolist() == [0]
 
     def test_first_pivot_law(self):
@@ -50,7 +52,7 @@ class TestRpcholesky:
         counts = np.zeros(3)
         n_draws = 10_000
         for seed in range(n_draws):
-            f = rpcholesky(o, 1, 1, seed=seed)
+            f = build_factor(o, 1, PivotRule(block_size=1, seed=seed))
             counts[f.pivots[0]] += 1
         expected = np.array([1, 2, 3]) / 6 * n_draws
         assert chisquare(counts, expected).pvalue > 0.001
@@ -61,7 +63,7 @@ class TestRpcholesky:
         o = ExplicitMatrixOracle(a)
         pairs = {}
         for seed in range(10_000):
-            f = rpcholesky(o, 2, 1, seed=seed)
+            f = build_factor(o, 2, PivotRule(block_size=1, seed=seed))
             pairs.setdefault(int(f.pivots[0]), []).append(int(f.pivots[1]))
         for first, seconds in pairs.items():
             if len(seconds) < 500:
@@ -76,16 +78,16 @@ class TestRpcholesky:
     def test_early_return_on_exhausted_residual(self):
         a = np.outer(np.arange(1.0, 5.0), np.arange(1.0, 5.0))
         o = ExplicitMatrixOracle(a)
-        f = rpcholesky(o, 4, 1, seed=3)
+        f = build_factor(o, 4, PivotRule(block_size=1, seed=3))
         assert f.rank == 1  # rank-1 input exhausts d after one pivot
         assert trace_residual(o, f) == pytest.approx(0.0, abs=1e-8)
-        fb = rpcholesky(o, 4, 2, seed=3)
+        fb = build_factor(o, 4, PivotRule(block_size=2, seed=3))
         assert fb.rank == 1
         assert trace_residual(o, fb) == pytest.approx(0.0, abs=1e-8)
 
     def test_zero_matrix_yields_empty_factor(self):
         o = ExplicitMatrixOracle(np.zeros((4, 4)))
-        f = rpcholesky(o, 3, 1, seed=0)
+        f = build_factor(o, 3, PivotRule(block_size=1, seed=0))
         assert f.rank == 0
 
     def test_duplicate_draws_are_resampled_to_full_rank(self):
@@ -93,7 +95,7 @@ class TestRpcholesky:
         # duplicates are dropped and the loop draws again until rank 2
         o = ExplicitMatrixOracle(np.diag([1.0, 1.0]))
         for seed in range(20):
-            f = rpcholesky(o, 2, block_size=4, seed=seed)
+            f = build_factor(o, 2, PivotRule(block_size=4, seed=seed))
             assert f.rank == 2
             assert np.unique(f.pivots).size == 2
 
@@ -101,7 +103,7 @@ class TestRpcholesky:
     def test_block_size_independence_of_validity(self, block):
         a = random_psd(60, seed=7)
         o = ExplicitMatrixOracle(a)
-        f = rpcholesky(o, 25, block, seed=5)
+        f = build_factor(o, 25, PivotRule(block_size=block, seed=5))
         lam_max = np.linalg.eigvalsh(f.F @ f.F.T - a).max()
         assert lam_max <= 1e-8 * np.trace(a)
         assert f.residual_diag.sum() == pytest.approx(
@@ -110,38 +112,44 @@ class TestRpcholesky:
     def test_pivot_residuals_zeroed(self):
         a = random_psd(30, seed=9)
         o = ExplicitMatrixOracle(a)
-        f = rpcholesky(o, 12, 4, seed=2)
+        f = build_factor(o, 12, PivotRule(block_size=4, seed=2))
         np.testing.assert_array_equal(f.residual_diag[f.pivots], 0.0)
 
     def test_bad_rank(self):
         o = ExplicitMatrixOracle(np.eye(3))
         with pytest.raises(InputError):
-            rpcholesky(o, 0)
+            build_factor(o, 0)
         with pytest.raises(InputError):
-            rpcholesky(o, 4)
+            build_factor(o, 4)
+
+    @pytest.mark.parametrize("kwargs", [{"kind": "cholesky"}, {"block_size": 0},
+                                        {"block_size": -3}])
+    def test_bad_rule(self, kwargs):
+        with pytest.raises(InputError):
+            PivotRule(**kwargs)
 
 
 class TestGreedy:
     def test_argmax_pivot(self):
         o = ExplicitMatrixOracle(np.diag([3.0, 1.0, 2.0]))
-        f = greedy_cholesky(o, 1)
+        f = build_factor(o, 1, PivotRule(GREEDY))
         assert f.pivots.tolist() == [0]
 
     def test_tie_breaks_to_lowest_index(self):
         o = ExplicitMatrixOracle(np.diag([2.0, 2.0, 1.0]))
-        f = greedy_cholesky(o, 1)
+        f = build_factor(o, 1, PivotRule(GREEDY))
         assert f.pivots.tolist() == [0]
 
     def test_exact_recovery(self):
         a = random_psd(20, seed=1, rank=6)
         o = ExplicitMatrixOracle(a)
-        f = greedy_cholesky(o, 6)
+        f = build_factor(o, 6, PivotRule(GREEDY))
         assert trace_residual(o, f) == pytest.approx(0.0, abs=1e-8 * np.trace(a))
 
     def test_prefers_right_block_on_adversarial_matrix(self):
         a = build_greedy_failure_matrix(125, 0.01)
         o = ExplicitMatrixOracle(a)
-        f = greedy_cholesky(o, 3)
+        f = build_factor(o, 3, PivotRule(GREEDY))
         right_start = 125 - 25  # ceil(125^(2/3)) = 25
         assert (f.pivots >= right_start).all()
 
@@ -150,7 +158,7 @@ class TestUniform:
     def test_full_pivoting_recovers_matrix(self):
         a = random_psd(4, seed=2)
         o = ExplicitMatrixOracle(a)
-        f = uniform_nystrom(o, 4, seed=0)
+        f = build_factor(o, 4, PivotRule(UNIFORM, seed=0))
         np.testing.assert_allclose(f.F @ f.F.T, a, atol=1e-10 * np.trace(a))
 
     def test_first_pivot_uniform(self):
@@ -158,7 +166,7 @@ class TestUniform:
         counts = np.zeros(3)
         n_draws = 10_000
         for seed in range(n_draws):
-            f = uniform_nystrom(o, 1, seed=seed)
+            f = build_factor(o, 1, PivotRule(UNIFORM, seed=seed))
             counts[f.pivots[0]] += 1
         assert chisquare(counts).pvalue > 0.001
 
@@ -166,7 +174,7 @@ class TestUniform:
         for seed in range(5):
             a = random_psd(50, seed=seed)
             o = ExplicitMatrixOracle(a)
-            f = uniform_nystrom(o, 12, seed=seed + 100)
+            f = build_factor(o, 12, PivotRule(UNIFORM, seed=seed + 100))
             lam_max = np.linalg.eigvalsh(f.F @ f.F.T - a).max()
             assert lam_max <= 1e-10 * np.trace(a)
 
@@ -174,7 +182,7 @@ class TestUniform:
         # rank-1 matrix: only the first processed pivot contributes
         a = np.ones((6, 6))
         o = ExplicitMatrixOracle(a)
-        f = uniform_nystrom(o, 6, seed=4)
+        f = build_factor(o, 6, PivotRule(UNIFORM, seed=4))
         assert f.rank == 1
         assert trace_residual(o, f) == pytest.approx(0.0, abs=1e-10)
 
@@ -189,9 +197,9 @@ class TestDominationAllRules:
         a = 0.5 * (a + a.T)
         o = ExplicitMatrixOracle(a)
         factors = [
-            rpcholesky(o, 20, 5, seed=seed),
-            greedy_cholesky(o, 20),
-            uniform_nystrom(o, 20, seed=seed),
+            build_factor(o, 20, PivotRule(block_size=5, seed=seed)),
+            build_factor(o, 20, PivotRule(GREEDY)),
+            build_factor(o, 20, PivotRule(UNIFORM, seed=seed)),
         ]
         for f in factors:
             lam_max = np.linalg.eigvalsh(f.F @ f.F.T - a).max()
@@ -252,26 +260,38 @@ def test_engine_property_on_repeated_rows(case, rule, data):
 
 
 def call_sites(source: str, dotted: str) -> list:
-    """Names of the top-level functions, one per occurrence of ``dotted``."""
+    """Names of the top-level functions, one per occurrence of ``dotted``,
+    a plain name or an attribute."""
     return [top.name for top in ast.parse(source).body
             if isinstance(top, ast.FunctionDef)
             for node in ast.walk(top)
-            if isinstance(node, ast.Attribute) and ast.unparse(node) == dotted]
+            if isinstance(node, (ast.Name, ast.Attribute)) and ast.unparse(node) == dotted]
+
+
+# each name used once in lowrank.py, by the function given
+ONE_SITE = {"oracle.columns": "_partial_cholesky",
+            "np.linalg.cholesky": "_skip_cholesky",
+            "_partial_cholesky": "build_factor"}
 
 
 class TestOneCholeskyLoop:
-    """Kernel columns are fetched, and blocks factored, in one place each."""
+    """Kernel columns are fetched, and blocks factored, in one place each,
+    and the one loop is entered from ``build_factor`` alone."""
 
-    @pytest.mark.parametrize("dotted", ["oracle.columns", "np.linalg.cholesky"])
+    @pytest.mark.parametrize("dotted", ONE_SITE)
     def test_one_call_site(self, dotted):
-        assert len(call_sites(Path(lowrank_module.__file__).read_text(), dotted)) == 1
+        source = Path(lowrank_module.__file__).read_text()
+        assert call_sites(source, dotted) == [ONE_SITE[dotted]]
 
     def test_a_second_site_is_caught(self):
         source = ("def a(oracle):\n    return oracle.columns([0])\n"
                   "def b(oracle, h):\n    np.linalg.cholesky(h)\n"
-                  "    return np.linalg.cholesky(h + 1.0), oracle.columns([1])\n")
+                  "    return np.linalg.cholesky(h + 1.0), oracle.columns([1])\n"
+                  "def c(oracle):\n    return loop(oracle, 1)\n"
+                  "def d(oracle):\n    return loop(oracle, 2), loop(oracle, 3)\n")
         assert call_sites(source, "oracle.columns") == ["a", "b"]
         assert call_sites(source, "np.linalg.cholesky") == ["b", "b"]
+        assert call_sites(source, "loop") == ["c", "d", "d"]
 
 
 class TestTailRank:
@@ -306,20 +326,20 @@ class TestTraceResidual:
     def test_full_decomposition_zero(self):
         a = random_psd(15, seed=4)
         o = ExplicitMatrixOracle(a)
-        f = rpcholesky(o, 15, 3, seed=1)
+        f = build_factor(o, 15, PivotRule(block_size=3, seed=1))
         assert trace_residual(o, f) == pytest.approx(0.0, abs=1e-8 * np.trace(a))
 
     def test_zero_factor_gives_trace(self):
         a = random_psd(10, seed=5)
         o = ExplicitMatrixOracle(a)
-        f = rpcholesky(o, 3, 1, seed=0)
+        f = build_factor(o, 3, PivotRule(block_size=1, seed=0))
         f.F[:] = 0.0
         assert trace_residual(o, f) == pytest.approx(np.trace(a))
 
     def test_matches_dense_residual(self):
         a = random_psd(30, seed=6)
         o = ExplicitMatrixOracle(a)
-        f = rpcholesky(o, 10, 2, seed=3)
+        f = build_factor(o, 10, PivotRule(block_size=2, seed=3))
         dense = np.trace(a - f.F @ f.F.T)
         assert trace_residual(o, f) == pytest.approx(dense, abs=1e-8 * np.trace(a))
 
@@ -335,5 +355,6 @@ def test_trace_bound_statistic():
     o = ExplicitMatrixOracle(a)
     r = guarantee_rank(lam, mu)
     r_mu = tail_rank(lam, mu)
-    resids = [trace_residual(o, rpcholesky(o, r, 1, seed=s)) for s in range(100)]
+    resids = [trace_residual(o, build_factor(o, r, PivotRule(block_size=1, seed=s)))
+              for s in range(100)]
     assert np.mean(resids) <= 1.5 * 2.0 * lam[r_mu:].sum()

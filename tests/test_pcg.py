@@ -61,6 +61,8 @@ class TestBasics:
             pcg(op_from(np.eye(2)), np.ones(3), 1e-6)
         with pytest.raises(InputError):
             pcg(op_from(np.eye(2)), np.ones(2), 0.0)
+        with pytest.raises(InputError, match="epsilon"):
+            pcg(op_from(np.eye(2)), np.ones(2), float("nan"))
         with pytest.raises(InputError):
             pcg(op_from(np.eye(2)), np.array([np.inf, 1.0]), 1e-6)
 

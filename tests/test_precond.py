@@ -12,7 +12,14 @@ import krrsolve.precond as precond_module
 from krrsolve.diagnostics import clustered_dataset
 from krrsolve.errors import InputError, NumericalError
 from krrsolve.kernels import DatasetKernelOracle, ExplicitMatrixOracle, KernelSpec
-from krrsolve.lowrank import PartialCholeskyFactor, rpcholesky, trace_residual
+from krrsolve.lowrank import (
+    GREEDY,
+    UNIFORM,
+    PartialCholeskyFactor,
+    PivotRule,
+    build_factor,
+    trace_residual,
+)
 from krrsolve.precond import (
     _TRIANGULAR_BASE,
     EPS_MACH,
@@ -49,7 +56,7 @@ class TestRpcPreconditioner:
     def test_full_rank_factor_gives_kappa_one(self):
         a = random_psd(30, seed=0)
         o = ExplicitMatrixOracle(a)
-        f = rpcholesky(o, 30, 5, seed=1)
+        f = build_factor(o, 30, PivotRule(block_size=5, seed=1))
         mu = 1e-3 * np.trace(a) / 30
         pre = build_rpc_preconditioner(f, mu)
         m = a + mu * np.eye(30)
@@ -132,7 +139,7 @@ def kernel_and_factor(request):
         spec = KernelSpec(bandwidth=3.0)
     oracle = DatasetKernelOracle(x, spec)
     a = oracle.block(np.arange(TINY_N), np.arange(TINY_N))
-    return 0.5 * (a + a.T), rpcholesky(oracle, TINY_RANK, seed=1)
+    return 0.5 * (a + a.T), build_factor(oracle, TINY_RANK, PivotRule(seed=1))
 
 
 class TestRpcPreconditionerTinyMu:
@@ -400,8 +407,6 @@ class TestConditionBoundInvariants:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_eq_condition_bound_every_rule(self, seed):
-        from krrsolve.lowrank import greedy_cholesky, uniform_nystrom
-
         rng = np.random.default_rng(seed)
         lam = rng.uniform(0, 1, 60) ** (seed + 1)
         lam = np.sort(lam)[::-1]
@@ -412,9 +417,9 @@ class TestConditionBoundInvariants:
         for mu_scale in (1e-1, 1e-4):
             mu = mu_scale * np.trace(a) / 60
             m = a + mu * np.eye(60)
-            for factor in (rpcholesky(o, 10, 3, seed=seed),
-                           greedy_cholesky(o, 10),
-                           uniform_nystrom(o, 10, seed=seed)):
+            for factor in (build_factor(o, 10, PivotRule(block_size=3, seed=seed)),
+                           build_factor(o, 10, PivotRule(GREEDY)),
+                           build_factor(o, 10, PivotRule(UNIFORM, seed=seed))):
                 pre = build_rpc_preconditioner(factor, mu)
                 kappa = precond_condition_number(m, pre.apply_inverse)
                 bound = 1.0 + trace_residual(o, factor) / mu
