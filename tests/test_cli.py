@@ -259,3 +259,26 @@ def test_no_seeds_is_an_input_error(capsys, command, n_seeds):
     assert code == EXIT_INPUT
     assert "n_seeds >= 1" in cap.err and "Traceback" not in cap.err
     assert cap.out == ""
+
+
+def test_verify_theorems_reports_are_pinned(tmp_path, capsys):
+    from krrsolve.sketch import theory_params
+
+    out = tmp_path / "verify.json"
+    code, cap = _run(capsys, ["verify-theorems", "--seed", "1", "--n-seeds", "2",
+                              "--output", str(out)])
+    assert code in (EXIT_OK, EXIT_NOT_CONVERGED)
+    rpc, krill = json.loads(out.read_text())
+    assert set(rpc) == {"experiment", "n", "mu", "delta", "rank", "rank_mu",
+                        "kappa_bound", "event_fraction", "mean_trace_residual",
+                        "trace_bound", "tail_sum", "records"}
+    assert set(rpc["records"][0]) == {"seed", "kappa", "trace_residual", "kappa_event"}
+    assert set(krill) == {"experiment", "n", "k", "mu", "embedding_dim",
+                          "embedding_nnz", "params", "event_count", "n_seeds",
+                          "conditional_violations", "kappa_median", "kappa_max",
+                          "records"}
+    assert set(krill["records"][0]) == {"seed", "distortion_min", "distortion_max",
+                                        "kappa", "distortion_event", "conditional_ok"}
+    assert krill["params"] == "theory"
+    assert (krill["embedding_dim"], krill["embedding_nnz"]) == theory_params(krill["k"])
+    assert len(rpc["records"]) == len(krill["records"]) == 2

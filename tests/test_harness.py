@@ -77,3 +77,27 @@ def test_center_targets_adds_the_target_mean_back(tmp_path, mode):
         errors[center] = harness.run_experiment(config)["test_error"]
     assert errors[True] == 0.0
     assert errors[False] > 1e-3
+
+
+def test_run_batch_gives_the_same_runs_on_two_workers(tmp_path):
+    # the process pool behind ``bench --workers`` runs each config as the
+    # sequential loop does; only the wall times may differ
+    dataset = write_libsvm(tmp_path / "toy.txt", n=60)
+    cfg_dir = tmp_path / "cfgs"
+    cfg_dir.mkdir()
+    for name, mode in (("full.cfg", "full"), ("restricted.cfg", "restricted")):
+        (cfg_dir / name).write_text(
+            f"dataset = {dataset}\nseed = 3\nmode = {mode}\nrank = 4\ncenters = 8\n"
+            f"test_fraction = 0.25\noutput_dir = {tmp_path / name}\n")
+    timing = {"load_time", "solve_time", "total_time", "predict_time",
+              "preconditioner_build_time"}
+    runs, fractions = {}, {}
+    for workers in (1, 2):
+        result = harness.run_batch(str(cfg_dir), workers=workers)
+        runs[workers] = {path: {k: v for k, v in s.items() if k not in timing}
+                         for path, s in result["runs"].items()}
+        with open(result["fraction_solved_csv"], "rb") as fh:
+            fractions[workers] = fh.read()
+    assert len(runs[1]) == 2
+    assert runs[1] == runs[2]
+    assert fractions[1] == fractions[2]
