@@ -99,14 +99,16 @@ class ExperimentConfig:
         if self.seed is None:
             raise InputError("seed is required (stochastic command): "
                              "set it in the config or pass --seed")
-        if self.bandwidth <= 0:
-            raise InputError("bandwidth must be positive")
+        if not 0 < self.bandwidth < math.inf:
+            raise InputError(f"bandwidth must be finite and positive, got {self.bandwidth}")
         if not 0 < self.mu_over_n < math.inf:
             raise InputError(f"mu_over_n must be finite and positive, got {self.mu_over_n}")
         for name in ("subsample", "rank", "centers", "block_size", "embedding_dim",
                      "embedding_nnz", "epsilon", "max_iter"):
             if not getattr(self, name) >= 0:
                 raise InputError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        if not self.epsilon < math.inf:
+            raise InputError(f"epsilon must be finite, got {self.epsilon}")
         if not 0.0 <= self.test_fraction < 1.0:
             raise InputError("test_fraction must lie in [0, 1)")
         if self.memory_budget_bytes <= 0:

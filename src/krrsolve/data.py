@@ -62,10 +62,6 @@ class Dataset:
     def n(self) -> int:
         return self.features.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.features.shape[1]
-
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
         t = self.targets[idx] if self.targets is not None else None

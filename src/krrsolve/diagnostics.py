@@ -18,15 +18,14 @@ the theoretical conditioning events hold, as JSON-friendly records.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
 from .errors import InputError
-from .kernels import DEFAULT_BANDWIDTH, ExplicitMatrixOracle
+from .kernels import ExplicitMatrixOracle
 from .lowrank import GREEDY, UNIFORM, PivotRule, build_factor, tail_rank, trace_residual
 from .precond import build_rpc_preconditioner, krill_from_sketch, precond_condition_number
-from .sketch import build_embedding, distortion_check, practical_params, theory_params
+from .sketch import build_embedding, distortion_check, theory_params
 
 
 def _check_seeds(n_seeds: int) -> None:
@@ -88,11 +87,10 @@ def guarantee_rank(eigenvalues, mu: float) -> int:
 
 
 def verify_rpc_theorem(spectrum, mu: float, delta: float, n_seeds: int = 200,
-                       rank: Optional[int] = None, block_size: int = 1,
                        seed0: int = 0) -> dict:
     """Monte Carlo check of the random-pivot conditioning guarantee.
 
-    For each seed, builds the factor at the guarantee rank, measures the
+    For each seed, builds the factor at ``guarantee_rank``, measures the
     condition number of the preconditioned regularized matrix, and records
     the trace residual.  The theorem predicts kappa <= 3/delta with
     probability at least 1 - delta, and mean trace residual at most twice
@@ -105,12 +103,13 @@ def verify_rpc_theorem(spectrum, mu: float, delta: float, n_seeds: int = 200,
     a = psd_matrix_with_spectrum(lam, seed=seed0)
     oracle = ExplicitMatrixOracle(a)
     r_mu = tail_rank(lam, mu)
-    r = rank if rank is not None else guarantee_rank(lam, mu)
+    r = guarantee_rank(lam, mu)
     m = a + mu * np.eye(lam.size)
     tail_sum = float(lam[r_mu:].sum())
     records = []
     for s in range(n_seeds):
-        factor = build_factor(oracle, r, PivotRule(block_size=block_size, seed=seed0 + 1 + s))
+        # the theorem is about sequential RPCholesky: one pivot per step
+        factor = build_factor(oracle, r, PivotRule(block_size=1, seed=seed0 + 1 + s))
         pre = build_rpc_preconditioner(factor, mu)
         kappa = precond_condition_number(m, pre.apply_inverse)
         resid = trace_residual(oracle, factor)
@@ -139,28 +138,24 @@ def verify_rpc_theorem(spectrum, mu: float, delta: float, n_seeds: int = 200,
 
 
 def verify_krill_theorem(n: int, k: int, mu: float, n_seeds: int = 100,
-                         params: str = "theory", bandwidth: float = DEFAULT_BANDWIDTH,
                          seed0: int = 0) -> dict:
     """Monte Carlo check of the sketched-preconditioner guarantee.
 
-    Per seed: draw an embedding, measure its distortion on an orthonormal
-    basis of range(A(:,S)), and measure kappa of the preconditioned
-    restricted system.  Whenever the distortion lands in [1/2, 3/2] the
-    bound kappa <= 3 must hold; that implication is deterministic.
+    Per seed: draw an embedding of the theory-mode size ``theory_params(k)``,
+    measure its distortion on an orthonormal basis of range(A(:,S)) for a
+    squared-exponential kernel of bandwidth ``kernels.DEFAULT_BANDWIDTH``, and
+    measure kappa of the preconditioned restricted system.  Whenever the
+    distortion lands in [1/2, 3/2] the bound kappa <= 3 must hold; that
+    implication is deterministic.
     """
     from .kernels import DatasetKernelOracle, KernelSpec
     from .krr import select_centers_uniform
 
     _check_seeds(n_seeds)
-    if params == "theory":
-        d, zeta = theory_params(k)
-    elif params == "practical":
-        d, zeta = practical_params(k)
-    else:
-        raise InputError(f"params must be 'theory' or 'practical', got {params!r}")
+    d, zeta = theory_params(k)
     rng = np.random.default_rng(seed0)
     feats = rng.standard_normal((n, 8)) * 2.0
-    oracle = DatasetKernelOracle(feats, KernelSpec(bandwidth=bandwidth))
+    oracle = DatasetKernelOracle(feats, KernelSpec())
     centers = select_centers_uniform(n, k, seed=seed0)
     a_cols = oracle.columns(centers)
     a_ss = a_cols[centers]
@@ -192,7 +187,7 @@ def verify_krill_theorem(n: int, k: int, mu: float, n_seeds: int = 100,
         "mu": float(mu),
         "embedding_dim": int(d),
         "embedding_nnz": int(zeta),
-        "params": params,
+        "params": "theory",
         "event_count": int(n_event),
         "n_seeds": int(n_seeds),
         "conditional_violations": int(sum(not rec["conditional_ok"] for rec in records)),

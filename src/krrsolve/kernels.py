@@ -15,8 +15,8 @@ or ``cdist`` scaled and exponentiated in place.  ``kernel_rows`` prepares x
 and y once and tiles their slabs, ``pairwise_kernel`` is its one slab, and
 a ``DatasetKernelOracle`` prepares its points once, shifted by their mean,
 and tiles the rows and columns of each block.  A block never allocates a
-second array of its size, and ``pairwise_kernel(..., out=buf)`` writes it
-into a caller's C-contiguous float64 buffer instead, with the same bits.
+second array of its size, and a ``kernel_rows`` slab can be written into a
+caller's C-contiguous float64 buffer instead, with the same bits.
 
 The kernel matrix of N data points is accessed through a ``KernelOracle``,
 which generates columns and dense blocks on demand and carries the
@@ -60,15 +60,14 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in KERNEL_FAMILIES:
             raise InputError(f"unknown kernel family {self.family!r}")
-        if not self.bandwidth > 0:
-            raise InputError(f"bandwidth must be positive, got {self.bandwidth}")
+        if not 0 < self.bandwidth < np.inf:
+            raise InputError(f"bandwidth must be finite and positive, got {self.bandwidth}")
 
 
-def pairwise_kernel(spec: KernelSpec, x: np.ndarray, y: np.ndarray,
-                    out: Optional[np.ndarray] = None) -> np.ndarray:
+def pairwise_kernel(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Dense kernel block K(x_i, y_j) for row sets ``x`` (m x dim), ``y`` (n x dim).
 
-    The single slab ``kernel_rows(spec, x, y)(0, m, out)``.
+    The single slab ``kernel_rows(spec, x, y)(0, m, None)``.
 
     Squared exponential: with u = (x - shift) / sigma and v = (y - shift) / sigma,
 
@@ -88,18 +87,13 @@ def pairwise_kernel(spec: KernelSpec, x: np.ndarray, y: np.ndarray,
     lies in [0, 1].  As exp has slope at most 1 on exponents <= 0, the
     absolute error of an entry is at most about floor.
 
-    ``out``, when given, must be a writeable C-contiguous float64 array of
-    shape (m, n); the block is written into it, with the same bits as the
-    allocating call, and ``out`` is returned.  Anything else raises
-    ``InputError``.
-
-    Memory: the m x n float64 output (allocated unless ``out`` is given)
-    plus one tile and its boolean mask; the prepared copies of x and y are
-    m x dim and n x dim.  The Laplace block is ``cdist``'s output, of the
-    unshifted points, scaled and exponentiated in place.
+    Memory: the m x n float64 output plus one tile and its boolean mask;
+    the prepared copies of x and y are m x dim and n x dim.  The Laplace
+    block is ``cdist``'s output, of the unshifted points, scaled and
+    exponentiated in place.
     """
     x, y = _point_sets(x, y)
-    return kernel_rows(spec, x, y)(0, len(x), out)
+    return kernel_rows(spec, x, y)(0, len(x), None)
 
 
 def kernel_rows(spec: KernelSpec, x: np.ndarray, y: np.ndarray):
@@ -107,8 +101,12 @@ def kernel_rows(spec: KernelSpec, x: np.ndarray, y: np.ndarray):
 
     x and y are prepared once, with the shift ``pairwise_kernel`` uses, so
     no slab redoes it; each slab is one ``_tile`` on its rows and takes its
-    squared-exponential floor from them.  ``out`` is as for
-    ``pairwise_kernel``, or None.
+    squared-exponential floor from them.
+
+    ``out``, when not None, must be a writeable C-contiguous float64 array
+    of shape (stop - start, len(y)); the slab is written into it, with the
+    same bits as with ``out=None``, and ``out`` is returned.  Anything else
+    raises ``InputError``.
     """
     x, y = _point_sets(x, y)
     # an empty block needs no shift, and the mean of no rows would warn
@@ -283,8 +281,7 @@ class KernelBlocks:
     iteration advances.
     """
 
-    def __init__(self, generate, n_rows: int, n_cols: int,
-                 budget: int = DEFAULT_MEMORY_BUDGET):
+    def __init__(self, generate, n_rows: int, n_cols: int, budget: int):
         self.generate = generate
         self.n_rows = n_rows
         self.n_cols = n_cols

@@ -167,7 +167,7 @@ def solve_restricted_krr(problem: RestrictedKrrProblem) -> SolveReport:
     if sketch is not None:
         pre = krill_from_sketch(sketch, a_ss, mu)
     elif problem.preconditioner == FALKON:
-        pre = build_falkon(a_ss, k, oracle.n, mu)
+        pre = build_falkon(a_ss, oracle.n, mu)
     build_time = time.perf_counter() - t0
 
     def gram_apply(v):

@@ -9,8 +9,8 @@ z = P^{-1} r, p = z, omega = z.r, it repeats
     gamma = z.r / omega;  omega = z.r;  p = z + gamma p
 
 while ||r|| >= eps ||b||.  The stopping test uses the recursively updated
-residual; callers can ask for a periodic true-residual recomputation to
-monitor drift, which never affects stopping.
+residual.  The loop is deterministic, so iterate t of a solve is the
+solution of the same call with ``max_iter=t``.
 """
 
 from __future__ import annotations
@@ -50,18 +50,13 @@ class SolveReport:
 
 def pcg(product: LinearOperator, b: np.ndarray, epsilon: float,
         precond: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        max_iter: int = 250,
-        callback: Optional[Callable[[int, np.ndarray], None]] = None,
-        true_residual_every: int = 0) -> SolveReport:
-    """Solve M beta = b to relative residual ``epsilon``.
+        max_iter: int = 250) -> SolveReport:
+    """Solve M beta = b to relative residual ``epsilon``, 0 < epsilon < inf.
 
     ``precond`` is the inverse action v -> P^{-1} v (identity when None).
-    ``callback(t, beta_t)`` is invoked at every iterate including the
-    initial one.  ``true_residual_every`` > 0 records ||b - M beta|| / ||b||
-    every that many iterations in ``meta['true_residual_drift']``.
     """
-    if not epsilon > 0:
-        raise InputError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < np.inf:
+        raise InputError(f"epsilon must be finite and positive, got {epsilon}")
     if max_iter < 1:
         raise InputError("max_iter must be >= 1")
     b = np.asarray(b, dtype=np.float64)
@@ -84,9 +79,6 @@ def pcg(product: LinearOperator, b: np.ndarray, epsilon: float,
     p = z.copy()
     omega = float(z @ r)
     history = [1.0]
-    drift = []
-    if callback is not None:
-        callback(0, beta.copy())
 
     t = 0
     while history[-1] >= epsilon and t < max_iter:
@@ -113,14 +105,6 @@ def pcg(product: LinearOperator, b: np.ndarray, epsilon: float,
         p = z + gamma * p
         t += 1
         history.append(float(np.linalg.norm(r) / b_norm))
-        if callback is not None:
-            callback(t, beta.copy())
-        if true_residual_every and t % true_residual_every == 0:
-            true_rel = float(np.linalg.norm(b - product.apply(beta)) / b_norm)
-            drift.append((t, true_rel))
 
-    report = SolveReport(beta, np.asarray(history), t, history[-1] < epsilon,
-                         time.perf_counter() - start)
-    if drift:
-        report.meta["true_residual_drift"] = drift
-    return report
+    return SolveReport(beta, np.asarray(history), t, history[-1] < epsilon,
+                       time.perf_counter() - start)

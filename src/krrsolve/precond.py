@@ -153,13 +153,15 @@ def krill_from_sketch(y_sketch: np.ndarray, a_ss: np.ndarray,
     return _stabilized_cholesky(p)
 
 
-def build_falkon(a_ss: np.ndarray, k: int, n: int, mu: float) -> CholeskyPreconditioner:
-    """Monte Carlo Gram estimate (N/k) A_SS^2 under uniform center sampling."""
+def build_falkon(a_ss: np.ndarray, n: int, mu: float) -> CholeskyPreconditioner:
+    """Monte Carlo Gram estimate (N/k) A_SS^2 under uniform sampling of the
+    k centers from N points, with k the order of the square ``a_ss``."""
     if not 0 < mu < np.inf:
         raise InputError(f"mu must be finite and positive, got {mu}")
     a_ss = np.asarray(a_ss, dtype=np.float64)
-    if a_ss.shape != (k, k):
-        raise InputError(f"A(S,S) must be {k} x {k}")
+    if a_ss.ndim != 2 or a_ss.shape[0] != a_ss.shape[1]:
+        raise InputError(f"A(S,S) must be square, got shape {a_ss.shape}")
+    k = a_ss.shape[0]
     g_hat = (n / k) * (a_ss @ a_ss)
     p = g_hat + mu * a_ss
     p = 0.5 * (p + p.T)

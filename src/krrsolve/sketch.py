@@ -40,9 +40,12 @@ def practical_params(k: int) -> tuple[int, int]:
     return 2 * k, min(8, 2 * k)
 
 
-def theory_params(k: int, delta: float = THEORY_DEFAULT_DELTA) -> tuple[int, int]:
-    """Theory-mode (d, zeta) for failure probability ``delta``."""
-    logterm = max(math.log(k / delta), 1.0)
+def theory_params(k: int) -> tuple[int, int]:
+    """Theory-mode (d, zeta) for k >= 1 centers at failure probability
+    ``THEORY_DEFAULT_DELTA``."""
+    if k < 1:
+        raise InputError(f"need k >= 1 centers, got {k}")
+    logterm = max(math.log(k / THEORY_DEFAULT_DELTA), 1.0)
     d = max(int(math.ceil(THEORY_DIM_CONST * k * logterm)), 1)
     zeta = max(int(math.ceil(THEORY_NNZ_CONST * logterm)), 1)
     return d, min(zeta, d)

@@ -139,6 +139,9 @@ def test_exit_not_converged(tmp_path, dataset, capsys):
     (["--rank", "5"], "seed"),
     (["--seed", "0", "--rank", "0"], "rank"),
     (["--seed", "0", "--rank", "5", "--epsilon", "-1"], "epsilon"),
+    (["--seed", "0", "--rank", "5", "--epsilon", "inf"], "epsilon"),
+    (["--seed", "0", "--rank", "5", "--bandwidth", "inf"], "bandwidth"),
+    (["--seed", "0", "--rank", "5", "--bandwidth", "nan"], "bandwidth"),
 ])
 def test_exit_input_error(tmp_path, dataset, capsys, argv, match):
     if "--dataset" not in argv:
@@ -282,3 +285,12 @@ def test_verify_theorems_reports_are_pinned(tmp_path, capsys):
     assert krill["params"] == "theory"
     assert (krill["embedding_dim"], krill["embedding_nnz"]) == theory_params(krill["k"])
     assert len(rpc["records"]) == len(krill["records"]) == 2
+
+
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_no_centers_is_an_input_error(capsys, k):
+    code, cap = _run(capsys, ["verify-theorems", "--seed", "1", "--n-seeds", "1",
+                              "--k", k])
+    assert code == EXIT_INPUT
+    assert "k >= 1" in cap.err and "Traceback" not in cap.err
+    assert cap.out == ""

@@ -1,3 +1,4 @@
+import math
 import typing
 from dataclasses import fields, replace
 from typing import Optional
@@ -147,6 +148,15 @@ def test_negative_values_are_rejected(name, mode):
     config.validate()  # 0 selects the default
     with pytest.raises(InputError, match=name):
         replace(config, **{name: -1}).validate()
+
+
+@pytest.mark.parametrize("name,value", [
+    ("epsilon", math.inf), ("bandwidth", math.inf), ("bandwidth", math.nan),
+    ("bandwidth", 0.0), ("bandwidth", -1.0)])
+def test_nonfinite_or_nonpositive_values_are_rejected(name, value):
+    # caught before the dataset loads; inf would report every run as solved
+    with pytest.raises(InputError, match=name):
+        _valid(**{name: value}).validate()
 
 
 def test_missing_seed_is_rejected():

@@ -52,6 +52,13 @@ class TestEvalKernel:
         with pytest.raises(InputError):
             KernelSpec(SQUARED_EXPONENTIAL, 0.0)
 
+    @pytest.mark.parametrize("family", KERNEL_FAMILIES)
+    @pytest.mark.parametrize("bandwidth", [-1.0, math.inf, math.nan])
+    def test_nonfinite_or_negative_bandwidth(self, family, bandwidth):
+        # an infinite bandwidth would make every entry exactly 1
+        with pytest.raises(InputError, match="bandwidth"):
+            KernelSpec(family, bandwidth)
+
     def test_range(self):
         rng = np.random.default_rng(3)
         for family in (SQUARED_EXPONENTIAL, LAPLACE1):
@@ -286,7 +293,7 @@ class TestTiles:
         y[:10] = x[:10]
         spec = KernelSpec(family, 3.0)
         buf = np.full((300, 50), np.nan)
-        block = pairwise_kernel(spec, x, y, out=buf)
+        block = kernel_rows(spec, x, y)(0, 300, buf)
         assert np.shares_memory(block, buf)
         np.testing.assert_array_equal(block, pairwise_kernel(spec, x, y))
 
@@ -303,13 +310,13 @@ class TestTiles:
         x = np.random.default_rng(17).standard_normal((4, 3))
         y = np.random.default_rng(18).standard_normal((5, 3))
         with pytest.raises(InputError, match="out"):
-            pairwise_kernel(KernelSpec(family, 3.0), x, y, out=out)
+            kernel_rows(KernelSpec(family, 3.0), x, y)(0, 4, out)
 
     def test_read_only_out_raises(self):
         buf = np.empty((2, 2))
         buf.flags.writeable = False
         with pytest.raises(InputError, match="out"):
-            pairwise_kernel(KernelSpec(), np.zeros((2, 3)), np.ones((2, 3)), out=buf)
+            kernel_rows(KernelSpec(), np.zeros((2, 3)), np.ones((2, 3)))(0, 2, buf)
 
     @pytest.mark.parametrize("family", KERNEL_FAMILIES)
     def test_kernel_rows_match_one_block(self, family):

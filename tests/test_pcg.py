@@ -16,6 +16,19 @@ def op_from(m):
     return LinearOperator(m.shape[0], lambda v: m @ v)
 
 
+def iterates(m, b, epsilon, max_iter, precond=None):
+    """Every iterate beta_0 = 0, ..., beta_T of one solve, as a dict by t.
+
+    The loop is deterministic, so beta_t is the solution of the same call
+    stopped at ``max_iter=t``.
+    """
+    stop = pcg(op_from(m), b, epsilon, precond=precond, max_iter=max_iter).iterations
+    found = {0: np.zeros_like(b)}
+    for t in range(1, stop + 1):
+        found[t] = pcg(op_from(m), b, epsilon, precond=precond, max_iter=t).solution
+    return found
+
+
 class TestBasics:
     def test_identity_system_one_iteration(self):
         b = np.array([3.0, -1.0, 2.0])
@@ -61,8 +74,9 @@ class TestBasics:
             pcg(op_from(np.eye(2)), np.ones(3), 1e-6)
         with pytest.raises(InputError):
             pcg(op_from(np.eye(2)), np.ones(2), 0.0)
-        with pytest.raises(InputError, match="epsilon"):
-            pcg(op_from(np.eye(2)), np.ones(2), float("nan"))
+        for epsilon in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(InputError, match="epsilon"):
+                pcg(op_from(np.eye(2)), np.ones(2), epsilon)
         with pytest.raises(InputError):
             pcg(op_from(np.eye(2)), np.array([np.inf, 1.0]), 1e-6)
 
@@ -91,11 +105,10 @@ class TestConvergenceTheory:
             n = 40
             m = random_spd(n, seed=seed, cond=10.0)
             b = np.random.default_rng(seed + 10).standard_normal(n)
-            iterates = {}
-            pcg(op_from(m), b, 1e-300, max_iter=n,
-                callback=lambda t, x: iterates.__setitem__(t, x))
+            rep = pcg(op_from(m), b, 1e-300, max_iter=n)
+            assert rep.iterations == n
             expect = np.linalg.solve(m, b)
-            err = np.linalg.norm(iterates[n] - expect) / np.linalg.norm(expect)
+            err = np.linalg.norm(rep.solution - expect) / np.linalg.norm(expect)
             assert err <= 1e-8
 
     def test_m_norm_error_monotone(self):
@@ -103,10 +116,8 @@ class TestConvergenceTheory:
         m = random_spd(n, seed=6, cond=1e4)
         b = np.random.default_rng(7).standard_normal(n)
         expect = np.linalg.solve(m, b)
-        errs = []
-        pcg(op_from(m), b, 1e-12, max_iter=n,
-            callback=lambda t, x: errs.append(
-                float(np.sqrt((x - expect) @ m @ (x - expect)))))
+        errs = [float(np.sqrt((x - expect) @ m @ (x - expect)))
+                for x in iterates(m, b, 1e-12, n).values()]
         diffs = np.diff(errs)
         assert (diffs <= 1e-10 * errs[0]).all()
 
@@ -121,10 +132,8 @@ class TestConvergenceTheory:
             kappa = precond_condition_number(m, lambda v: v)
             rho = (np.sqrt(kappa) - 1) / (np.sqrt(kappa) + 1)
             expect = np.linalg.solve(m, b)
-            errs = []
-            pcg(op_from(m), b, 1e-14, max_iter=n,
-                callback=lambda t, x: errs.append(
-                    float(np.sqrt((x - expect) @ m @ (x - expect)))))
+            errs = [float(np.sqrt((x - expect) @ m @ (x - expect)))
+                    for x in iterates(m, b, 1e-14, n).values()]
             for t, err in enumerate(errs):
                 assert err <= 2.0 * rho**t * errs[0] + 1e-8
 
@@ -140,15 +149,11 @@ class TestConvergenceTheory:
         p_inv_half = (v / np.sqrt(w)) @ v.T
         p_inv = (v / w) @ v.T
 
-        precond_iters = {}
-        pcg(op_from(m), b, 1e-12, precond=lambda x: p_inv @ x, max_iter=n,
-            callback=lambda t, x: precond_iters.__setitem__(t, x))
+        precond_iters = iterates(m, b, 1e-12, n, precond=lambda x: p_inv @ x)
 
         m_tilde = p_inv_half @ m @ p_inv_half
         m_tilde = 0.5 * (m_tilde + m_tilde.T)
-        plain_iters = {}
-        pcg(op_from(m_tilde), p_inv_half @ b, 1e-12, max_iter=n,
-            callback=lambda t, x: plain_iters.__setitem__(t, x))
+        plain_iters = iterates(m_tilde, p_inv_half @ b, 1e-12, n)
 
         shared = sorted(set(precond_iters) & set(plain_iters))[:15]
         assert len(shared) >= 10
@@ -168,12 +173,13 @@ class TestConvergenceTheory:
             assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), abs(rhs), 1.0)
 
 
-def test_true_residual_drift_recorded():
+def test_true_residual_matches_the_recursive_one():
     m = random_spd(60, seed=60, cond=1e6)
     b = np.random.default_rng(61).standard_normal(60)
-    rep = pcg(op_from(m), b, 1e-12, max_iter=80, true_residual_every=25)
-    drift = rep.meta.get("true_residual_drift")
-    assert drift and all(t % 25 == 0 for t, _ in drift)
+    rep = pcg(op_from(m), b, 1e-12, max_iter=80)
+    assert rep.iterations >= 75
     # recursive and true residuals agree to roundoff scale here
-    for t, true_rel in drift:
+    for t in (25, 50, 75):
+        beta = pcg(op_from(m), b, 1e-12, max_iter=t).solution
+        true_rel = np.linalg.norm(b - m @ beta) / np.linalg.norm(b)
         assert abs(true_rel - rep.residual_history[t]) <= 1e-6

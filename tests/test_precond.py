@@ -302,7 +302,7 @@ class TestKrill:
 class TestFalkon:
     def test_no_subsampling_limit(self):
         a = random_psd(12, seed=13)
-        pre = build_falkon(a, k=12, n=12, mu=0.4)
+        pre = build_falkon(a, n=12, mu=0.4)
         p = a @ a + 0.4 * a
         np.testing.assert_allclose(
             _rebuilt(pre), p + EPS_MACH * np.trace(p) * np.eye(12),
@@ -310,7 +310,7 @@ class TestFalkon:
 
     def test_hand_monte_carlo_scale(self):
         a_ss = np.array([[1.0, 0.5], [0.5, 1.0]])
-        pre = build_falkon(a_ss, k=2, n=10, mu=1e-6)
+        pre = build_falkon(a_ss, n=10, mu=1e-6)
         g_hat = 5.0 * (a_ss @ a_ss)
         p = g_hat + 1e-6 * a_ss
         np.testing.assert_allclose(
@@ -322,14 +322,20 @@ class TestFalkon:
         a_ss /= np.abs(a_ss).max()
         np.fill_diagonal(a_ss, 1.0)
         a_ss = 0.5 * (a_ss + a_ss.T)
-        pre = build_falkon(a_ss, k=9, n=100, mu=0.01)
+        pre = build_falkon(a_ss, n=100, mu=0.01)
         p = _rebuilt(pre)
         assert np.linalg.eigvalsh(p).min() >= -1e-10 * np.trace(p)
+
+    @pytest.mark.parametrize("a_ss", [np.ones((2, 3)), np.ones(4), np.ones((2, 2, 2))],
+                             ids=["rectangular", "vector", "3-d"])
+    def test_a_ss_must_be_square(self, a_ss):
+        with pytest.raises(InputError, match="square"):
+            build_falkon(a_ss, n=10, mu=0.1)
 
     @pytest.mark.parametrize("mu", BAD_MU)
     def test_mu_must_be_finite_and_positive(self, mu):
         with pytest.raises(InputError, match="mu"):
-            build_falkon(np.eye(2), k=2, n=10, mu=mu)
+            build_falkon(np.eye(2), n=10, mu=mu)
 
 
 SPECTRAL_SOLVERS = ("eigh", "eigvalsh", "svd")

@@ -180,3 +180,9 @@ def test_parameter_helpers():
     assert zeta == int(math.ceil(2 * math.log(50 / 0.05)))
     d1, z1 = theory_params(1)
     assert d1 >= 1 and 1 <= z1 <= d1
+
+
+@pytest.mark.parametrize("k", [0, -3])
+def test_theory_params_need_a_center(k):
+    with pytest.raises(InputError, match="k >= 1"):
+        theory_params(k)
