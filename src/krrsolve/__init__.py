@@ -46,7 +46,6 @@ from .lowrank import (
 from .pcg import LinearOperator, SolveReport, pcg
 from .precond import (
     CholeskyPreconditioner,
-    build_falkon,
     build_rpc_preconditioner,
     krill_from_sketch,
     precond_condition_number,

@@ -99,6 +99,8 @@ class ExperimentConfig:
         if self.seed is None:
             raise InputError("seed is required (stochastic command): "
                              "set it in the config or pass --seed")
+        if self.seed < 0:
+            raise InputError(f"seed must be nonnegative, got {self.seed}")
         if not 0 < self.bandwidth < math.inf:
             raise InputError(f"bandwidth must be finite and positive, got {self.bandwidth}")
         if not 0 < self.mu_over_n < math.inf:

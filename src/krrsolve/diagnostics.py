@@ -28,9 +28,11 @@ from .precond import build_rpc_preconditioner, krill_from_sketch, precond_condit
 from .sketch import build_embedding, distortion_check, theory_params
 
 
-def _check_seeds(n_seeds: int) -> None:
+def _check_seeds(n_seeds: int, seed0: int) -> None:
     if n_seeds < 1:
         raise InputError(f"need n_seeds >= 1, got {n_seeds}")
+    if seed0 < 0:
+        raise InputError(f"seed must be nonnegative, got {seed0}")
 
 
 def _cube_root_block(n: int) -> int:
@@ -99,7 +101,7 @@ def verify_rpc_theorem(spectrum, mu: float, delta: float, n_seeds: int = 200,
     lam = np.sort(np.asarray(spectrum, dtype=np.float64))[::-1]
     if mu <= 0 or not 0 < delta < 1:
         raise InputError("need mu > 0 and delta in (0, 1)")
-    _check_seeds(n_seeds)
+    _check_seeds(n_seeds, seed0)
     a = psd_matrix_with_spectrum(lam, seed=seed0)
     oracle = ExplicitMatrixOracle(a)
     r_mu = tail_rank(lam, mu)
@@ -151,7 +153,7 @@ def verify_krill_theorem(n: int, k: int, mu: float, n_seeds: int = 100,
     from .kernels import DatasetKernelOracle, KernelSpec
     from .krr import select_centers_uniform
 
-    _check_seeds(n_seeds)
+    _check_seeds(n_seeds, seed0)
     d, zeta = theory_params(k)
     rng = np.random.default_rng(seed0)
     feats = rng.standard_normal((n, 8)) * 2.0
@@ -205,7 +207,7 @@ def separation_experiment(kind: str, n: int = 1000, rank: int = 10,
     ``kind`` selects the matrix: 'uniform' compares random pivoting against
     uniform pivoting, 'greedy' against the deterministic greedy rule.
     """
-    _check_seeds(n_seeds)
+    _check_seeds(n_seeds, seed0)
     if kind == "uniform":
         a = build_uniform_failure_matrix(n)
     elif kind == "greedy":

@@ -32,7 +32,7 @@ from .kernels import (
 )
 from .lowrank import PivotRule, build_factor
 from .pcg import LinearOperator, SolveReport, pcg
-from .precond import build_falkon, build_rpc_preconditioner, krill_from_sketch
+from .precond import build_rpc_preconditioner, krill_from_sketch
 from .sketch import build_embedding, practical_params
 
 FULL = "full"
@@ -139,10 +139,12 @@ def solve_restricted_krr(problem: RestrictedKrrProblem) -> SolveReport:
     A(S,:) A(:,S) v = sum over slabs I of A(I,S)^T (A(I,S) v).
 
     One pass over the slabs of A(:,S) accumulates the right-hand side
-    A(S,:) y and, with KRILL, the sketch Phi A(:,S); it counts towards
-    ``meta["preconditioner_build_time"]``.  With KRILL or Falkon,
-    ``meta["preconditioner_jitter"]`` is the multiple of the identity the
-    build added to make the k x k matrix factorable.
+    A(S,:) y and, with KRILL, the sketch Y = Phi A(:,S).  Falkon's sketch is
+    Y = sqrt(N/k) A(S,S): (N/k) A(S,S)^2 estimates the Gram matrix when the
+    centers are uniform.  ``krill_from_sketch`` builds either preconditioner
+    as Y^T Y + mu A(S,S), counted in ``meta["preconditioner_build_time"]``;
+    ``meta["preconditioner_jitter"]`` is the multiple of the identity it
+    added to make the k x k matrix factorable.
     """
     oracle, centers, mu, y = problem.oracle, problem.centers, problem.mu, problem.y
     k = centers.size
@@ -151,23 +153,21 @@ def solve_restricted_krr(problem: RestrictedKrrProblem) -> SolveReport:
     a_ss = oracle.block(centers, centers)
     a_ss = 0.5 * (a_ss + a_ss.T)
 
-    sketch = None  # Phi A(:,S), KRILL only
-    if problem.preconditioner == KRILL:
+    sketch = None  # Y; NO_PRECONDITIONER has none, and pcg applies the identity
+    if problem.preconditioner == FALKON:
+        sketch = np.sqrt(oracle.n / k) * a_ss
+    elif problem.preconditioner == KRILL:
         d = problem.embedding_dim or practical_params(k)[0]
         zeta = problem.embedding_nnz or min(8, d)
         phi = build_embedding(d, oracle.n, zeta, seed=problem.embedding_seed)
         sketch = np.zeros((phi.shape[0], k))
     b = np.zeros(k)  # A(S,:) y
     for start, stop, slab in a_ns:
-        if sketch is not None:
+        if problem.preconditioner == KRILL:
             sketch += phi[:, start:stop] @ slab
         b += slab.T @ y[start:stop]
 
-    pre = None  # NO_PRECONDITIONER: pcg applies the identity
-    if sketch is not None:
-        pre = krill_from_sketch(sketch, a_ss, mu)
-    elif problem.preconditioner == FALKON:
-        pre = build_falkon(a_ss, oracle.n, mu)
+    pre = None if sketch is None else krill_from_sketch(sketch, a_ss, mu)
     build_time = time.perf_counter() - t0
 
     def gram_apply(v):

@@ -46,6 +46,32 @@ PIVOT_RULES = (RPCHOLESKY, GREEDY, UNIFORM)
 # residual diagonal entries at or below this multiple of tr(A)/N are roundoff
 _CLAMP_REL = 1e-10
 
+# order at and below which the triangular inverse is LAPACK's general
+# inverse; at order 1000 a base of 32 or 64 takes about 21 ms and 256 31 ms
+_TRIANGULAR_BASE = 64
+
+
+def _lower_triangular_inverse(l: np.ndarray) -> np.ndarray:
+    """Inverse of a nonsingular lower-triangular matrix, zero above the
+    diagonal, from [[A, 0], [B, C]]^{-1} = [[A^{-1}, 0], [-C^{-1} B A^{-1}, C^{-1}]].
+
+    numpy has no triangular inverse or solve, and its general inverse is
+    LU-based; this recursion on matrix products takes 22 ms against 86 ms
+    at order 1000 with two BLAS threads, at no larger backward error.  The
+    factor rounds and every preconditioner build share it.
+    """
+    n = l.shape[0]
+    if n <= _TRIANGULAR_BASE:
+        return np.tril(np.linalg.inv(l))
+    h = n // 2
+    a_inv = _lower_triangular_inverse(l[:h, :h])
+    c_inv = _lower_triangular_inverse(l[h:, h:])
+    x = np.zeros_like(l)
+    x[:h, :h] = a_inv
+    x[h:, h:] = c_inv
+    x[h:, :h] = -(c_inv @ (l[h:, :h] @ a_inv))
+    return x
+
 
 @dataclass(frozen=True)
 class PivotRule:
@@ -134,10 +160,9 @@ def _partial_cholesky(oracle: KernelOracle, rank: int, propose) -> PartialCholes
         taken, L = _skip_cholesky(G[cand, :], thr)
         if taken.size < cand.size:
             G = G[:, taken]  # copy only when needed: it is N x m
-        # G L^{-T} through the m x m inverse: numpy has no triangular solve,
-        # and one product is 5x faster than an LU solve with N right-hand
-        # sides, at a backward error still near eps
-        cols = G @ np.linalg.inv(L).T
+        # G L^{-T} through the m x m inverse: one product is 5x faster than
+        # an LU solve with N right-hand sides, at a backward error near eps
+        cols = G @ _lower_triangular_inverse(L).T
         F[:, i:i + taken.size] = cols
         d -= np.einsum("ij,ij->i", cols, cols)
         d[cand] = 0.0  # taken, or skipped as exhausted

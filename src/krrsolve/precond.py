@@ -20,21 +20,19 @@ eigendecomposition gave about 2e-12, and the preconditioned condition
 number is tested against that reference down to mu/N = 1e-12.
 
 Restricted system (G + mu A_SS) beta = A(S,:) y with G = A(S,:) A(:,S):
-the sketched preconditioner replaces G by Y^T Y with Y = Phi A(:,S) for a
-sparse sign embedding Phi; the Monte Carlo baseline replaces it by
-(N/k) A_SS^2.  The two baselines differ only in how G is approximated.
-Both factor the k x k matrix P + jitter I = L L^T, with jitter the first
-eps_mach * tr(P) * 10^j (j = 0, 1, ...) at which the Cholesky
-factorization succeeds, up to 1e-8 * tr(P), and apply
-P^{-1} v = X^T (X v).  The build is one k x k Cholesky per jitter tried
-and one triangular inverse.
+one builder, ``krill_from_sketch``, replaces G by Y^T Y for a sketch Y of
+A(:,S).  KRILL takes Y = Phi A(:,S) for a sparse sign embedding Phi.
+Falkon takes the uniform row sample Y = sqrt(N/k) A(S,S) that the centers
+already are, so Y^T Y = (N/k) A_SS^2 is the Monte Carlo estimate of G; it
+is unbiased only when the k centers are drawn uniformly from the N points.
+The build factors the k x k matrix P + jitter I = L L^T, with
+P = Y^T Y + mu A_SS and jitter the first eps_mach * tr(P) * 10^j
+(j = 0, 1, ...) at which the Cholesky factorization succeeds, up to
+1e-8 * tr(P), and applies P^{-1} v = X^T (X v).  It costs one k x k
+Cholesky per jitter tried and one triangular inverse.
 
 Everything runs in numpy's BLAS and LAPACK, the library the kernel
-products and PCG use.  numpy has no triangular inverse or solve, and
-``np.linalg.inv`` is LU-based, so X comes from a recursive 2 x 2 block
-inverse built on matrix products: 22 ms against 86 ms for
-``np.linalg.inv`` at r = 1000 with two BLAS threads, at no larger
-backward error.
+products and PCG use; X comes from ``lowrank._lower_triangular_inverse``.
 """
 
 from __future__ import annotations
@@ -45,29 +43,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .lowrank import PartialCholeskyFactor
+from .lowrank import PartialCholeskyFactor, _lower_triangular_inverse
 
 EPS_MACH = np.finfo(np.float64).eps
-
-# order at and below which the triangular inverse calls np.linalg.inv; at
-# r = 1000 a base of 32 or 64 takes about 21 ms and 256 takes 31 ms
-_TRIANGULAR_BASE = 64
-
-
-def _lower_triangular_inverse(l: np.ndarray) -> np.ndarray:
-    """Inverse of a nonsingular lower-triangular matrix, zero above the
-    diagonal, from [[A, 0], [B, C]]^{-1} = [[A^{-1}, 0], [-C^{-1} B A^{-1}, C^{-1}]]."""
-    n = l.shape[0]
-    if n <= _TRIANGULAR_BASE:
-        return np.tril(np.linalg.inv(l))
-    h = n // 2
-    a_inv = _lower_triangular_inverse(l[:h, :h])
-    c_inv = _lower_triangular_inverse(l[h:, h:])
-    x = np.zeros_like(l)
-    x[:h, :h] = a_inv
-    x[h:, h:] = c_inv
-    x[h:, :h] = -(c_inv @ (l[h:, :h] @ a_inv))
-    return x
 
 
 @dataclass
@@ -145,25 +123,18 @@ def _stabilized_cholesky(p: np.ndarray) -> CholeskyPreconditioner:
 
 def krill_from_sketch(y_sketch: np.ndarray, a_ss: np.ndarray,
                       mu: float) -> CholeskyPreconditioner:
-    """Build the sketched preconditioner from Y = Phi A(:,S)."""
+    """Build the restricted preconditioner Y^T Y + mu A_SS from a sketch Y
+    (d x k) of A(:,S) and the k x k A_SS: Y = Phi A(:,S) for KRILL, and
+    Y = sqrt(N/k) A_SS for Falkon."""
     if not 0 < mu < np.inf:
         raise InputError(f"mu must be finite and positive, got {mu}")
-    p = y_sketch.T @ y_sketch + mu * a_ss
-    p = 0.5 * (p + p.T)
-    return _stabilized_cholesky(p)
-
-
-def build_falkon(a_ss: np.ndarray, n: int, mu: float) -> CholeskyPreconditioner:
-    """Monte Carlo Gram estimate (N/k) A_SS^2 under uniform sampling of the
-    k centers from N points, with k the order of the square ``a_ss``."""
-    if not 0 < mu < np.inf:
-        raise InputError(f"mu must be finite and positive, got {mu}")
-    a_ss = np.asarray(a_ss, dtype=np.float64)
-    if a_ss.ndim != 2 or a_ss.shape[0] != a_ss.shape[1]:
-        raise InputError(f"A(S,S) must be square, got shape {a_ss.shape}")
+    if np.ndim(a_ss) != 2 or a_ss.shape[0] != a_ss.shape[1]:
+        raise InputError(f"A(S,S) must be square, got shape {np.shape(a_ss)}")
     k = a_ss.shape[0]
-    g_hat = (n / k) * (a_ss @ a_ss)
-    p = g_hat + mu * a_ss
+    if np.ndim(y_sketch) != 2 or y_sketch.shape[1] != k:
+        raise InputError(f"the sketch must be 2-d with one column per center; "
+                         f"got shape {np.shape(y_sketch)} for {k} centers")
+    p = y_sketch.T @ y_sketch + mu * a_ss
     p = 0.5 * (p + p.T)
     return _stabilized_cholesky(p)
 

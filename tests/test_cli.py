@@ -264,6 +264,21 @@ def test_no_seeds_is_an_input_error(capsys, command, n_seeds):
     assert cap.out == ""
 
 
+@pytest.mark.parametrize("command,own", [
+    ("solve-full", ["--rank", "5"]),
+    ("solve-restricted", ["--centers", "5"]),
+    ("adversarial", ["--n", "100", "--n-seeds", "1"]),
+    ("verify-theorems", ["--n-seeds", "1"]),
+])
+def test_negative_seed_is_an_input_error(tmp_path, dataset, capsys, command, own):
+    if command.startswith("solve"):
+        own = own + ["--dataset", dataset, "--output-dir", str(tmp_path / "out")]
+    code, cap = _run(capsys, [command, "--seed", "-1"] + own)
+    assert code == EXIT_INPUT
+    assert "seed must be nonnegative" in cap.err and "Traceback" not in cap.err
+    assert cap.out == ""
+
+
 def test_verify_theorems_reports_are_pinned(tmp_path, capsys):
     from krrsolve.sketch import theory_params
 

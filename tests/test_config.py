@@ -152,7 +152,7 @@ def test_negative_values_are_rejected(name, mode):
 
 @pytest.mark.parametrize("name,value", [
     ("epsilon", math.inf), ("bandwidth", math.inf), ("bandwidth", math.nan),
-    ("bandwidth", 0.0), ("bandwidth", -1.0)])
+    ("bandwidth", 0.0), ("bandwidth", -1.0), ("seed", -1)])
 def test_nonfinite_or_nonpositive_values_are_rejected(name, value):
     # caught before the dataset loads; inf would report every run as solved
     with pytest.raises(InputError, match=name):

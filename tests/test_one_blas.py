@@ -3,6 +3,10 @@
 scipy ships its own OpenBLAS.  Alternating its calls with numpy's products
 made the factor, preconditioner and PCG phases several times slower with two
 BLAS threads, so these modules import nothing from ``scipy.linalg``.
+
+They also invert matrices one way: ``np.linalg.inv`` appears only inside
+``lowrank._lower_triangular_inverse``, which the factor rounds and every
+preconditioner build call.
 """
 
 import ast
@@ -11,6 +15,8 @@ from pathlib import Path
 import pytest
 
 import krrsolve
+
+from .test_precond import uses_outside
 
 NUMPY_BLAS_MODULES = ("krr", "precond", "lowrank", "pcg", "kernels", "sketch")
 
@@ -57,3 +63,38 @@ def test_every_import_form_is_caught(line):
 ])
 def test_other_imports_pass(line):
     assert scipy_linalg_imports(line) == []
+
+
+def matrix_inverse_uses(source: str) -> list:
+    """(line, name) of every ``inv`` outside ``_lower_triangular_inverse``."""
+    return uses_outside(source, ("inv",), "_lower_triangular_inverse")
+
+
+@pytest.mark.parametrize("module", NUMPY_BLAS_MODULES)
+def test_module_inverts_only_in_the_triangular_inverse(module):
+    path = Path(krrsolve.__file__).parent / f"{module}.py"
+    assert matrix_inverse_uses(path.read_text()) == [], path
+
+
+def test_the_triangular_inverse_is_where_inv_is_called():
+    source = (Path(krrsolve.__file__).parent / "lowrank.py").read_text()
+    renamed = source.replace("def _lower_triangular_inverse(", "def _renamed(")
+    assert [name for _, name in matrix_inverse_uses(renamed)] == ["inv"]
+
+
+@pytest.mark.parametrize("source", [
+    "def build(g, l):\n    return g @ np.linalg.inv(l).T\n",
+    "from numpy.linalg import inv\n",
+    "from numpy.linalg import inv as invert\n",
+    "def _lower_triangular_inverse(l):\n    return np.tril(np.linalg.inv(l))\n"
+    "def other(l):\n    return np.linalg.inv(l)\n",
+])
+def test_a_second_inverse_is_caught(source):
+    assert len(matrix_inverse_uses(source)) == 1
+
+
+def test_uses_inside_the_triangular_inverse_pass():
+    source = ("def _lower_triangular_inverse(l):\n"
+              "    return np.tril(np.linalg.inv(l))\n"
+              "def build(pre):\n    return pre.l_inv\n")
+    assert matrix_inverse_uses(source) == []

@@ -13,19 +13,18 @@ from krrsolve.diagnostics import clustered_dataset
 from krrsolve.errors import InputError, NumericalError
 from krrsolve.kernels import DatasetKernelOracle, ExplicitMatrixOracle, KernelSpec
 from krrsolve.lowrank import (
+    _TRIANGULAR_BASE,
     GREEDY,
     UNIFORM,
     PartialCholeskyFactor,
     PivotRule,
+    _lower_triangular_inverse,
     build_factor,
     trace_residual,
 )
 from krrsolve.precond import (
-    _TRIANGULAR_BASE,
     EPS_MACH,
     CholeskyPreconditioner,
-    _lower_triangular_inverse,
-    build_falkon,
     build_rpc_preconditioner,
     krill_from_sketch,
     precond_condition_number,
@@ -298,11 +297,28 @@ class TestKrill:
         with pytest.raises(InputError, match="mu"):
             krill_from_sketch(np.ones((4, 2)), np.eye(2), mu)
 
+    @pytest.mark.parametrize("y_sketch,a_ss,match", [
+        (np.ones((4, 2)), np.ones(2), "square"),
+        (np.ones((4, 2)), np.eye(3), "one column per center"),
+        (np.ones(2), np.eye(2), "2-d"),
+        (np.ones((4, 2, 1)), np.eye(2), "2-d"),
+    ], ids=["1-d-a_ss-of-length-k", "k-mismatch", "1-d-sketch", "3-d-sketch"])
+    def test_sketch_and_a_ss_shapes_must_agree(self, y_sketch, a_ss, match):
+        # a 1-d A(S,S) of length k would broadcast into a wrong P
+        with pytest.raises(InputError, match=match):
+            krill_from_sketch(y_sketch, a_ss, 1.0)
+
+
+def falkon(a_ss, n, mu):
+    """Falkon's preconditioner: the sketch sqrt(N/k) A(S,S) of N points."""
+    k = np.shape(a_ss)[0]
+    return krill_from_sketch(np.sqrt(n / k) * a_ss, a_ss, mu)
+
 
 class TestFalkon:
     def test_no_subsampling_limit(self):
         a = random_psd(12, seed=13)
-        pre = build_falkon(a, n=12, mu=0.4)
+        pre = falkon(a, n=12, mu=0.4)
         p = a @ a + 0.4 * a
         np.testing.assert_allclose(
             _rebuilt(pre), p + EPS_MACH * np.trace(p) * np.eye(12),
@@ -310,7 +326,7 @@ class TestFalkon:
 
     def test_hand_monte_carlo_scale(self):
         a_ss = np.array([[1.0, 0.5], [0.5, 1.0]])
-        pre = build_falkon(a_ss, n=10, mu=1e-6)
+        pre = falkon(a_ss, n=10, mu=1e-6)
         g_hat = 5.0 * (a_ss @ a_ss)
         p = g_hat + 1e-6 * a_ss
         np.testing.assert_allclose(
@@ -322,7 +338,7 @@ class TestFalkon:
         a_ss /= np.abs(a_ss).max()
         np.fill_diagonal(a_ss, 1.0)
         a_ss = 0.5 * (a_ss + a_ss.T)
-        pre = build_falkon(a_ss, n=100, mu=0.01)
+        pre = falkon(a_ss, n=100, mu=0.01)
         p = _rebuilt(pre)
         assert np.linalg.eigvalsh(p).min() >= -1e-10 * np.trace(p)
 
@@ -330,31 +346,37 @@ class TestFalkon:
                              ids=["rectangular", "vector", "3-d"])
     def test_a_ss_must_be_square(self, a_ss):
         with pytest.raises(InputError, match="square"):
-            build_falkon(a_ss, n=10, mu=0.1)
+            falkon(a_ss, n=10, mu=0.1)
 
     @pytest.mark.parametrize("mu", BAD_MU)
     def test_mu_must_be_finite_and_positive(self, mu):
         with pytest.raises(InputError, match="mu"):
-            build_falkon(np.eye(2), n=10, mu=mu)
+            falkon(np.eye(2), n=10, mu=mu)
 
 
 SPECTRAL_SOLVERS = ("eigh", "eigvalsh", "svd")
 
 
-def spectral_solver_uses(source: str) -> list:
-    """(line, name) of every eigh, eigvalsh or svd outside precond_condition_number."""
+def uses_outside(source: str, names, exempt: str) -> list:
+    """(line, name) of every use of one of ``names`` outside the top-level
+    function ``exempt``."""
     found = []
     for top in ast.parse(source).body:
-        if isinstance(top, ast.FunctionDef) and top.name == "precond_condition_number":
+        if isinstance(top, ast.FunctionDef) and top.name == exempt:
             continue
         for node in ast.walk(top):
             name = (node.attr if isinstance(node, ast.Attribute)
                     else node.id if isinstance(node, ast.Name)
                     else node.name.rsplit(".", 1)[-1] if isinstance(node, ast.alias)
                     else None)
-            if name in SPECTRAL_SOLVERS:
+            if name in names:
                 found.append((node.lineno, name))
     return found
+
+
+def spectral_solver_uses(source: str) -> list:
+    """(line, name) of every eigh, eigvalsh or svd outside precond_condition_number."""
+    return uses_outside(source, SPECTRAL_SOLVERS, "precond_condition_number")
 
 
 class TestBuildCost:

@@ -72,3 +72,17 @@ def test_restricted_solve_generates_every_entry_through_block():
     # A(S,S) once, then one pass over A(:,S) for the sketch and the
     # right-hand side, and one more for every operator apply
     assert metrics["kernels.entries"] == k * k + (1 + ops) * N * k
+
+
+def test_falkon_solve_builds_through_krill_from_sketch():
+    k = CENTERS
+    metrics, names = traced_solve(solve_restricted_krr, lambda oracle, y: RestrictedKrrProblem(
+        oracle, select_centers_uniform(N, k, seed=SEED), y, MU, preconditioner="falkon"))
+    assert {tracing.KRILL_BUILD, tracing.PCG, tracing.OPERATOR,
+            tracing.PRECOND_APPLY} <= names
+    assert tracing.EMBEDDING not in names
+    ops = metrics["pcg.operator_calls"]
+    assert ops >= 1
+    # Falkon's sketch is A(S,S) itself: its one pass over A(:,S) forms only
+    # the right-hand side
+    assert metrics["kernels.entries"] == k * k + (1 + ops) * N * k
