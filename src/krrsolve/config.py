@@ -15,7 +15,7 @@ Lines starting with '#' and blank lines are ignored.  Unknown keys are hard
 errors so that protocol drift never passes silently.  Defaults follow the
 standard protocol: bandwidth 3, mu/N = 1e-7, and per mode either
 (epsilon 1e-3, 250 iterations) for full or (epsilon 1e-4, 100 iterations,
-d = 2k, zeta = min(8, d)) for restricted runs.
+the embedding of ``sketch.practical_params``) for restricted runs.
 
 ``ExperimentConfig`` is the one list of keys and their types; the parser
 and the CLI flags are derived from its fields.  Each allowed-name set is a
@@ -53,7 +53,7 @@ from .krr import (
     RESTRICTED,
     TASKS,
 )
-from .lowrank import PIVOT_RULES, RPCHOLESKY
+from .lowrank import PIVOT_RULES, RPCHOLESKY, _check_seed
 
 
 def _key(default, choices=None, mode=None):
@@ -79,7 +79,7 @@ class ExperimentConfig:
     block_size: int = _key(0, mode=FULL)  # 0 = min(100, rank/10)
     preconditioner: str = _key(KRILL, choices=PRECONDITIONERS, mode=RESTRICTED)
     centers: int = _key(0, mode=RESTRICTED)
-    embedding_dim: int = _key(0, mode=RESTRICTED)  # 0 = 2k
+    embedding_dim: int = _key(0, mode=RESTRICTED)  # 0 = sketch.practical_params
     embedding_nnz: int = _key(0, mode=RESTRICTED)  # 0 = min(8, embedding_dim)
     epsilon: float = 0.0  # 0 = mode default
     max_iter: int = 0  # 0 = mode default
@@ -99,8 +99,7 @@ class ExperimentConfig:
         if self.seed is None:
             raise InputError("seed is required (stochastic command): "
                              "set it in the config or pass --seed")
-        if self.seed < 0:
-            raise InputError(f"seed must be nonnegative, got {self.seed}")
+        _check_seed(self.seed)
         if not 0 < self.bandwidth < math.inf:
             raise InputError(f"bandwidth must be finite and positive, got {self.bandwidth}")
         if not 0 < self.mu_over_n < math.inf:

@@ -23,7 +23,15 @@ import numpy as np
 
 from .errors import InputError
 from .kernels import ExplicitMatrixOracle
-from .lowrank import GREEDY, UNIFORM, PivotRule, build_factor, tail_rank, trace_residual
+from .lowrank import (
+    GREEDY,
+    UNIFORM,
+    PivotRule,
+    _check_seed,
+    build_factor,
+    tail_rank,
+    trace_residual,
+)
 from .precond import build_rpc_preconditioner, krill_from_sketch, precond_condition_number
 from .sketch import build_embedding, distortion_check, theory_params
 
@@ -31,8 +39,7 @@ from .sketch import build_embedding, distortion_check, theory_params
 def _check_seeds(n_seeds: int, seed0: int) -> None:
     if n_seeds < 1:
         raise InputError(f"need n_seeds >= 1, got {n_seeds}")
-    if seed0 < 0:
-        raise InputError(f"seed must be nonnegative, got {seed0}")
+    _check_seed(seed0)
 
 
 def _cube_root_block(n: int) -> int:

@@ -23,8 +23,10 @@ which generates columns and dense blocks on demand and carries the
 byte budget for generated blocks.  Products with a kernel block A(R, C) go
 through ``KernelBlocks``, which holds the one slab rule: when all of A(R, C)
 fits in the budget it is generated once and kept, otherwise each product
-regenerates it in row slabs as tall as the budget allows, all written into
-one slab buffer that every pass reuses.
+regenerates it in row slabs as tall as the budget allows.  It hands every
+slab one buffer that all passes reuse; ``predict``'s ``kernel_rows`` slabs
+are written into it, while the oracle-backed streams of the solvers
+(``krr._kernel_columns``) ignore it and allocate each slab afresh.
 """
 
 from __future__ import annotations

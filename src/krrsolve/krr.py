@@ -30,7 +30,7 @@ from .kernels import (
     KernelSpec,
     kernel_rows,
 )
-from .lowrank import PivotRule, build_factor
+from .lowrank import PivotRule, _check_seed, build_factor
 from .pcg import LinearOperator, SolveReport, pcg
 from .precond import build_rpc_preconditioner, krill_from_sketch
 from .sketch import build_embedding, practical_params
@@ -109,8 +109,8 @@ class RestrictedKrrProblem:
     mu: float
     epsilon: float = DEFAULT_EPSILON[RESTRICTED]
     preconditioner: str = KRILL
-    embedding_dim: Optional[int] = None  # default 2k
-    embedding_nnz: Optional[int] = None  # default min(8, d)
+    embedding_dim: Optional[int] = None  # default sketch.practical_params(k)
+    embedding_nnz: Optional[int] = None  # default min(8, d) for the d used
     embedding_seed: Optional[int] = None
     max_iter: int = DEFAULT_MAX_ITER[RESTRICTED]
 
@@ -130,6 +130,39 @@ class RestrictedKrrProblem:
             raise InputError("target length does not match oracle size")
         if self.preconditioner not in PRECONDITIONERS:
             raise InputError(f"unknown preconditioner {self.preconditioner!r}")
+        for name in ("embedding_dim", "embedding_nnz"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise InputError(f"{name} must be >= 1, got {value}")
+        d, zeta = self.embedding_shape()
+        if zeta > d:
+            raise InputError(f"embedding_nnz must be <= the embedding dimension {d}, "
+                             f"got {zeta}")
+        _check_seed(self.embedding_seed)
+
+    def embedding_shape(self) -> tuple[int, int]:
+        """The (d, zeta) of KRILL's embedding: the explicit values, else d
+        from ``sketch.practical_params(k)`` and zeta = min(8, d)."""
+        d = self.embedding_dim or practical_params(self.centers.size)[0]
+        return d, self.embedding_nnz or min(8, d)
+
+
+def _first_pass(a_ns: KernelBlocks, y: np.ndarray, b: np.ndarray, phi=None):
+    """Add A(S,:) y into ``b`` and, given Phi, return Y = Phi A(:,S), in one
+    pass over the slabs of A(:,S).
+
+    Y is accumulated k rows at a time, so no d x k temporary is made; each
+    entry is the same sum, in the same order, as in Y += Phi(:,I) A(I,S).
+    """
+    k = b.size
+    sketch = None if phi is None else np.zeros((phi.shape[0], k))
+    for start, stop, slab in a_ns:
+        if sketch is not None:
+            for i in range(0, sketch.shape[0], k):
+                sketch[i:i + k] += phi[i:i + k, start:stop] @ slab
+        b += slab.T @ y[start:stop]
+        del slab  # a streamed slab is freed before the next is generated
+    return sketch
 
 
 def solve_restricted_krr(problem: RestrictedKrrProblem) -> SolveReport:
@@ -139,7 +172,8 @@ def solve_restricted_krr(problem: RestrictedKrrProblem) -> SolveReport:
     A(S,:) A(:,S) v = sum over slabs I of A(I,S)^T (A(I,S) v).
 
     One pass over the slabs of A(:,S) accumulates the right-hand side
-    A(S,:) y and, with KRILL, the sketch Y = Phi A(:,S).  Falkon's sketch is
+    A(S,:) y and, with KRILL, the sketch Y = Phi A(:,S); ``meta`` records
+    the embedding's ``embedding_dim`` and ``embedding_nnz``.  Falkon's sketch is
     Y = sqrt(N/k) A(S,S): (N/k) A(S,S)^2 estimates the Gram matrix when the
     centers are uniform.  ``krill_from_sketch`` builds either preconditioner
     as Y^T Y + mu A(S,S), counted in ``meta["preconditioner_build_time"]``;
@@ -153,21 +187,21 @@ def solve_restricted_krr(problem: RestrictedKrrProblem) -> SolveReport:
     a_ss = oracle.block(centers, centers)
     a_ss = 0.5 * (a_ss + a_ss.T)
 
-    sketch = None  # Y; NO_PRECONDITIONER has none, and pcg applies the identity
-    if problem.preconditioner == FALKON:
-        sketch = np.sqrt(oracle.n / k) * a_ss
-    elif problem.preconditioner == KRILL:
-        d = problem.embedding_dim or practical_params(k)[0]
-        zeta = problem.embedding_nnz or min(8, d)
-        phi = build_embedding(d, oracle.n, zeta, seed=problem.embedding_seed)
-        sketch = np.zeros((phi.shape[0], k))
     b = np.zeros(k)  # A(S,:) y
-    for start, stop, slab in a_ns:
-        if problem.preconditioner == KRILL:
-            sketch += phi[:, start:stop] @ slab
-        b += slab.T @ y[start:stop]
-
-    pre = None if sketch is None else krill_from_sketch(sketch, a_ss, mu)
+    pre = None  # NO_PRECONDITIONER: pcg applies the identity
+    if problem.preconditioner == KRILL:
+        d, zeta = problem.embedding_shape()
+        # Phi and Y are passed on, never bound here, so neither is held
+        # longer than it is used: Phi is freed after the pass, and Y as soon
+        # as the build has formed Y^T Y
+        pre = krill_from_sketch(
+            _first_pass(a_ns, y, b, build_embedding(d, oracle.n, zeta,
+                                                    seed=problem.embedding_seed)),
+            a_ss, mu)
+    else:
+        _first_pass(a_ns, y, b)
+        if problem.preconditioner == FALKON:
+            pre = krill_from_sketch(np.sqrt(oracle.n / k) * a_ss, a_ss, mu)
     build_time = time.perf_counter() - t0
 
     def gram_apply(v):
@@ -186,6 +220,8 @@ def solve_restricted_krr(problem: RestrictedKrrProblem) -> SolveReport:
     )
     if pre is not None:
         report.meta["preconditioner_jitter"] = pre.jitter
+    if problem.preconditioner == KRILL:
+        report.meta.update(embedding_dim=d, embedding_nnz=zeta)
     return report
 
 
@@ -193,6 +229,7 @@ def select_centers_uniform(n: int, k: int, seed=None) -> np.ndarray:
     """k distinct indices drawn uniformly without replacement."""
     if not 1 <= k <= n:
         raise InputError(f"need 1 <= k <= {n}, got {k}")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     return np.sort(rng.choice(n, size=k, replace=False))
 

@@ -30,6 +30,7 @@ Callers must read ``factor.rank`` rather than assume the requested rank.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -73,6 +74,13 @@ def _lower_triangular_inverse(l: np.ndarray) -> np.ndarray:
     return x
 
 
+def _check_seed(seed) -> None:
+    """Reject a negative integer seed, which ``np.random.default_rng`` refuses
+    with a ValueError of its own."""
+    if isinstance(seed, numbers.Real) and seed < 0:
+        raise InputError(f"seed must be nonnegative, got {seed}")
+
+
 @dataclass(frozen=True)
 class PivotRule:
     """Pivot selection strategy for the low-rank factor."""
@@ -86,6 +94,7 @@ class PivotRule:
             raise InputError(f"unknown pivot rule {self.kind!r}")
         if self.block_size is not None and self.block_size < 1:
             raise InputError("block size must be >= 1")
+        _check_seed(self.seed)
 
 
 @dataclass

@@ -96,36 +96,42 @@ def build_rpc_preconditioner(factor: PartialCholeskyFactor, mu: float) -> Choles
     return CholeskyPreconditioner(_lower_triangular_inverse(l), F, float(mu))
 
 
-def _stabilized_cholesky(p: np.ndarray) -> CholeskyPreconditioner:
-    """P + jitter*I = L L^T, the jitter escalated tenfold from
-    eps_mach*tr(P) until the factorization succeeds, giving up past
-    1e-8*tr(P)."""
+def _stabilized_cholesky(p: np.ndarray) -> tuple[np.ndarray, float]:
+    """The lower factor L of P + jitter*I = L L^T and the jitter, escalated
+    tenfold from eps_mach*tr(P) until the factorization succeeds, giving up
+    past 1e-8*tr(P).
+
+    The jitter goes onto P's diagonal in place, set afresh from the saved
+    diagonal before each try, so P is left shifted by the jitter returned.
+    """
     trace = float(np.trace(p))
     if not 0 < trace < np.inf:
         raise NumericalError(f"preconditioner matrix has trace {trace}; "
                              "it must be finite and positive")
     diag = np.diag_indices_from(p)
+    saved = p[diag]
     jitter = EPS_MACH * trace
     while True:
-        shifted = p.copy()
-        shifted[diag] += jitter
+        p[diag] = saved + jitter
         try:
-            l = np.linalg.cholesky(shifted)
-            break
+            return np.linalg.cholesky(p), float(jitter)
         except np.linalg.LinAlgError:
             jitter *= 10.0
             if not jitter <= 1e-8 * trace:
                 raise NumericalError(
                     "preconditioner matrix is not positive definite up to jitter "
                     "1e-8*tr(P); problem is numerically degenerate") from None
-    return CholeskyPreconditioner(_lower_triangular_inverse(l), jitter=float(jitter))
 
 
 def krill_from_sketch(y_sketch: np.ndarray, a_ss: np.ndarray,
                       mu: float) -> CholeskyPreconditioner:
     """Build the restricted preconditioner Y^T Y + mu A_SS from a sketch Y
     (d x k) of A(:,S) and the k x k A_SS: Y = Phi A(:,S) for KRILL, and
-    Y = sqrt(N/k) A_SS for Falkon."""
+    Y = sqrt(N/k) A_SS for Falkon.
+
+    P is formed, symmetrized and shifted in one k x k array, which is
+    released before the triangular inverse.
+    """
     if not 0 < mu < np.inf:
         raise InputError(f"mu must be finite and positive, got {mu}")
     if np.ndim(a_ss) != 2 or a_ss.shape[0] != a_ss.shape[1]:
@@ -134,9 +140,14 @@ def krill_from_sketch(y_sketch: np.ndarray, a_ss: np.ndarray,
     if np.ndim(y_sketch) != 2 or y_sketch.shape[1] != k:
         raise InputError(f"the sketch must be 2-d with one column per center; "
                          f"got shape {np.shape(y_sketch)} for {k} centers")
-    p = y_sketch.T @ y_sketch + mu * a_ss
-    p = 0.5 * (p + p.T)
-    return _stabilized_cholesky(p)
+    p = y_sketch.T @ y_sketch
+    del y_sketch  # frees Y here when the caller passed its only reference
+    p += mu * a_ss
+    p += p.T  # numpy reads p.T from a copy, so this is 0.5 * (p + p.T) in place
+    p *= 0.5
+    l, jitter = _stabilized_cholesky(p)
+    del p
+    return CholeskyPreconditioner(_lower_triangular_inverse(l), jitter=jitter)
 
 
 def precond_condition_number(m: np.ndarray, apply_inv) -> float:

@@ -19,6 +19,7 @@ from krrsolve.cli import (
 )
 from krrsolve.errors import NumericalError
 from krrsolve.lowrank import PartialCholeskyFactor
+from krrsolve.sketch import practical_params
 
 SHARED_FLAGS = {
     "--config": ("config", None, None),
@@ -123,6 +124,10 @@ def test_solve_restricted_exit_ok(tmp_path, dataset, capsys):
         else:
             # at least the first rung, eps_mach * tr(P), of the jitter ladder
             assert 0 < summary["preconditioner_jitter"] < np.inf, pre
+        if pre == "krill":
+            assert (summary["embedding_dim"], summary["embedding_nnz"]) == practical_params(10)
+        else:
+            assert "embedding_dim" not in summary and "embedding_nnz" not in summary
 
 
 def test_exit_not_converged(tmp_path, dataset, capsys):

@@ -28,7 +28,7 @@ from krrsolve.krr import (
     solve_restricted_krr,
 )
 from krrsolve.lowrank import GREEDY, PIVOT_RULES, UNIFORM, PivotRule
-from krrsolve.sketch import build_embedding
+from krrsolve.sketch import build_embedding, practical_params
 
 N = 200
 K = 30
@@ -103,7 +103,7 @@ def test_default_nnz_is_min_8_and_the_embedding_dim_used(monkeypatch, k, dim, nn
     report = solve_restricted_krr(RestrictedKrrProblem(
         oracle(x), centers, y, MU, epsilon=1e-8, embedding_dim=dim, embedding_seed=5))
     assert report.converged
-    assert drawn == [(dim or 2 * k, nnz)]
+    assert drawn == [(dim or practical_params(k)[0], nnz)]
 
 
 @pytest.mark.parametrize("columns", [None, 7])
@@ -126,10 +126,11 @@ def test_krill_sketch_and_rhs_match_the_csr_to_csc_round_trip(monkeypatch, colum
     monkeypatch.setattr(krr_module, "pcg", pcg)
     solve_restricted_krr(problem)
 
-    phi = build_embedding(2 * K, N, 8, seed=5)
-    cols = np.repeat(np.arange(N), 8)
+    d, zeta = practical_params(K)
+    phi = build_embedding(d, N, zeta, seed=5)
+    cols = np.repeat(np.arange(N), zeta)
     mat = sp.csr_matrix((phi.data, (phi.indices, cols)), shape=phi.shape).tocsc()
-    sketch, b = np.zeros((2 * K, K)), np.zeros(K)
+    sketch, b = np.zeros((d, K)), np.zeros(K)
     for start, stop, slab in krr_module._kernel_columns(problem.oracle, problem.centers):
         sketch += mat[:, start:stop] @ slab
         b += slab.T @ y[start:stop]
@@ -205,6 +206,50 @@ def test_problems_reject_mu_that_is_not_finite_and_positive(mu):
         FullKrrProblem(oracle(x), y, mu, rank=5)
     with pytest.raises(InputError, match="mu"):
         RestrictedKrrProblem(oracle(x), np.arange(5), y, mu)
+
+
+def test_negative_seeds_are_input_errors():
+    x, y = points(n=20)
+    with pytest.raises(InputError, match="seed"):
+        select_centers_uniform(5, 2, seed=-1)
+    with pytest.raises(InputError, match="seed"):
+        RestrictedKrrProblem(oracle(x), np.arange(5), y, MU, embedding_seed=-1)
+
+
+@pytest.mark.parametrize("kwargs,match", [
+    ({"embedding_dim": 0}, "embedding_dim"),
+    ({"embedding_dim": -3}, "embedding_dim"),
+    ({"embedding_nnz": 0}, "embedding_nnz"),
+    ({"embedding_dim": 4, "embedding_nnz": 5}, "embedding_nnz"),
+    ({"embedding_nnz": practical_params(5)[0] + 1}, "embedding_nnz"),
+])
+def test_restricted_problem_rejects_a_bad_embedding_shape(kwargs, match):
+    # at construction, before any kernel entry is generated
+    x, y = points(n=20)
+    with pytest.raises(InputError, match=match):
+        RestrictedKrrProblem(oracle(x), np.arange(5), y, MU, **kwargs)
+
+
+# tracemalloc peaks of the same KRILL solves at d = 2k (N = 4000, k = 300,
+# dim 20), when the sketch pass made a d x k temporary per slab and the
+# solver held Y and Phi through PCG; the default d = 4k must fit under them
+PEAK_AT_D_2K = {None: 15.79e6, 50: 8.97e6}
+
+
+@pytest.mark.parametrize("columns", [None, 50], ids=["kept", "streamed"])
+def test_default_krill_solve_peaks_no_higher_than_d_2k(columns):
+    n, k = 4000, 300
+    x, y = points(n=n, dim=20)
+    problem = RestrictedKrrProblem(oracle(x, columns), select_centers_uniform(n, k, seed=1),
+                                   y, 1e-7 * n, embedding_seed=2)
+    tracemalloc.start()
+    try:
+        report = solve_restricted_krr(problem)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.converged
+    assert peak <= PEAK_AT_D_2K[columns]
 
 
 @pytest.mark.parametrize("kind", PIVOT_RULES)

@@ -123,7 +123,7 @@ class TestRpcholesky:
             build_factor(o, 4)
 
     @pytest.mark.parametrize("kwargs", [{"kind": "cholesky"}, {"block_size": 0},
-                                        {"block_size": -3}])
+                                        {"block_size": -3}, {"seed": -1}])
     def test_bad_rule(self, kwargs):
         with pytest.raises(InputError):
             PivotRule(**kwargs)

@@ -173,8 +173,9 @@ class TestDistortion:
 
 
 def test_parameter_helpers():
-    assert practical_params(3) == (6, 6)
-    assert practical_params(100) == (200, 8)
+    assert practical_params(1) == (4, 4)
+    assert practical_params(3) == (12, 8)
+    assert practical_params(100) == (400, 8)
     d, zeta = theory_params(50)
     assert d == int(math.ceil(6 * 50 * math.log(50 / 0.05)))
     assert zeta == int(math.ceil(2 * math.log(50 / 0.05)))

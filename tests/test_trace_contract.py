@@ -86,3 +86,17 @@ def test_falkon_solve_builds_through_krill_from_sketch():
     # Falkon's sketch is A(S,S) itself: its one pass over A(:,S) forms only
     # the right-hand side
     assert metrics["kernels.entries"] == k * k + (1 + ops) * N * k
+
+
+def test_default_krill_embedding_takes_fewer_operator_passes_than_d_2k():
+    k = CENTERS
+
+    def metrics(embedding_dim):
+        return traced_solve(solve_restricted_krr, lambda oracle, y: RestrictedKrrProblem(
+            oracle, select_centers_uniform(N, k, seed=SEED), y, MU,
+            embedding_dim=embedding_dim, embedding_seed=SEED))[0]
+
+    default, d_2k = metrics(None), metrics(2 * k)
+    ops = default["pcg.operator_calls"]
+    assert default["kernels.entries"] == k * k + (1 + ops) * N * k
+    assert ops < d_2k["pcg.operator_calls"]
