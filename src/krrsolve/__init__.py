@@ -1,9 +1,12 @@
-"""Randomized-preconditioned solvers for kernel ridge regression.
+"""Kernel ridge regression by randomized-preconditioned CG and direct restricted solves.
 
 The library solves the full-data system (A + mu I) beta = y and the
 restricted system [A(S,:) A(:,S) + mu A(S,S)] beta = A(S,:) y without ever
-materializing the N x N kernel matrix, using preconditioned conjugate
-gradient with randomized Nystrom and sketched-Gram preconditioners.
+materializing the N x N kernel matrix: the full system by preconditioned
+conjugate gradient with a randomized Nystrom preconditioner, and the
+restricted one by default directly, from its exact k x k matrix formed in
+one pass over A(:,S), or by PCG with a sketched-Gram (KRILL) or Falkon
+preconditioner.
 """
 
 from .data import Dataset, load_csv, load_dataset, load_libsvm
@@ -11,6 +14,7 @@ from .diagnostics import (
     build_greedy_failure_matrix,
     build_uniform_failure_matrix,
     clustered_dataset,
+    crossover_experiment,
     guarantee_rank,
     psd_matrix_with_spectrum,
     separation_experiment,

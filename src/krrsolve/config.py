@@ -15,7 +15,10 @@ Lines starting with '#' and blank lines are ignored.  Unknown keys are hard
 errors so that protocol drift never passes silently.  Defaults follow the
 standard protocol: bandwidth 3, mu/N = 1e-7, and per mode either
 (epsilon 1e-3, 250 iterations) for full or (epsilon 1e-4, 100 iterations,
-the embedding of ``sketch.practical_params``) for restricted runs.
+the ``direct`` method, ``krr.DEFAULT_PRECONDITIONER``) for restricted
+runs.  A restricted run with ``preconditioner = krill`` uses the embedding
+of ``sketch.practical_params`` unless ``embedding_dim`` and
+``embedding_nnz`` are set.
 
 ``ExperimentConfig`` is the one list of keys and their types; the parser
 and the CLI flags are derived from its fields.  Each allowed-name set is a
@@ -45,8 +48,8 @@ from .kernels import (
 from .krr import (
     DEFAULT_EPSILON,
     DEFAULT_MAX_ITER,
+    DEFAULT_PRECONDITIONER,
     FULL,
-    KRILL,
     MODES,
     PRECONDITIONERS,
     REGRESSION,
@@ -77,7 +80,8 @@ class ExperimentConfig:
     pivot_rule: str = _key(RPCHOLESKY, choices=PIVOT_RULES, mode=FULL)
     rank: int = _key(0, mode=FULL)
     block_size: int = _key(0, mode=FULL)  # 0 = min(100, rank/10)
-    preconditioner: str = _key(KRILL, choices=PRECONDITIONERS, mode=RESTRICTED)
+    preconditioner: str = _key(DEFAULT_PRECONDITIONER, choices=PRECONDITIONERS,
+                               mode=RESTRICTED)
     centers: int = _key(0, mode=RESTRICTED)
     embedding_dim: int = _key(0, mode=RESTRICTED)  # 0 = sketch.practical_params
     embedding_nnz: int = _key(0, mode=RESTRICTED)  # 0 = min(8, embedding_dim)

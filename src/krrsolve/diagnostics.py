@@ -18,11 +18,24 @@ the theoretical conditioning events hold, as JSON-friendly records.
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 
 from .errors import InputError
-from .kernels import ExplicitMatrixOracle
+from .kernels import (
+    DEFAULT_MEMORY_BUDGET,
+    DatasetKernelOracle,
+    ExplicitMatrixOracle,
+    KernelSpec,
+)
+from .krr import (
+    DIRECT,
+    KRILL,
+    RestrictedKrrProblem,
+    select_centers_uniform,
+    solve_restricted_krr,
+)
 from .lowrank import (
     GREEDY,
     UNIFORM,
@@ -157,9 +170,6 @@ def verify_krill_theorem(n: int, k: int, mu: float, n_seeds: int = 100,
     distortion lands in [1/2, 3/2] the bound kappa <= 3 must hold; that
     implication is deterministic.
     """
-    from .kernels import DatasetKernelOracle, KernelSpec
-    from .krr import select_centers_uniform
-
     _check_seeds(n_seeds, seed0)
     d, zeta = theory_params(k)
     rng = np.random.default_rng(seed0)
@@ -244,6 +254,61 @@ def separation_experiment(kind: str, n: int = 1000, rank: int = 10,
         "baseline_residuals": [float(x) for x in base_resids],
         "separated": bool(np.median(rpc_resids) < np.median(base_resids)),
     }
+
+
+class _EntryCountingOracle(DatasetKernelOracle):
+    """A kernel oracle that counts the entries of every block it generates."""
+
+    entries = 0
+
+    def block(self, rows, cols) -> np.ndarray:
+        out = super().block(rows, cols)
+        self.entries += out.size
+        return out
+
+
+def crossover_experiment(n_values, k_values, seed: int = 0,
+                         memory_budget: int = DEFAULT_MEMORY_BUDGET) -> dict:
+    """Wall time, passes over A(:,S) and kernel entries of the direct and
+    KRILL restricted solves at every (N, k), to locate where KRILL's cheaper
+    passes start to beat the direct solve's one pass of N k^2 flops.
+
+    The inputs follow the measurements in the ``krr`` module docstring: N
+    standard-normal points in 20 dimensions, centered targets sin(sum x),
+    the default squared-exponential kernel, mu = 1e-7 N and k uniform
+    centers.  ``passes`` counts the passes that generate A(:,S), from the
+    entries: (entries - k^2) / (N k), as A(S,S) is generated once.  Under a
+    ``memory_budget`` that holds A(:,S) it is kept, so both methods make one
+    such pass; under a smaller one, KRILL makes 1 + iterations.  Each solve
+    is timed once.
+    """
+    _check_seed(seed)
+    records = []
+    for n in n_values:
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, 20))
+        y = np.sin(x.sum(axis=1))
+        y -= y.mean()
+        for k in k_values:
+            centers = select_centers_uniform(n, k, seed=seed)
+            for method in (DIRECT, KRILL):
+                oracle = _EntryCountingOracle(x, KernelSpec(), memory_budget)
+                start = time.perf_counter()
+                report = solve_restricted_krr(RestrictedKrrProblem(
+                    oracle, centers, y, 1e-7 * n, preconditioner=method,
+                    embedding_seed=seed))
+                records.append({
+                    "n": int(n),
+                    "k": int(k),
+                    "method": method,
+                    "seconds": time.perf_counter() - start,
+                    "passes": (oracle.entries - k * k) // (n * k),
+                    "entries": int(oracle.entries),
+                    "iterations": report.iterations,
+                    "converged": report.converged,
+                })
+    return {"experiment": "crossover", "seed": int(seed),
+            "memory_budget": int(memory_budget), "records": records}
 
 
 def clustered_dataset(n: int, dim: int = 10, seed: int = 0) -> np.ndarray:

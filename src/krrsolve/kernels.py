@@ -310,4 +310,5 @@ class KernelBlocks:
         out = np.empty((self.n_rows,) + v.shape[1:])
         for start, stop, slab in self:
             out[start:stop] = slab @ v
+            del slab  # a streamed slab is freed before the next is generated
         return out

@@ -4,7 +4,33 @@ Full-data problem: (A + mu I) beta = y, solved by PCG with a
 partial-Cholesky Nystrom preconditioner built by the configured pivot rule.
 
 Restricted problem: [A(S,:) A(:,S) + mu A(S,S)] beta = A(S,:) y over k
-selected centers.
+selected centers.  The default method, ``DIRECT``, forms the exact k x k
+matrix in one pass over A(:,S) and factors it; ``KRILL``, ``FALKON`` and
+``NO_PRECONDITIONER`` run PCG with a preconditioner built from a sketch
+(or none), which passes over A(:,S) once more per iteration.  Per solve:
+
+* direct: 1 pass, N k^2 flops for G = A(S,:) A(:,S) (one SYRK per slab),
+  plus O(k^3) for the Cholesky factor and its triangular inverse;
+* KRILL: 1 + iterations passes, 4 N k flops per Gram apply, plus
+  d k^2 = 4 k^3 flops for Y^T Y at the default d = 4k, plus the same O(k^3).
+
+The paper prices KRILL at O((N + k^2) k log k) against the direct
+O(N k^2), but on this code the direct solve was faster at every size
+measured (2 BLAS threads; best of 3, or the median of 5 at N = 8000):
+
+    N        k     A(:,S) kept: KRILL / direct   100-column budget
+    8000     600   0.161 / 0.098 s               0.338 / 0.094 s
+    20000    1000  0.64 / 0.40 s                 1.93 / 0.47 s
+    40000    500   0.57 / 0.26 s                 1.68 / 0.40 s
+    80000    300   0.65 / 0.28 s                 2.81 / 0.39 s
+    8000     2000  1.17 / 0.71 s                 -
+    60000    1500  2.92 / 2.59 s                 -
+    100000   2000  -                             18.85 / 6.89 s (1 GiB budget)
+
+A streamed pass costs about 7.5 ns per entry and the SYRK runs at about
+65 GFLOP/s, so streamed KRILL at 12 iterations should overtake the direct
+solve only once k >~ 12 * 7.5 ns * 65 GFLOP/s, about 6000, and N >> 4k.
+``diagnostics.crossover_experiment`` measures both methods at any (N, k).
 
 Both solvers apply their kernel block (A for the full problem, A(:,S) for
 the restricted one) as ``KernelBlocks`` under the oracle's byte budget: the
@@ -22,7 +48,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .kernels import (
     DEFAULT_MEMORY_BUDGET,
     KernelBlocks,
@@ -30,9 +56,14 @@ from .kernels import (
     KernelSpec,
     kernel_rows,
 )
-from .lowrank import PivotRule, _check_seed, build_factor
+from .lowrank import PivotRule, _check_seed, _lower_triangular_inverse, build_factor
 from .pcg import LinearOperator, SolveReport, pcg
-from .precond import build_rpc_preconditioner, krill_from_sketch
+from .precond import (
+    CholeskyPreconditioner,
+    _stabilized_cholesky,
+    build_rpc_preconditioner,
+    krill_from_sketch,
+)
 from .sketch import build_embedding, practical_params
 
 FULL = "full"
@@ -43,10 +74,12 @@ MODES = (FULL, RESTRICTED)
 DEFAULT_EPSILON = {FULL: 1e-3, RESTRICTED: 1e-4}
 DEFAULT_MAX_ITER = {FULL: 250, RESTRICTED: 100}
 
+DIRECT = "direct"
 KRILL = "krill"
 FALKON = "falkon"
 NO_PRECONDITIONER = "none"
-PRECONDITIONERS = (KRILL, FALKON, NO_PRECONDITIONER)
+PRECONDITIONERS = (DIRECT, KRILL, FALKON, NO_PRECONDITIONER)
+DEFAULT_PRECONDITIONER = DIRECT
 
 # bytes of the slab buffer ``predict`` streams its test kernel through; of
 # 2, 4, 8 and 16 MiB, 4 MiB predicted fastest
@@ -108,7 +141,7 @@ class RestrictedKrrProblem:
     y: np.ndarray
     mu: float
     epsilon: float = DEFAULT_EPSILON[RESTRICTED]
-    preconditioner: str = KRILL
+    preconditioner: str = DEFAULT_PRECONDITIONER
     embedding_dim: Optional[int] = None  # default sketch.practical_params(k)
     embedding_nnz: Optional[int] = None  # default min(8, d) for the d used
     embedding_seed: Optional[int] = None
@@ -147,38 +180,80 @@ class RestrictedKrrProblem:
         return d, self.embedding_nnz or min(8, d)
 
 
-def _first_pass(a_ns: KernelBlocks, y: np.ndarray, b: np.ndarray, phi=None):
-    """Add A(S,:) y into ``b`` and, given Phi, return Y = Phi A(:,S), in one
-    pass over the slabs of A(:,S).
+def _first_pass(a_ns: KernelBlocks, y: np.ndarray, b: np.ndarray, phi=None,
+                gram: bool = False):
+    """Add A(S,:) y into ``b`` and return, given Phi, Y = Phi A(:,S), or, with
+    ``gram``, G = A(S,:) A(:,S), in one pass over the slabs of A(:,S).
 
     Y is accumulated k rows at a time, so no d x k temporary is made; each
     entry is the same sum, in the same order, as in Y += Phi(:,I) A(I,S).
+    G is the sum of one SYRK A(I,S)^T A(I,S) per slab.
     """
     k = b.size
-    sketch = None if phi is None else np.zeros((phi.shape[0], k))
+    out = None if phi is None else np.zeros((phi.shape[0], k))
     for start, stop, slab in a_ns:
-        if sketch is not None:
-            for i in range(0, sketch.shape[0], k):
-                sketch[i:i + k] += phi[i:i + k, start:stop] @ slab
+        if phi is not None:
+            for i in range(0, out.shape[0], k):
+                out[i:i + k] += phi[i:i + k, start:stop] @ slab
+        elif gram:
+            if out is None:
+                out = slab.T @ slab
+            else:
+                out += slab.T @ slab
         b += slab.T @ y[start:stop]
         del slab  # a streamed slab is freed before the next is generated
-    return sketch
+    return out
+
+
+def _solve_direct(m: np.ndarray, b: np.ndarray, pre: CholeskyPreconditioner,
+                  epsilon: float, max_iter: int) -> SolveReport:
+    """PCG on the formed k x k matrix M, preconditioned by the factor of
+    M + jitter I, so it generates no kernel entry.
+
+    A jitter at round-off gives one iteration, and a larger one is refined
+    away.  A numerically rank-deficient A(:,S) can leave the formed M
+    indefinite at round-off, and CG on it then breaks down or stalls; the
+    solve then falls back to the system M + jitter I that was factored, and
+    ``meta["system_jitter"]`` records the shift.  The solution then meets
+    epsilon against M + jitter I; against M its residual grows by at most
+    jitter * ||beta||.
+    """
+    product = LinearOperator(b.size, lambda v: m @ v)
+    try:
+        report = pcg(product, b, epsilon, pre.apply_inverse, max_iter=max_iter)
+    except NumericalError:  # a breakdown on M's negative curvature
+        pass
+    else:
+        if report.converged:
+            return report
+    m[np.diag_indices(b.size)] += pre.jitter
+    report = pcg(product, b, epsilon, pre.apply_inverse, max_iter=max_iter)
+    report.meta["system_jitter"] = pre.jitter
+    return report
 
 
 def solve_restricted_krr(problem: RestrictedKrrProblem) -> SolveReport:
-    """Preconditioned CG on the restricted system over the chosen centers.
+    """Solve the restricted system over the chosen centers.
 
-    The Gram apply fuses both rectangular products per row slab:
-    A(S,:) A(:,S) v = sum over slabs I of A(I,S)^T (A(I,S) v).
+    ``DIRECT`` (the default) accumulates the exact matrix
+    M = A(S,:) A(:,S) + mu A(S,S) and the right-hand side A(S,:) y in one
+    pass over the slabs of A(:,S), factors M + jitter I by Cholesky and runs
+    PCG on M itself, held in memory (see ``_solve_direct``).  It builds no
+    sketch: a streamed solve holds one slab and G during the pass, then M,
+    its factor and the factor's inverse.
 
-    One pass over the slabs of A(:,S) accumulates the right-hand side
-    A(S,:) y and, with KRILL, the sketch Y = Phi A(:,S); ``meta`` records
-    the embedding's ``embedding_dim`` and ``embedding_nnz``.  Falkon's sketch is
-    Y = sqrt(N/k) A(S,S): (N/k) A(S,S)^2 estimates the Gram matrix when the
-    centers are uniform.  ``krill_from_sketch`` builds either preconditioner
-    as Y^T Y + mu A(S,S), counted in ``meta["preconditioner_build_time"]``;
-    ``meta["preconditioner_jitter"]`` is the multiple of the identity it
-    added to make the k x k matrix factorable.
+    ``KRILL``, ``FALKON`` and ``NO_PRECONDITIONER`` run PCG with the Gram
+    apply, which passes over A(:,S) once per iteration.  The first pass
+    accumulates the right-hand side and, with KRILL, the sketch
+    Y = Phi A(:,S); ``meta`` records the embedding's ``embedding_dim`` and
+    ``embedding_nnz``.  Falkon's sketch is Y = sqrt(N/k) A(S,S):
+    (N/k) A(S,S)^2 estimates the Gram matrix when the centers are uniform.
+    ``krill_from_sketch`` builds either preconditioner as Y^T Y + mu A(S,S).
+
+    ``meta["preconditioner_build_time"]`` counts the first pass and the
+    factorization, and ``meta["preconditioner_jitter"]`` is the
+    multiple of the identity added to make the k x k matrix factorable.  See
+    the module docstring for what each method costs.
     """
     oracle, centers, mu, y = problem.oracle, problem.centers, problem.mu, problem.y
     k = centers.size
@@ -189,7 +264,13 @@ def solve_restricted_krr(problem: RestrictedKrrProblem) -> SolveReport:
 
     b = np.zeros(k)  # A(S,:) y
     pre = None  # NO_PRECONDITIONER: pcg applies the identity
-    if problem.preconditioner == KRILL:
+    if problem.preconditioner == DIRECT:
+        m = _first_pass(a_ns, y, b, gram=True)
+        m += mu * a_ss
+        l, jitter = _stabilized_cholesky(m)  # leaves m symmetrized and unshifted
+        pre = CholeskyPreconditioner(_lower_triangular_inverse(l), jitter=jitter)
+        del l
+    elif problem.preconditioner == KRILL:
         d, zeta = problem.embedding_shape()
         # Phi and Y are passed on, never bound here, so neither is held
         # longer than it is used: Phi is freed after the pass, and Y as soon
@@ -208,10 +289,14 @@ def solve_restricted_krr(problem: RestrictedKrrProblem) -> SolveReport:
         out = np.zeros(k)
         for _, _, slab in a_ns:
             out += slab.T @ (slab @ v)
+            del slab  # a streamed slab is freed before the next is generated
         return out + mu * (a_ss @ v)
 
-    report = pcg(LinearOperator(k, gram_apply), b, problem.epsilon,
-                 None if pre is None else pre.apply_inverse, max_iter=problem.max_iter)
+    if problem.preconditioner == DIRECT:
+        report = _solve_direct(m, b, pre, problem.epsilon, problem.max_iter)
+    else:
+        report = pcg(LinearOperator(k, gram_apply), b, problem.epsilon,
+                     None if pre is None else pre.apply_inverse, max_iter=problem.max_iter)
     report.meta.update(
         mode=RESTRICTED,
         preconditioner=problem.preconditioner,

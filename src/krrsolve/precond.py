@@ -29,7 +29,9 @@ The build factors the k x k matrix P + jitter I = L L^T, with
 P = Y^T Y + mu A_SS and jitter the first eps_mach * tr(P) * 10^j
 (j = 0, 1, ...) at which the Cholesky factorization succeeds, up to
 1e-8 * tr(P), and applies P^{-1} v = X^T (X v).  It costs one k x k
-Cholesky per jitter tried and one triangular inverse.
+Cholesky per jitter tried and one triangular inverse.  The direct
+restricted solve in ``krr`` factors the exact P = G + mu A_SS the same way,
+through ``_stabilized_cholesky``.
 
 Everything runs in numpy's BLAS and LAPACK, the library the kernel
 products and PCG use; X comes from ``lowrank._lower_triangular_inverse``.
@@ -101,9 +103,13 @@ def _stabilized_cholesky(p: np.ndarray) -> tuple[np.ndarray, float]:
     tenfold from eps_mach*tr(P) until the factorization succeeds, giving up
     past 1e-8*tr(P).
 
-    The jitter goes onto P's diagonal in place, set afresh from the saved
-    diagonal before each try, so P is left shifted by the jitter returned.
+    P is first symmetrized in place.  The jitter goes onto P's diagonal in
+    place, set afresh from the saved diagonal before each try, and the saved
+    diagonal is put back once a factorization succeeds, so P is left
+    symmetrized and unshifted.
     """
+    p += p.T  # numpy reads p.T from a copy, so this is 0.5 * (p + p.T) in place
+    p *= 0.5
     trace = float(np.trace(p))
     if not 0 < trace < np.inf:
         raise NumericalError(f"preconditioner matrix has trace {trace}; "
@@ -114,13 +120,16 @@ def _stabilized_cholesky(p: np.ndarray) -> tuple[np.ndarray, float]:
     while True:
         p[diag] = saved + jitter
         try:
-            return np.linalg.cholesky(p), float(jitter)
+            l = np.linalg.cholesky(p)
         except np.linalg.LinAlgError:
             jitter *= 10.0
             if not jitter <= 1e-8 * trace:
                 raise NumericalError(
                     "preconditioner matrix is not positive definite up to jitter "
                     "1e-8*tr(P); problem is numerically degenerate") from None
+            continue
+        p[diag] = saved
+        return l, float(jitter)
 
 
 def krill_from_sketch(y_sketch: np.ndarray, a_ss: np.ndarray,
@@ -129,8 +138,8 @@ def krill_from_sketch(y_sketch: np.ndarray, a_ss: np.ndarray,
     (d x k) of A(:,S) and the k x k A_SS: Y = Phi A(:,S) for KRILL, and
     Y = sqrt(N/k) A_SS for Falkon.
 
-    P is formed, symmetrized and shifted in one k x k array, which is
-    released before the triangular inverse.
+    P is formed and symmetrized in one k x k array, which is released before
+    the triangular inverse.
     """
     if not 0 < mu < np.inf:
         raise InputError(f"mu must be finite and positive, got {mu}")
@@ -143,8 +152,6 @@ def krill_from_sketch(y_sketch: np.ndarray, a_ss: np.ndarray,
     p = y_sketch.T @ y_sketch
     del y_sketch  # frees Y here when the caller passed its only reference
     p += mu * a_ss
-    p += p.T  # numpy reads p.T from a copy, so this is 0.5 * (p + p.T) in place
-    p *= 0.5
     l, jitter = _stabilized_cholesky(p)
     del p
     return CholeskyPreconditioner(_lower_triangular_inverse(l), jitter=jitter)

@@ -45,7 +45,7 @@ FULL_ONLY = {
     "--block-size": ("block_size", int, None),
 }
 RESTRICTED_ONLY = {
-    "--preconditioner": ("preconditioner", None, ("krill", "falkon", "none")),
+    "--preconditioner": ("preconditioner", None, ("direct", "krill", "falkon", "none")),
     "--centers": ("centers", int, None),
     "--embedding-dim": ("embedding_dim", int, None),
     "--embedding-nnz": ("embedding_nnz", int, None),
@@ -128,6 +128,18 @@ def test_solve_restricted_exit_ok(tmp_path, dataset, capsys):
             assert (summary["embedding_dim"], summary["embedding_nnz"]) == practical_params(10)
         else:
             assert "embedding_dim" not in summary and "embedding_nnz" not in summary
+
+
+def test_solve_restricted_defaults_to_the_direct_solve(tmp_path, dataset, capsys):
+    out = tmp_path / "direct"
+    code, cap = _run(capsys, ["solve-restricted", "--dataset", dataset, "--seed", "0",
+                              "--centers", "10", "--output-dir", str(out)])
+    assert code == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary == json.loads(cap.out)
+    assert summary["preconditioner"] == "direct" and summary["converged"]
+    assert 0 < summary["preconditioner_jitter"] < np.inf
+    assert "embedding_dim" not in summary and "embedding_nnz" not in summary
 
 
 def test_exit_not_converged(tmp_path, dataset, capsys):

@@ -25,7 +25,7 @@ DEFAULTS = {
     "task": "regression", "subsample": 0, "seed": None,
     "kernel": "squared_exponential", "bandwidth": 3.0, "mu_over_n": 1e-7,
     "mode": "full", "pivot_rule": "rpcholesky", "rank": 0, "block_size": 0,
-    "preconditioner": "krill", "centers": 0, "embedding_dim": 0,
+    "preconditioner": "direct", "centers": 0, "embedding_dim": 0,
     "embedding_nnz": 0, "epsilon": 0.0, "max_iter": 0,
     "memory_budget_bytes": 1 << 30, "test_fraction": 0.0,
     "center_targets": False, "output_dir": ".",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from krrsolve.diagnostics import (
+    crossover_experiment,
     separation_experiment,
     verify_krill_theorem,
     verify_rpc_theorem,
@@ -35,6 +36,25 @@ def test_random_pivots_beat_the_baseline_on_its_adversarial_matrix(kind):
     # n = 1000 the small block holds 10 points and 20 seeds separate both
     result = separation_experiment(kind, n=1000, rank=10, n_seeds=20)
     assert result["separated"]
+
+
+def test_crossover_counts_one_pass_for_direct_and_one_per_iteration_for_krill():
+    # a budget below 10 columns of 150 rows streams every A(:,S) here, so each
+    # pass generates it
+    n_values, k_values = (150, 300), (10, 25)
+    result = crossover_experiment(n_values, k_values, seed=3, memory_budget=8 * 150 * 7)
+    records = result["records"]
+    assert [(r["n"], r["k"], r["method"]) for r in records] == [
+        (n, k, method) for n in n_values for k in k_values for method in ("direct", "krill")]
+    for r in records:
+        n, k = r["n"], r["k"]
+        assert r["converged"] and r["seconds"] > 0
+        if r["method"] == "direct":
+            assert r["iterations"] == 1 and r["passes"] == 1
+            assert r["entries"] == k * k + n * k
+        else:
+            assert r["passes"] == 1 + r["iterations"] > 2
+            assert r["entries"] == k * k + (1 + r["iterations"]) * n * k
 
 
 @pytest.mark.parametrize("experiment", [

@@ -136,6 +136,26 @@ class TestOracle:
         assert kernel.height == 3
         np.testing.assert_allclose(kernel.apply(v), dense @ v, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("family", KERNEL_FAMILIES)
+    def test_streamed_pass_holds_one_slab(self, family):
+        # a slab still bound to the loop variable while the oracle generates
+        # the next one would put two slabs in the peak
+        o = toy_oracle(n=5000, dim=20, family=family)
+        cols = np.arange(0, o.n, 10)
+        kernel = KernelBlocks(lambda start, stop, out: o.block(np.arange(start, stop), cols),
+                              o.n, cols.size, 8 * cols.size * 1250)
+        v = np.ones(cols.size)
+        kernel.apply(v)  # allocates the slab buffer, which this stream ignores
+        tracemalloc.start()
+        try:
+            got = kernel.apply(v)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        slab = 8 * kernel.height * cols.size
+        assert kernel.height == 1250
+        assert peak <= slab + got.nbytes + slab // 4
+
     def test_nonfinite_rejected(self):
         feats = np.ones((3, 2))
         feats[1, 1] = np.nan

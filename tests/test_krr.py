@@ -101,7 +101,8 @@ def test_default_nnz_is_min_8_and_the_embedding_dim_used(monkeypatch, k, dim, nn
     monkeypatch.setattr(krr_module, "build_embedding", build)
     centers = select_centers_uniform(N, k, seed=4)
     report = solve_restricted_krr(RestrictedKrrProblem(
-        oracle(x), centers, y, MU, epsilon=1e-8, embedding_dim=dim, embedding_seed=5))
+        oracle(x), centers, y, MU, epsilon=1e-8, preconditioner="krill",
+        embedding_dim=dim, embedding_seed=5))
     assert report.converged
     assert drawn == [(dim or practical_params(k)[0], nnz)]
 
@@ -241,7 +242,7 @@ def test_default_krill_solve_peaks_no_higher_than_d_2k(columns):
     n, k = 4000, 300
     x, y = points(n=n, dim=20)
     problem = RestrictedKrrProblem(oracle(x, columns), select_centers_uniform(n, k, seed=1),
-                                   y, 1e-7 * n, embedding_seed=2)
+                                   y, 1e-7 * n, preconditioner="krill", embedding_seed=2)
     tracemalloc.start()
     try:
         report = solve_restricted_krr(problem)
@@ -250,6 +251,72 @@ def test_default_krill_solve_peaks_no_higher_than_d_2k(columns):
         tracemalloc.stop()
     assert report.converged
     assert peak <= PEAK_AT_D_2K[columns]
+
+
+# the same solves' tracemalloc peaks with KRILL at its default d = 4k are
+# 15.03 MB (kept) and 8.03 MB (streamed); the direct solve builds no sketch,
+# and measured 13.21 and 5.47 MB
+DIRECT_PEAK = {None: 13.5e6, 50: 6.0e6}
+
+
+@pytest.mark.parametrize("columns", [None, 50], ids=["kept", "streamed"])
+def test_direct_solve_peaks_below_krill(columns):
+    n, k = 4000, 300
+    x, y = points(n=n, dim=20)
+    problem = RestrictedKrrProblem(oracle(x, columns), select_centers_uniform(n, k, seed=1),
+                                   y, 1e-7 * n, preconditioner="direct")
+    tracemalloc.start()
+    try:
+        report = solve_restricted_krr(problem)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.converged
+    assert peak <= DIRECT_PEAK[columns]
+
+
+def test_direct_solve_matches_dense_solve_at_tiny_mu():
+    x, y = points()
+    mu = 1e-12 * N
+    centers = select_centers_uniform(N, K, seed=4)
+    report = solve_restricted_krr(RestrictedKrrProblem(oracle(x), centers, y, mu,
+                                                       epsilon=1e-10, preconditioner="direct"))
+    assert report.converged and report.iterations <= 3
+    assert "system_jitter" not in report.meta
+    a_ns = pairwise_kernel(SPEC, x, x[centers])
+    system = a_ns.T @ a_ns + mu * pairwise_kernel(SPEC, x[centers], x[centers])
+    dense = cho_solve(cho_factor(system), a_ns.T @ y)
+    assert relative_gap(report.solution, dense) <= 1e-8
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_direct_solve_streamed_matches_kept(seed):
+    x, y = points(n=500, dim=8, seed=seed)
+    centers = select_centers_uniform(500, 60, seed=seed)
+    kept, streamed = (solve_restricted_krr(RestrictedKrrProblem(
+        oracle(x, columns), centers, y, 1e-7 * 500, preconditioner="direct"))
+        for columns in (None, 7))
+    assert kept.converged and streamed.converged
+    assert relative_gap(streamed.solution, kept.solution) <= 1e-8
+
+
+def test_direct_solve_falls_back_to_its_factored_system_when_cg_breaks_down():
+    # 80 centers among 400 points in 3-d at mu/N = 1e-12: the formed matrix
+    # has condition number about 1e18 and is indefinite at round-off, so CG
+    # on it breaks down; the solve falls back to M + jitter I, whose solution
+    # still meets epsilon against the matrix formed independently
+    n, epsilon = 400, 1e-4
+    x, y = points(n=n, dim=3)
+    mu = 1e-12 * n
+    centers = select_centers_uniform(n, 80, seed=4)
+    report = solve_restricted_krr(RestrictedKrrProblem(oracle(x), centers, y, mu,
+                                                       epsilon=epsilon))
+    assert report.converged
+    assert report.meta["system_jitter"] == report.meta["preconditioner_jitter"] > 0
+    a_ns = pairwise_kernel(SPEC, x, x[centers])
+    system = a_ns.T @ a_ns + mu * pairwise_kernel(SPEC, x[centers], x[centers])
+    b = a_ns.T @ y
+    assert np.linalg.norm(b - system @ report.solution) <= 10 * epsilon * np.linalg.norm(b)
 
 
 @pytest.mark.parametrize("kind", PIVOT_RULES)

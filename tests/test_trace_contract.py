@@ -64,7 +64,8 @@ def test_full_solve_generates_every_entry_through_block():
 def test_restricted_solve_generates_every_entry_through_block():
     k = CENTERS
     metrics, names = traced_solve(solve_restricted_krr, lambda oracle, y: RestrictedKrrProblem(
-        oracle, select_centers_uniform(N, k, seed=SEED), y, MU, embedding_seed=SEED))
+        oracle, select_centers_uniform(N, k, seed=SEED), y, MU, preconditioner="krill",
+        embedding_seed=SEED))
     assert {tracing.EMBEDDING, tracing.KRILL_BUILD, tracing.PCG, tracing.OPERATOR,
             tracing.PRECOND_APPLY} <= names
     ops = metrics["pcg.operator_calls"]
@@ -72,6 +73,18 @@ def test_restricted_solve_generates_every_entry_through_block():
     # A(S,S) once, then one pass over A(:,S) for the sketch and the
     # right-hand side, and one more for every operator apply
     assert metrics["kernels.entries"] == k * k + (1 + ops) * N * k
+
+
+def test_direct_solve_generates_each_entry_once():
+    k = CENTERS
+    metrics, names = traced_solve(solve_restricted_krr, lambda oracle, y: RestrictedKrrProblem(
+        oracle, select_centers_uniform(N, k, seed=SEED), y, MU))
+    assert {tracing.PCG, tracing.OPERATOR, tracing.PRECOND_APPLY} <= names
+    assert tracing.EMBEDDING not in names and tracing.KRILL_BUILD not in names
+    assert metrics["pcg.operator_calls"] >= 1
+    # A(S,S) once and one pass over A(:,S): PCG runs on the formed k x k
+    # matrix, so its operator applies generate no entry
+    assert metrics["kernels.entries"] == k * k + N * k
 
 
 def test_falkon_solve_builds_through_krill_from_sketch():
@@ -93,7 +106,7 @@ def test_default_krill_embedding_takes_fewer_operator_passes_than_d_2k():
 
     def metrics(embedding_dim):
         return traced_solve(solve_restricted_krr, lambda oracle, y: RestrictedKrrProblem(
-            oracle, select_centers_uniform(N, k, seed=SEED), y, MU,
+            oracle, select_centers_uniform(N, k, seed=SEED), y, MU, preconditioner="krill",
             embedding_dim=embedding_dim, embedding_seed=SEED))[0]
 
     default, d_2k = metrics(None), metrics(2 * k)
