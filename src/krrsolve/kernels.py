@@ -5,18 +5,24 @@ Two kernel families are supported, both with unit diagonal:
 * squared exponential,  K(x, y) = exp(-||x - y||^2 / (2 sigma^2))
 * l1 Laplace,           K(x, y) = exp(-||x - y||_1 / sigma)
 
-Every block comes from one path.  ``_prepare`` turns a point set into the
-arrays a tile is computed from: the shifted, scaled points and their half
-squared norms for the squared exponential, the points for Laplace.
-``_tile`` computes the block of two prepared sets in one m x n output: a
-BLAS-3 product u v^T finished in place by the norms, a floor and ``exp``
-(see ``pairwise_kernel`` for the shift, the floor and the accuracy bound),
-or ``cdist`` scaled and exponentiated in place.  ``kernel_rows`` prepares x
-and y once and tiles their slabs, ``pairwise_kernel`` is its one slab, and
-a ``DatasetKernelOracle`` prepares its points once, shifted by their mean,
-and tiles the rows and columns of each block.  A block never allocates a
-second array of its size, and a ``kernel_rows`` slab can be written into a
-caller's C-contiguous float64 buffer instead, with the same bits.
+Every block comes from one path.  ``_prepare`` turns each point set into
+the one array a tile is computed from.  For the squared exponential that is
+an m x (dim + 2) array of left rows [u, p, q]: the shifted, scaled points u
+followed by two columns that carry the half squared norms, with one scale t
+shared by the sets of a block; ``_to_right`` turns such an array into right
+rows [u, p/2, -q/2] in place.  For Laplace it is the points themselves.
+``_tile`` computes the block of left and right rows in one m x n output: a
+single BLAS-3 product, left right^T, gives every exponent u.v - h_u - h_v
+at once, and row tiles that stay in cache then apply a floor and ``exp`` in
+place (see ``pairwise_kernel`` for the fold, the floor's derivation and the
+accuracy bound); or ``cdist`` is scaled and exponentiated in place.
+``kernel_rows`` prepares x and y once and tiles their slabs,
+``pairwise_kernel`` is its one slab, and a ``DatasetKernelOracle`` keeps
+its points as one N x (dim + 2) array of left rows, shifted by their mean,
+and turns the gathered copy of each block's columns into right rows.  A
+block never allocates a second array of its size, and a ``kernel_rows``
+slab can be written into a caller's C-contiguous float64 buffer instead,
+with the same bits.
 
 The kernel matrix of N data points is accessed through a ``KernelOracle``,
 which generates columns and dense blocks on demand and carries the
@@ -48,7 +54,8 @@ DEFAULT_BANDWIDTH = 3.0
 DEFAULT_MEMORY_BUDGET = 1 << 30  # bytes of scratch for generated kernel blocks
 
 _EPS = np.finfo(np.float64).eps
-# entries per row tile when finishing a squared-exponential block (512 KiB)
+# entries per row tile when finishing a squared-exponential block (512 KiB);
+# after the fold, 2^15 to 2^17 measured alike and 2^13 or 2^18 slower
 _TILE_ENTRIES = 1 << 16
 
 
@@ -73,26 +80,48 @@ def pairwise_kernel(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarra
 
     Squared exponential: with u = (x - shift) / sigma and v = (y - shift) / sigma,
 
-        K(x_i, y_j) = exp(u_i.v_j - ||u_i||^2 / 2 - ||v_j||^2 / 2).
+        K(x_i, y_j) = exp(-||u_i - v_j||^2 / 2) = exp(u_i.v_j - h_i - h_j),
 
-    The shift (mean(x) + mean(y)) / 2 is symmetric in the two arguments and
-    keeps the accuracy independent of where the data sits.  One matrix
-    product u v^T fills the output buffer; then, in row tiles of about
-    ``_TILE_ENTRIES`` entries that stay in cache, the two negated half norms
-    are summed first and added (so a 1 x 1 block gives K(a, b) == K(b, a)
-    bitwise), the floor below is applied and ``exp`` runs in place.
+    h = ||u||^2 / 2.  The shift (mean(x) + mean(y)) / 2 is symmetric in the
+    two arguments and keeps the accuracy independent of where the data sits.
+    The half norms are folded into the matrix product by two extra columns.
+    With H the largest h over both sets, t = sqrt(H) (t = 1 when H = 0),
+    a = h / t in [0, t], p = a - t in [-t, 0] and q = a + t in [t, 2t], x_i
+    is prepared as the left row [u_i, p_i, q_i] and y_j as the right row
+    [v_j, p_j / 2, -q_j / 2], and
 
-    The product cancels to a rounding error of about
-    (dim + 2) eps (max ||u||^2 + max ||v||^2) / 2.  Every exponent above
-    -floor, with floor = 4 (dim + 2) eps (max ||u||^2 + max ||v||^2) / 2, is
+        left_i . right_j = u_i.v_j + (p_i p_j - q_i q_j) / 2
+                         = u_i.v_j - t (a_i + a_j) = u_i.v_j - h_i - h_j.
+
+    One matrix product fills the output buffer with every exponent; then,
+    in row tiles of about ``_TILE_ENTRIES`` entries that stay in cache, the
+    floor below is applied and ``exp`` runs in place.  Each extra term is
+    g(x_i) (+-1/2 g(y_j)) and halving is exact, so swapping the arguments
+    gives every term, and so a 1 x 1 block, the same bits: K(a, b) == K(b, a).
+
+    Floor: the d + 2 terms of a product sum in absolute value to at most
+    |u_i| |v_j| + |p_i p_j| / 2 + |q_i q_j| / 2 <= 2H + H/2 + 2H = 4.5 H, so
+    with unit roundoff eps/2 the product rounds by at most 2.25 (d + 2) eps H.
+    Rounding the two h costs at most d eps H, rounding a = h / t at most
+    eps H, and rounding p and q at most (eps/2) (|p_i p_j| + |q_i q_j|)
+    <= 2.5 eps H, so every computed exponent is within (3.25 d + 8) eps H of
+    u_i.v_j - h_i - h_j, below
+
+        floor = 4 (d + 2) eps H,
+
+    which is at most the 4 (d + 2) eps (max h_x + max h_y) that a separate
+    norm pass over the same two sets needs.  Every exponent above -floor is
     set to exactly 0, so coincident points give exactly 1.0 and every entry
-    lies in [0, 1].  As exp has slope at most 1 on exponents <= 0, the
-    absolute error of an entry is at most about floor.
+    lies in [0, 1].  As exp has slope at most 1 on exponents <= 0, an entry
+    left unfloored is off by less than floor plus the rounding of ``exp``,
+    and a floored one by less than 2 floor.  The floor follows the largest
+    point of both sets, so a far outlier raises it for every entry; a
+    ``DatasetKernelOracle`` takes H over all its points, once.
 
-    Memory: the m x n float64 output plus one tile and its boolean mask;
-    the prepared copies of x and y are m x dim and n x dim.  The Laplace
-    block is ``cdist``'s output, of the unshifted points, scaled and
-    exponentiated in place.
+    Memory: the m x n float64 output plus one boolean row-tile mask; the
+    prepared copies of x and y are m x (dim + 2) and n x (dim + 2).  The
+    Laplace block is ``cdist``'s output, of the unshifted points, scaled
+    and exponentiated in place.
     """
     x, y = _point_sets(x, y)
     return kernel_rows(spec, x, y)(0, len(x), None)
@@ -101,9 +130,9 @@ def pairwise_kernel(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarra
 def kernel_rows(spec: KernelSpec, x: np.ndarray, y: np.ndarray):
     """``rows(start, stop, out)``: the block K(x[start:stop], y), for streaming.
 
-    x and y are prepared once, with the shift ``pairwise_kernel`` uses, so
-    no slab redoes it; each slab is one ``_tile`` on its rows and takes its
-    squared-exponential floor from them.
+    x and y are prepared once, with the shift and the floor
+    ``pairwise_kernel`` uses, so no slab redoes it, and each slab is one
+    ``_tile`` on its rows.
 
     ``out``, when not None, must be a writeable C-contiguous float64 array
     of shape (stop - start, len(y)); the slab is written into it, with the
@@ -113,12 +142,13 @@ def kernel_rows(spec: KernelSpec, x: np.ndarray, y: np.ndarray):
     x, y = _point_sets(x, y)
     # an empty block needs no shift, and the mean of no rows would warn
     shift = 0.5 * (x.mean(axis=0) + y.mean(axis=0)) if len(x) and len(y) else 0.0
-    p, q = _prepare(spec, x, shift), _prepare(spec, y, shift)
+    (left, right), floor = _prepare(spec, (x, y), shift)
+    _to_right(spec, right)
 
     def rows(start, stop, out):
         if out is not None:
             _check_out(out, (stop - start, len(y)))
-        return _tile(spec, tuple(a[start:stop] for a in p), q, out)
+        return _tile(spec, left[start:stop], right, floor, out)
     return rows
 
 
@@ -140,45 +170,76 @@ def _check_out(out, shape) -> None:
                          f"of shape {shape}")
 
 
-def _prepare(spec: KernelSpec, points: np.ndarray, shift) -> tuple:
-    """The arrays a tile is computed from: u = (points - shift) / sigma and
-    ||u||^2 / 2 for the squared exponential, the points for Laplace."""
+def _prepare(spec: KernelSpec, sets: tuple, shift) -> tuple[list, float]:
+    """Each point set as the one array a tile is computed from, and the floor.
+
+    Squared exponential: the m x (dim + 2) left rows [u, p, q] of
+    ``pairwise_kernel``, with one t for all the sets, and its floor.
+    Laplace: the points themselves, and no floor.
+    """
     if spec.family == LAPLACE1:
-        return (points,)
-    u = points - shift
-    u /= spec.bandwidth
-    return u, 0.5 * np.einsum("ij,ij->i", u, u)
+        return list(sets), 0.0
+    dim = sets[0].shape[1]
+    prepared = []
+    for points in sets:
+        rows = np.empty((len(points), dim + 2))
+        u = rows[:, :dim]
+        np.subtract(points, shift, out=u)
+        u /= spec.bandwidth
+        prepared.append(rows)
+    halves = [0.5 * np.einsum("ij,ij->i", rows[:, :dim], rows[:, :dim])
+              for rows in prepared]
+    top = max(h.max(initial=0.0) for h in halves)
+    t = np.sqrt(top) if top > 0 else 1.0
+    for rows, h in zip(prepared, halves):
+        h /= t
+        np.subtract(h, t, out=rows[:, dim])
+        np.add(h, t, out=rows[:, dim + 1])
+    return prepared, 4.0 * (dim + 2) * _EPS * top
 
 
-def _tile(spec: KernelSpec, p: tuple, q: tuple,
+def _to_right(spec: KernelSpec, rows: np.ndarray) -> None:
+    """Turn prepared left rows [u, p, q] into right rows [u, p/2, -q/2] in
+    place (squared exponential; Laplace points are both)."""
+    if spec.family != LAPLACE1:
+        rows[:, -2] *= 0.5
+        rows[:, -1] *= -0.5
+
+
+def _tile(spec: KernelSpec, left: np.ndarray, right: np.ndarray, floor: float,
           out: Optional[np.ndarray] = None) -> np.ndarray:
-    """The block between prepared point sets ``p`` and ``q``, written into
+    """The block between prepared left rows and right rows, written into
     ``out`` when it is given; see ``pairwise_kernel``."""
     if spec.family == LAPLACE1:
-        out = cdist(*p, *q, "cityblock", out=out)
+        out = cdist(left, right, "cityblock", out=out)
         out /= -spec.bandwidth
         return np.exp(out, out=out)
-    return _squared_exponential(*p, *q, out=out)
-
-
-def _squared_exponential(u: np.ndarray, u_half: np.ndarray,
-                         v: np.ndarray, v_half: np.ndarray,
-                         out: Optional[np.ndarray] = None) -> np.ndarray:
-    """exp(u_i.v_j - u_half_i - v_half_j), floored, over row tiles, written
-    into ``out`` when it is given; see ``pairwise_kernel``."""
-    floor = 4.0 * (u.shape[1] + 2) * _EPS * (u_half.max(initial=0.0)
-                                            + v_half.max(initial=0.0))
-    # numpy's BLAS, as for every other product: scipy.linalg.blas.dgemm could
-    # accumulate into the buffer, but it runs on scipy's own OpenBLAS, whose
-    # threads then spin against numpy's during the next products
-    out = np.matmul(u, v.T, out=out)
-    height = max(1, _TILE_ENTRIES // max(1, v.shape[0]))
-    for start in range(0, u.shape[0], height):
+    # numpy's BLAS, as for every other product: scipy.linalg.blas.dgemm
+    # runs on scipy's own OpenBLAS, whose threads then spin against numpy's
+    # during the next products
+    out = np.matmul(left, right.T, out=out)
+    height = max(1, _TILE_ENTRIES // max(1, right.shape[0]))
+    for start in range(0, left.shape[0], height):
         tile = out[start:start + height]
-        tile += np.add.outer(-u_half[start:start + height], -v_half)
         tile[tile > -floor] = 0.0
         np.exp(tile, out=tile)
     return out
+
+
+def _as_indices(idx, n: int) -> np.ndarray:
+    """``idx`` as a flat int64 array of indices into range(n), or ``InputError``.
+
+    Only an integer dtype is taken, or an empty array of any dtype (``[]``
+    arrives as float64): casting would truncate 2.7 to 2 and read a boolean
+    mask as the indices 0 and 1.
+    """
+    idx = np.asarray(idx)
+    if idx.size and not np.issubdtype(idx.dtype, np.integer):
+        raise InputError(f"indices must be integers, got dtype {idx.dtype}")
+    idx = idx.astype(np.int64, copy=False).ravel()
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise InputError(f"index out of range [0, {n}): {idx.min()}..{idx.max()}")
+    return idx
 
 
 class KernelOracle:
@@ -195,12 +256,7 @@ class KernelOracle:
         raise NotImplementedError
 
     def _check_indices(self, idx) -> np.ndarray:
-        idx = np.asarray(idx, dtype=np.int64).ravel()
-        if idx.size and (idx.min() < 0 or idx.max() >= self.n):
-            raise InputError(
-                f"index out of range [0, {self.n}): {idx.min()}..{idx.max()}"
-            )
-        return idx
+        return _as_indices(idx, self.n)
 
     def columns(self, indices) -> np.ndarray:
         """Columns A(:, S) as an N x |S| array.  Duplicate indices allowed."""
@@ -226,15 +282,17 @@ class DatasetKernelOracle(KernelOracle):
         self.spec = spec
         self.memory_budget = int(memory_budget)
         self.n = features.shape[0]
-        # one shift, the data mean, for every block: the points are prepared
-        # once instead of once per column block
-        self._prepared = _prepare(spec, features, features.mean(axis=0))
+        # one shift, the data mean, and one t for every block: the points are
+        # prepared once, as left rows, instead of once per column block
+        (self._prepared,), self._floor = _prepare(spec, (features,),
+                                                  features.mean(axis=0))
 
     def block(self, rows, cols) -> np.ndarray:
         rows = self._check_indices(rows)
         cols = self._check_indices(cols)
-        p = self._prepared
-        return _tile(self.spec, tuple(a[rows] for a in p), tuple(a[cols] for a in p))
+        right = self._prepared[cols]  # a gathered copy, turned in place
+        _to_right(self.spec, right)
+        return _tile(self.spec, self._prepared[rows], right, self._floor)
 
     def diag(self) -> np.ndarray:
         # both families satisfy K(x, x) = 1

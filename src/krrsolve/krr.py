@@ -27,10 +27,15 @@ measured (2 BLAS threads; best of 3, or the median of 5 at N = 8000):
     60000    1500  2.92 / 2.59 s                 -
     100000   2000  -                             18.85 / 6.89 s (1 GiB budget)
 
-A streamed pass costs about 7.5 ns per entry and the SYRK runs at about
-65 GFLOP/s, so streamed KRILL at 12 iterations should overtake the direct
-solve only once k >~ 12 * 7.5 ns * 65 GFLOP/s, about 6000, and N >> 4k.
-``diagnostics.crossover_experiment`` measures both methods at any (N, k).
+The table predates the folded kernel tile of ``kernels.pairwise_kernel``.
+``diagnostics.crossover_experiment`` measures both methods at any (N, k);
+with the folded tile, at N = 20000, k = 1000 (median of 5) and N = 40000,
+k = 500 (median of 3), KRILL's extra streamed passes cost 3.8 and 3.3 ns
+per entry (6.6 ns before the fold), the direct solve beyond its pass ran
+at an effective 44 and 53 GFLOP/s (SYRK plus the k^3 factorization), and
+KRILL took 14 and 15 iterations.  So streamed KRILL should overtake the
+direct solve only once k >~ iterations * 3.8 ns * 44 GFLOP/s, about 2400,
+and N >> 4k, where Y^T Y costs less than the exact Gram.
 
 Both solvers apply their kernel block (A for the full problem, A(:,S) for
 the restricted one) as ``KernelBlocks`` under the oracle's byte budget: the
@@ -54,6 +59,7 @@ from .kernels import (
     KernelBlocks,
     KernelOracle,
     KernelSpec,
+    _as_indices,
     kernel_rows,
 )
 from .lowrank import PivotRule, _check_seed, _lower_triangular_inverse, build_factor
@@ -148,15 +154,13 @@ class RestrictedKrrProblem:
     max_iter: int = DEFAULT_MAX_ITER[RESTRICTED]
 
     def __post_init__(self):
-        self.centers = np.asarray(self.centers, dtype=np.int64).ravel()
-        self.y = np.asarray(self.y, dtype=np.float64).ravel()
         n = self.oracle.n
+        self.centers = _as_indices(self.centers, n)
+        self.y = np.asarray(self.y, dtype=np.float64).ravel()
         if self.centers.size < 1 or self.centers.size > n:
             raise InputError("need between 1 and N centers")
         if len(np.unique(self.centers)) != self.centers.size:
             raise InputError("centers must be distinct")
-        if self.centers.min() < 0 or self.centers.max() >= n:
-            raise InputError("center index out of range")
         if not 0 < self.mu < np.inf:
             raise InputError(f"mu must be finite and positive, got {self.mu}")
         if self.y.shape[0] != n:
@@ -216,19 +220,23 @@ def _solve_direct(m: np.ndarray, b: np.ndarray, pre: CholeskyPreconditioner,
     solve then falls back to the system M + jitter I that was factored, and
     ``meta["system_jitter"]`` records the shift.  The solution then meets
     epsilon against M + jitter I; against M its residual grows by at most
-    jitter * ||beta||.
+    jitter * ||beta||.  ``meta["true_rel_residual"]`` is ||b - M beta|| / ||b||
+    against the formed, unshifted M: k^2 flops and no kernel entry.
     """
     product = LinearOperator(b.size, lambda v: m @ v)
     try:
         report = pcg(product, b, epsilon, pre.apply_inverse, max_iter=max_iter)
     except NumericalError:  # a breakdown on M's negative curvature
-        pass
-    else:
-        if report.converged:
-            return report
-    m[np.diag_indices(b.size)] += pre.jitter
-    report = pcg(product, b, epsilon, pre.apply_inverse, max_iter=max_iter)
-    report.meta["system_jitter"] = pre.jitter
+        report = None
+    if report is None or not report.converged:
+        diagonal = m.diagonal().copy()
+        m[np.diag_indices(b.size)] += pre.jitter
+        report = pcg(product, b, epsilon, pre.apply_inverse, max_iter=max_iter)
+        report.meta["system_jitter"] = pre.jitter
+        m[np.diag_indices(b.size)] = diagonal  # M itself again
+    b_norm = np.linalg.norm(b)
+    residual = np.linalg.norm(b - m @ report.solution)
+    report.meta["true_rel_residual"] = float(residual / b_norm) if b_norm else 0.0
     return report
 
 

@@ -142,6 +142,15 @@ def test_solve_restricted_defaults_to_the_direct_solve(tmp_path, dataset, capsys
     assert "embedding_dim" not in summary and "embedding_nnz" not in summary
 
 
+def test_direct_solve_reports_its_true_residual(tmp_path, dataset, capsys):
+    out = tmp_path / "direct"
+    code, _ = _run(capsys, ["solve-restricted", "--dataset", dataset, "--seed", "0",
+                            "--centers", "10", "--output-dir", str(out)])
+    assert code == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert 0 <= summary["true_rel_residual"] <= summary["epsilon"]
+
+
 def test_exit_not_converged(tmp_path, dataset, capsys):
     code, cap = _run(capsys, ["solve-full", "--dataset", dataset, "--seed", "0",
                               "--rank", "1", "--epsilon", "1e-12", "--max-iter", "1",

@@ -9,6 +9,7 @@ from krrsolve.kernels import (
     KERNEL_FAMILIES,
     LAPLACE1,
     SQUARED_EXPONENTIAL,
+    _TILE_ENTRIES,
     DatasetKernelOracle,
     ExplicitMatrixOracle,
     KernelBlocks,
@@ -368,3 +369,103 @@ class TestTiles:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * block.nbytes
+
+
+def documented_floor(sigma, x, y):
+    """``pairwise_kernel``'s floor 4 (dim + 2) eps H, with H the largest half
+    squared norm of the shifted, scaled points of both sets."""
+    shift = 0.5 * (x.mean(axis=0) + y.mean(axis=0))
+    top = max((0.5 * (((pts - shift) / sigma) ** 2).sum(axis=1)).max() for pts in (x, y))
+    return 4.0 * (x.shape[1] + 2) * np.finfo(np.float64).eps * top
+
+
+class TestFoldedProduct:
+    @pytest.mark.parametrize("outlier", [False, True], ids=["compact", "outlier"])
+    @pytest.mark.parametrize("sigma", [0.1, 3.0])
+    def test_near_coincident_pairs_are_within_the_floor(self, sigma, outlier):
+        rng = np.random.default_rng(23)
+        m, dim, offset = 60, 5, 1e5
+        x = 2.0 * rng.standard_normal((m, dim))
+        if outlier:  # ten times the farthest radius: H grows 100x
+            x[-1] = 10.0 * np.linalg.norm(x - x.mean(axis=0), axis=1).max() * np.eye(dim)[0]
+        x += offset
+        floor = documented_floor(sigma, x, x)
+        # partners at exponents from -1e-6 to -10 floor, in random directions
+        exponents = -np.geomspace(1e-6, 20 * floor, m)
+        step = rng.standard_normal((m, dim))
+        step *= (sigma * np.sqrt(-2.0 * exponents) / np.linalg.norm(step, axis=1))[:, None]
+        y = x + step
+        floor = documented_floor(sigma, x, y)
+        reference = direct_kernel(SQUARED_EXPONENTIAL, sigma, x, y)
+        pairs = np.log(np.diag(reference))
+        assert (pairs >= -1.01e-6).all() and (pairs <= -10 * floor).all()
+        block = pairwise_kernel(KernelSpec(SQUARED_EXPONENTIAL, sigma), x, y)
+        assert np.abs(block - reference).max() <= floor
+
+    def test_zero_half_norms_give_exactly_one(self):
+        spec = KernelSpec(SQUARED_EXPONENTIAL, 3.0)
+        point = np.array([[0.5, -2.0, 3.0]])
+        # N = 1: the one point is the mean
+        assert DatasetKernelOracle(point, spec).block([0], [0])[0, 0] == 1.0
+        # identical points, with a mean that is exact and one that is not
+        for value in (point, np.full((1, 3), 0.1)):
+            same = np.repeat(value, 3, axis=0)
+            np.testing.assert_array_equal(
+                DatasetKernelOracle(same, spec).columns(np.arange(3)), 1.0)
+            np.testing.assert_array_equal(pairwise_kernel(spec, same, same), 1.0)
+        # a single point at the shift
+        assert pairwise_kernel(spec, point, point)[0, 0] == 1.0
+
+    def test_block_peak_is_its_output_and_the_prepared_rows(self):
+        # no float temporary of a row tile's size (512 KiB) is made
+        rng = np.random.default_rng(13)
+        m, n, dim = 2000, 500, 20
+        x, y = rng.standard_normal((m, dim)), rng.standard_normal((n, dim))
+        tracemalloc.start()
+        try:
+            block = pairwise_kernel(KernelSpec(SQUARED_EXPONENTIAL, 3.0), x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        prepared = 8 * (m + n) * (dim + 2)
+        mask = (_TILE_ENTRIES // n) * n  # one boolean row tile
+        assert peak <= block.nbytes + prepared + mask + (1 << 16)
+
+    def test_oracle_holds_one_prepared_array(self):
+        n, dim = 5000, 20
+        feats = np.random.default_rng(24).standard_normal((n, dim))
+        tracemalloc.start()
+        try:
+            o = DatasetKernelOracle(feats, KernelSpec(SQUARED_EXPONENTIAL, 3.0))
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert o.n == n
+        assert held <= 8 * n * (dim + 2) + 4096
+
+
+class TestIndices:
+    @pytest.mark.parametrize("bad", [[0.9, 2.7, 5.2], [1.5], np.array([True, False, True]),
+                                     [True]], ids=["fractions", "half", "mask", "bool"])
+    def test_non_integer_indices_raise(self, bad):
+        o = toy_oracle()
+        for call in (lambda: o.block(bad, [0]), lambda: o.block([0], bad),
+                     lambda: o.columns(bad)):
+            with pytest.raises(InputError, match="integers"):
+                call()
+
+    def test_fractional_pair_is_not_truncated(self):
+        with pytest.raises(InputError, match="integers"):
+            toy_oracle().block([0.9], [1.5])
+
+    def test_integer_and_empty_indices_are_taken(self):
+        o = toy_oracle()
+        np.testing.assert_array_equal(
+            o.block(np.array([3, 1], dtype=np.int32), np.array([0], dtype=np.uint8)),
+            o.block([3, 1], [0]))
+        assert o.columns([]).shape == (o.n, 0)
+        assert o.columns(np.array([], dtype=np.int64)).shape == (o.n, 0)
+        e = ExplicitMatrixOracle(np.eye(3))
+        np.testing.assert_array_equal(e.block(np.int64(2), [2]), [[1.0]])
+        with pytest.raises(InputError, match="integers"):
+            e.block([0.5], [1])

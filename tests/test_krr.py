@@ -28,6 +28,7 @@ from krrsolve.krr import (
     solve_restricted_krr,
 )
 from krrsolve.lowrank import GREEDY, PIVOT_RULES, UNIFORM, PivotRule
+from krrsolve.precond import CholeskyPreconditioner
 from krrsolve.sketch import build_embedding, practical_params
 
 N = 200
@@ -317,6 +318,58 @@ def test_direct_solve_falls_back_to_its_factored_system_when_cg_breaks_down():
     system = a_ns.T @ a_ns + mu * pairwise_kernel(SPEC, x[centers], x[centers])
     b = a_ns.T @ y
     assert np.linalg.norm(b - system @ report.solution) <= 10 * epsilon * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("n,dim,k,mu,rtol,fallback", [
+    (N, 5, K, MU, 1e-2, False),
+    (400, 3, 80, 1e-12 * 400, 1e-4, True),  # the breakdown case above
+], ids=["one-iteration", "jitter-fallback"])
+def test_direct_solve_records_its_true_residual(n, dim, k, mu, rtol, fallback):
+    # against M formed densely; the tolerance covers the rounding of the two
+    # formations of M, near the 5e-11 residual of the first case
+    x, y = points(n=n, dim=dim)
+    centers = select_centers_uniform(n, k, seed=4)
+    report = solve_restricted_krr(RestrictedKrrProblem(oracle(x), centers, y, mu,
+                                                       epsilon=1e-4))
+    a_ns = pairwise_kernel(SPEC, x, x[centers])
+    system = a_ns.T @ a_ns + mu * pairwise_kernel(SPEC, x[centers], x[centers])
+    b = a_ns.T @ y
+    dense = np.linalg.norm(b - system @ report.solution) / np.linalg.norm(b)
+    assert report.meta["true_rel_residual"] == pytest.approx(dense, rel=rtol)
+    assert ("system_jitter" in report.meta) == fallback
+
+
+def test_direct_true_residual_takes_the_jitter_back_off():
+    # CG on the indefinite M breaks down at once, so the solve falls back to
+    # M + I, whose solution leaves a residual of ||(1/3, 1/2, 2)|| against M
+    m = np.diag([2.0, 1.0, -0.5])
+    b = np.ones(3)
+    pre = CholeskyPreconditioner(np.diag(1.0 / np.sqrt([3.0, 2.0, 0.5])), jitter=1.0)
+    report = krr_module._solve_direct(m, b, pre, 1e-10, 10)
+    assert report.meta["system_jitter"] == 1.0
+    np.testing.assert_allclose(report.solution, [1 / 3, 1 / 2, 2])
+    np.testing.assert_array_equal(m, np.diag([2.0, 1.0, -0.5]))
+    assert report.meta["true_rel_residual"] == pytest.approx(
+        np.linalg.norm([1 / 3, 1 / 2, 2]) / np.sqrt(3), rel=1e-12)
+
+
+@pytest.mark.parametrize("centers", [[0.9, 2.7, 5.2], np.arange(N) < 3, [True, False]],
+                         ids=["fractions", "mask", "bool"])
+def test_restricted_problem_rejects_non_integer_centers(centers):
+    x, y = points()
+    with pytest.raises(InputError, match="integers"):
+        RestrictedKrrProblem(oracle(x), centers, y, MU)
+
+
+def test_restricted_problem_takes_any_integer_centers():
+    x, y = points()
+    for centers in ([0, 2, 5], np.array([0, 2, 5], dtype=np.int32),
+                    np.array([0, 2, 5], dtype=np.uint16)):
+        problem = RestrictedKrrProblem(oracle(x), centers, y, MU)
+        assert problem.centers.dtype == np.int64
+        np.testing.assert_array_equal(problem.centers, [0, 2, 5])
+    with pytest.raises(InputError, match="range"):
+        RestrictedKrrProblem(oracle(x), [0, N], y, MU)
 
 
 @pytest.mark.parametrize("kind", PIVOT_RULES)
