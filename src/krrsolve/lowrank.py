@@ -26,6 +26,12 @@ exhausted first, that is when the numerical rank of A is below the request,
 and with the uniform rule also when some of its pre-drawn pivots are
 exhausted by the time they are reached: those are skipped, not replaced.
 Callers must read ``factor.rank`` rather than assume the requested rank.
+
+The factor is held transposed: ``factor.F`` is the N x r' view of a
+row-major r' x N array Ft = F^T, allocated once, so ``factor.F.T`` is the
+contiguous one.  The loop grows Ft row by row (see ``_partial_cholesky``),
+and products with F^T, such as the preconditioner's F^T F and F^T v, run
+on contiguous rows.
 """
 
 from __future__ import annotations
@@ -99,7 +105,11 @@ class PivotRule:
 
 @dataclass
 class PartialCholeskyFactor:
-    """Low-rank factor F with its pivot set and final residual diagonal."""
+    """Low-rank factor F with its pivot set and final residual diagonal.
+
+    ``F`` (N x r') is the transpose view of a row-major r' x N array, so
+    ``F.T`` is C-contiguous and F itself is Fortran-ordered.
+    """
 
     F: np.ndarray
     pivots: np.ndarray
@@ -151,34 +161,39 @@ def _partial_cholesky(oracle: KernelOracle, rank: int, propose) -> PartialCholes
     ``propose(d, i)`` receives the residual diagonal d, whose exhausted
     entries are zero, and the number i of columns so far.  It returns at
     most ``rank - i`` distinct live candidates (d > 0), or none to stop.
-    Each round forms the candidates' residual columns G, takes the
-    candidates that ``_skip_cholesky`` keeps, and appends G(:, taken) L^{-T}.
+    The factor is grown as the rows of Ft = F^T, one rank x N array
+    allocated once.  Each round forms the candidates' residual rows
+    Gt = A(cand, :) - Ft(:i, cand)^T Ft(:i, :), takes the candidates that
+    ``_skip_cholesky`` keeps, and writes L^{-1} Gt(taken, :) into the next
+    rows of Ft; every product reads and writes contiguous rows.
     """
     n = oracle.n
     d = oracle.diag().astype(np.float64).copy()
     thr = _clamp_threshold(max(d.sum(), np.finfo(float).tiny), n)
     d[d <= thr] = 0.0
-    F = np.zeros((n, rank))
+    Ft = np.empty((rank, n))  # row j is column j of F; rows past i unset
+    every = np.arange(n)
     pivots: list[int] = []
     i = 0
     while i < rank:
         cand = np.asarray(propose(d, i), dtype=np.int64)
         if cand.size == 0:
             break
-        G = oracle.columns(cand) - F[:, :i] @ F[cand, :i].T
-        taken, L = _skip_cholesky(G[cand, :], thr)
+        Gt = oracle.block(cand, every)
+        Gt -= Ft[:i, cand].T @ Ft[:i]
+        taken, L = _skip_cholesky(Gt[:, cand].T, thr)
         if taken.size < cand.size:
-            G = G[:, taken]  # copy only when needed: it is N x m
-        # G L^{-T} through the m x m inverse: one product is 5x faster than
+            Gt = Gt[taken]
+        # L^{-1} Gt through the m x m inverse: one product is 5x faster than
         # an LU solve with N right-hand sides, at a backward error near eps
-        cols = G @ _lower_triangular_inverse(L).T
-        F[:, i:i + taken.size] = cols
-        d -= np.einsum("ij,ij->i", cols, cols)
+        rows = Ft[i:i + taken.size]
+        np.matmul(_lower_triangular_inverse(L), Gt, out=rows)
+        d -= np.einsum("ij,ij->j", rows, rows)
         d[cand] = 0.0  # taken, or skipped as exhausted
         d[d <= thr] = 0.0
         pivots.extend(cand[taken].tolist())
         i += taken.size
-    return PartialCholeskyFactor(F[:, :i], np.asarray(pivots, dtype=np.int64), d)
+    return PartialCholeskyFactor(Ft[:i].T, np.asarray(pivots, dtype=np.int64), d)
 
 
 def build_factor(oracle: KernelOracle, rank: int,

@@ -4,20 +4,23 @@ Every preconditioner is held in Cholesky form, as the inverse X = L^{-1} of
 a lower-triangular factor, and comes in one of two modes.
 
 Full data, (A + mu I) beta = y: the preconditioner is P = F F^T + mu I,
-where A_hat = F F^T comes from a partial Cholesky factor F (N x r).  By
-the Woodbury identity (Frangella, Tropp and Udell, *Randomized Nystrom
+where A_hat = F F^T comes from a partial Cholesky factor F (N x r), held
+as the transpose view of a row-major r x N array, so F^T is contiguous.
+By the Woodbury identity (Frangella, Tropp and Udell, *Randomized Nystrom
 preconditioning*),
 
     P^{-1} v = (v - F M^{-1} F^T v) / mu,   M = F^T F + mu I = L L^T,
 
-applied as (v - F X^T (X F^T v)) / mu at O(N r) per application.  The
-build is one SYRK for F^T F, one r x r Cholesky and one r x r triangular
-inverse: O(N r^2 + r^3), with no eigensolve and no N x r product beyond
-F itself.  When mu is tiny next to ||F||^2 this is also more accurate
-than diagonalizing F^T F: at mu/N = 1e-7 on a clustered kernel P^{-1} v
-agrees with an SVD-of-F reference to about 4e-15 relative, where the
-eigendecomposition gave about 2e-12, and the preconditioned condition
-number is tested against that reference down to mu/N = 1e-12.
+applied as (v - F X^T (X F^T v)) / mu at O(N r) per application: F^T v
+reads the rows of F^T in order, and F w reads them once more.  The build
+is one SYRK for F^T F on those rows, one r x r Cholesky and one r x r
+triangular inverse: O(N r^2 + r^3), with no eigensolve and no N x r
+product beyond F itself.  When mu is tiny next to ||F||^2 this is also
+more accurate than diagonalizing F^T F: at mu/N = 1e-7 on a clustered
+kernel P^{-1} v agrees with an SVD-of-F reference to about 4e-15
+relative, where the eigendecomposition gave about 2e-12, and the
+preconditioned condition number is tested against that reference down to
+mu/N = 1e-12.
 
 Restricted system (G + mu A_SS) beta = A(S,:) y with G = A(S,:) A(:,S):
 one builder, ``krill_from_sketch``, replaces G by Y^T Y for a sketch Y of

@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -259,6 +260,23 @@ def test_engine_property_on_repeated_rows(case, rule, data):
     assert f.rank <= distinct
 
 
+def test_factor_allocates_its_rows_once_and_no_n_by_rank_temporary():
+    # F^T is one rank x N array; a round adds the candidates' kernel rows,
+    # the m x N update and, when candidates are skipped, the taken rows,
+    # beside the oracle's N x (dim + 2) copy of the points it gathers
+    n, rank, dim = 4000, 300, 20
+    o = DatasetKernelOracle(np.random.default_rng(0).standard_normal((n, dim)), KernelSpec())
+    m = -(-rank // 10)  # the default block
+    tracemalloc.start()
+    try:
+        f = build_factor(o, rank, PivotRule(seed=0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert f.rank == rank and f.F.T.flags.c_contiguous
+    assert peak <= 8 * rank * n + 3 * 8 * m * n + 8 * n * (dim + 2)
+
+
 def call_sites(source: str, dotted: str) -> list:
     """Names of the top-level functions, one per occurrence of ``dotted``,
     a plain name or an attribute."""
@@ -269,7 +287,7 @@ def call_sites(source: str, dotted: str) -> list:
 
 
 # each name used once in lowrank.py, by the function given
-ONE_SITE = {"oracle.columns": "_partial_cholesky",
+ONE_SITE = {"oracle.block": "_partial_cholesky",
             "np.linalg.cholesky": "_skip_cholesky",
             "_partial_cholesky": "build_factor"}
 
