@@ -176,7 +176,7 @@ def verify_krill_theorem(n: int, k: int, mu: float, n_seeds: int = 100,
     feats = rng.standard_normal((n, 8)) * 2.0
     oracle = DatasetKernelOracle(feats, KernelSpec())
     centers = select_centers_uniform(n, k, seed=seed0)
-    a_cols = oracle.columns(centers)
+    a_cols = oracle.block(np.arange(n), centers)
     a_ss = a_cols[centers]
     a_ss = 0.5 * (a_ss + a_ss.T)
     m = a_cols.T @ a_cols + mu * a_ss

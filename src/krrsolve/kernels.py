@@ -25,8 +25,8 @@ slab can be written into a caller's C-contiguous float64 buffer instead,
 with the same bits.
 
 The kernel matrix of N data points is accessed through a ``KernelOracle``,
-which generates columns and dense blocks on demand and carries the
-byte budget for generated blocks.  Products with a kernel block A(R, C) go
+which generates dense blocks on demand and carries the byte budget for
+generated blocks.  Products with a kernel block A(R, C) go
 through ``KernelBlocks``, which holds the one slab rule: when all of A(R, C)
 fits in the budget it is generated once and kept, otherwise each product
 regenerates it in row slabs as tall as the budget allows.  It hands every
@@ -257,10 +257,6 @@ class KernelOracle:
 
     def _check_indices(self, idx) -> np.ndarray:
         return _as_indices(idx, self.n)
-
-    def columns(self, indices) -> np.ndarray:
-        """Columns A(:, S) as an N x |S| array.  Duplicate indices allowed."""
-        return self.block(np.arange(self.n), indices)
 
     def diag(self) -> np.ndarray:
         raise NotImplementedError

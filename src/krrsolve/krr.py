@@ -10,39 +10,32 @@ matrix in one pass over A(:,S) and factors it; ``KRILL``, ``FALKON`` and
 (or none), which passes over A(:,S) once more per iteration.  Per solve:
 
 * direct: 1 pass, N k^2 flops for G = A(S,:) A(:,S) (one SYRK per slab),
-  plus O(k^3) for the Cholesky factor and its triangular inverse;
+  plus O(k^3) for the inverse Cholesky factor X = L^{-1};
 * KRILL: 1 + iterations passes, 4 N k flops per Gram apply, plus
   d k^2 = 4 k^3 flops for Y^T Y at the default d = 4k, plus the same O(k^3).
 
 The paper prices KRILL at O((N + k^2) k log k) against the direct
-O(N k^2), but on this code the direct solve was faster at every size
-measured (2 BLAS threads; best of 3, or the median of 5 at N = 8000):
-
-    N        k     A(:,S) kept: KRILL / direct   100-column budget
-    8000     600   0.161 / 0.098 s               0.338 / 0.094 s
-    20000    1000  0.64 / 0.40 s                 1.93 / 0.47 s
-    40000    500   0.57 / 0.26 s                 1.68 / 0.40 s
-    80000    300   0.65 / 0.28 s                 2.81 / 0.39 s
-    8000     2000  1.17 / 0.71 s                 -
-    60000    1500  2.92 / 2.59 s                 -
-    100000   2000  -                             18.85 / 6.89 s (1 GiB budget)
-
-The table predates the folded kernel tile of ``kernels.pairwise_kernel``.
-``diagnostics.crossover_experiment`` measures both methods at any (N, k);
-with the folded tile, at N = 20000, k = 1000 (median of 5) and N = 40000,
-k = 500 (median of 3), KRILL's extra streamed passes cost 3.8 and 3.3 ns
-per entry (6.6 ns before the fold), the direct solve beyond its pass ran
-at an effective 44 and 53 GFLOP/s (SYRK plus the k^3 factorization), and
-KRILL took 14 and 15 iterations.  So streamed KRILL should overtake the
-direct solve only once k >~ iterations * 3.8 ns * 44 GFLOP/s, about 2400,
-and N >> 4k, where Y^T Y costs less than the exact Gram.
+O(N k^2), but on this code the direct solve is the faster one at the sizes
+measured.  ``diagnostics.crossover_experiment`` measures both methods at
+any (N, k); with the folded kernel tile of ``kernels.pairwise_kernel``, at
+N = 20000, k = 1000 (median of 5) and N = 40000, k = 500 (median of 3),
+KRILL's extra streamed passes cost 3.8 and 3.3 ns per entry, the direct
+solve beyond its pass ran at an effective 44 and 53 GFLOP/s (SYRK plus the
+k^3 factorization), and KRILL took 14 and 15 iterations.  So streamed
+KRILL should overtake the direct solve only once
+k >~ iterations * 3.8 ns * 44 GFLOP/s, about 2400, and N >> 4k, where
+Y^T Y costs less than the exact Gram.
 
 Both solvers apply their kernel block (A for the full problem, A(:,S) for
-the restricted one) as ``KernelBlocks`` under the oracle's byte budget: the
-block is generated once and kept when it fits, and otherwise regenerated in
-row slabs on every product.  ``predict`` uses its block K(test, points)
-once, so it never keeps it: it streams the block through one reused slab
-buffer of at most ``PREDICT_BUDGET`` bytes.
+the restricted one) as ``KernelBlocks`` under a byte budget: the block is
+generated once and kept when it fits, and otherwise regenerated in row
+slabs on every product.  The budget is the oracle's, except where a block
+is read once.  The direct solve reads A(:,S) once, so it streams its pass
+in slabs of at most ``SINGLE_PASS_BUDGET`` bytes even when A(:,S) would
+fit, unless A(:,S) is no larger than the two slabs a stream holds.
+``predict`` uses its block K(test, points) once, so it never keeps it
+either: it streams the block through one reused slab buffer of at most
+``PREDICT_BUDGET`` bytes.
 """
 
 from __future__ import annotations
@@ -62,7 +55,7 @@ from .kernels import (
     _as_indices,
     kernel_rows,
 )
-from .lowrank import PivotRule, _check_seed, _lower_triangular_inverse, build_factor
+from .lowrank import PivotRule, _check_seed, build_factor
 from .pcg import LinearOperator, SolveReport, pcg
 from .precond import (
     CholeskyPreconditioner,
@@ -90,12 +83,21 @@ DEFAULT_PRECONDITIONER = DIRECT
 # bytes of the slab buffer ``predict`` streams its test kernel through; of
 # 2, 4, 8 and 16 MiB, 4 MiB predicted fastest
 PREDICT_BUDGET = 4 << 20
+# bytes of the slabs the direct solve streams A(:,S) through in its one
+# pass; of 2, 4, 8, 16 and 32 MiB, 8 MiB was the smallest as fast as
+# keeping A(:,S) (2 BLAS threads, dim 20): 85 against 90 ms kept at
+# N = 8000, k = 600 (medians of 15), and 515 against 511 ms at N = 20000,
+# k = 1000 (medians of 7), where 2 MiB took 107 and 836 ms
+SINGLE_PASS_BUDGET = 8 << 20
 
 
-def _kernel_columns(oracle: KernelOracle, cols: np.ndarray) -> KernelBlocks:
-    """A(:, cols) in row slabs under the oracle's memory budget."""
+def _kernel_columns(oracle: KernelOracle, cols: np.ndarray,
+                    budget: Optional[int] = None) -> KernelBlocks:
+    """A(:, cols) in row slabs under ``budget`` bytes, by default the
+    oracle's memory budget."""
     return KernelBlocks(lambda start, stop, out: oracle.block(np.arange(start, stop), cols),
-                        oracle.n, cols.size, oracle.memory_budget)
+                        oracle.n, cols.size,
+                        oracle.memory_budget if budget is None else budget)
 
 
 @dataclass
@@ -245,10 +247,13 @@ def solve_restricted_krr(problem: RestrictedKrrProblem) -> SolveReport:
 
     ``DIRECT`` (the default) accumulates the exact matrix
     M = A(S,:) A(:,S) + mu A(S,S) and the right-hand side A(S,:) y in one
-    pass over the slabs of A(:,S), factors M + jitter I by Cholesky and runs
-    PCG on M itself, held in memory (see ``_solve_direct``).  It builds no
-    sketch: a streamed solve holds one slab and G during the pass, then M,
-    its factor and the factor's inverse.
+    pass over A(:,S), streamed in slabs of at most min(oracle budget,
+    ``SINGLE_PASS_BUDGET``) bytes even when A(:,S) fits the budget, unless
+    it is no larger than two such slabs.  It factors M + jitter I into
+    X = L^{-1} by ``lowrank._inverse_cholesky`` and runs PCG on M itself,
+    held in memory (see ``_solve_direct``).  It builds no sketch: it holds
+    one slab, G and A(S,S) during the pass, then M, A(S,S) and X; L is
+    never formed.
 
     ``KRILL``, ``FALKON`` and ``NO_PRECONDITIONER`` run PCG with the Gram
     apply, which passes over A(:,S) once per iteration.  The first pass
@@ -266,7 +271,17 @@ def solve_restricted_krr(problem: RestrictedKrrProblem) -> SolveReport:
     oracle, centers, mu, y = problem.oracle, problem.centers, problem.mu, problem.y
     k = centers.size
     t0 = time.perf_counter()
-    a_ns = _kernel_columns(oracle, centers)
+    # the direct solve reads A(:,S) once, so it streams it in slabs of at
+    # most SINGLE_PASS_BUDGET bytes even when it fits the oracle's budget;
+    # the others keep a block that fits for every PCG iteration.  A stream
+    # holds each slab beside the slab buffer ``KernelBlocks`` allocates, so
+    # a block of at most two slabs is kept.  a_ns stays bound until the
+    # solve returns: freeing the streamed pass's blocks early left a higher
+    # peak RSS behind, through glibc's heap
+    budget = None
+    if problem.preconditioner == DIRECT and 8 * oracle.n * k > 2 * SINGLE_PASS_BUDGET:
+        budget = min(oracle.memory_budget, SINGLE_PASS_BUDGET)
+    a_ns = _kernel_columns(oracle, centers, budget)
     a_ss = oracle.block(centers, centers)
     a_ss = 0.5 * (a_ss + a_ss.T)
 
@@ -275,9 +290,8 @@ def solve_restricted_krr(problem: RestrictedKrrProblem) -> SolveReport:
     if problem.preconditioner == DIRECT:
         m = _first_pass(a_ns, y, b, gram=True)
         m += mu * a_ss
-        l, jitter = _stabilized_cholesky(m)  # leaves m symmetrized and unshifted
-        pre = CholeskyPreconditioner(_lower_triangular_inverse(l), jitter=jitter)
-        del l
+        x, jitter = _stabilized_cholesky(m)  # leaves m symmetrized and unshifted
+        pre = CholeskyPreconditioner(x, jitter=jitter)
     elif problem.preconditioner == KRILL:
         d, zeta = problem.embedding_shape()
         # Phi and Y are passed on, never bound here, so neither is held

@@ -53,31 +53,54 @@ PIVOT_RULES = (RPCHOLESKY, GREEDY, UNIFORM)
 # residual diagonal entries at or below this multiple of tr(A)/N are roundoff
 _CLAMP_REL = 1e-10
 
-# order at and below which the triangular inverse is LAPACK's general
-# inverse; at order 1000 a base of 32 or 64 takes about 21 ms and 256 31 ms
+# order at and below which ``_inverse_cholesky`` stops splitting M in two
+# and calls LAPACK's Cholesky, then its general inverse on the triangular
+# factor; at orders 600 and 1000 bases of 32, 64 and 128 measured within 7%
+# of each other (medians of 15)
 _TRIANGULAR_BASE = 64
 
 
-def _lower_triangular_inverse(l: np.ndarray) -> np.ndarray:
-    """Inverse of a nonsingular lower-triangular matrix, zero above the
-    diagonal, from [[A, 0], [B, C]]^{-1} = [[A^{-1}, 0], [-C^{-1} B A^{-1}, C^{-1}]].
+def _inverse_cholesky(m: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """X = L^{-1} for the lower Cholesky factor L of a symmetric positive
+    definite M = L L^T, zero above the diagonal; L itself is never formed.
 
-    numpy has no triangular inverse or solve, and its general inverse is
-    LU-based; this recursion on matrix products takes 22 ms against 86 ms
-    at order 1000 with two BLAS threads, at no larger backward error.  The
-    factor rounds and every preconditioner build share it.
+    With M = [[A, B^T], [B, C]], the recursion (Gustavson, *Recursion leads
+    to automatic variable blocking*, 1997) is
+
+        X_A = X(A),  L21 = B X_A^T,  S = C - L21 L21^T,  X_S = X(S),
+        X = [[X_A, 0], [-X_S L21 X_A, X_S]],
+
+    so beyond the base case, of order at most ``_TRIANGULAR_BASE``, it runs
+    on matrix products alone (L21 L21^T is one SYRK), each written into its
+    block of the one output.  numpy has no triangular solve, and LAPACK's
+    Cholesky runs at about a fifth of the rate of a product: with two BLAS
+    threads (medians of 15, alternated) this took 13.3 ms at order 600 and
+    30.8 ms at order 1000, where Cholesky and then a recursive triangular
+    inverse took 20.6 and 50.9 ms, at no larger residual ||X M X^T - I||.
+    Only M's lower triangle is read.  ``np.linalg.LinAlgError`` from any
+    base case means M is not numerically positive definite.  The factor
+    rounds and every preconditioner build share it.
+
+    ``out``, used by the recursion, is the n x n float64 block X is written
+    into; by default a new array.
     """
-    n = l.shape[0]
+    n = m.shape[0]
+    if out is None:
+        out = np.empty((n, n))
     if n <= _TRIANGULAR_BASE:
-        return np.tril(np.linalg.inv(l))
+        out[...] = np.tril(np.linalg.inv(np.linalg.cholesky(m)))
+        return out
     h = n // 2
-    a_inv = _lower_triangular_inverse(l[:h, :h])
-    c_inv = _lower_triangular_inverse(l[h:, h:])
-    x = np.zeros_like(l)
-    x[:h, :h] = a_inv
-    x[h:, h:] = c_inv
-    x[h:, :h] = -(c_inv @ (l[h:, :h] @ a_inv))
-    return x
+    out[:h, h:] = 0.0
+    x_a = _inverse_cholesky(m[:h, :h], out[:h, :h])
+    l21 = m[h:, :h] @ x_a.T
+    s = l21 @ l21.T
+    np.subtract(m[h:, h:], s, out=s)
+    x_s = _inverse_cholesky(s, out[h:, h:])
+    x_21 = out[h:, :h]
+    np.matmul(x_s, l21 @ x_a, out=x_21)
+    np.negative(x_21, out=x_21)
+    return out
 
 
 def _check_seed(seed) -> None:
@@ -129,19 +152,21 @@ def _clamp_threshold(trace: float, n: int) -> float:
 
 
 def _skip_cholesky(H: np.ndarray, thr: float):
-    """Cholesky factor of the candidates' block H under the skip rule.
+    """Inverse Cholesky factor of the candidates' block H under the skip rule.
 
-    Returns (taken, L): the positions taken, in order, and the lower
-    Cholesky factor of H[taken][:, taken].  One LAPACK call serves the
-    common case, where every pivot's residual L_jj^2 exceeds thr.
-    Otherwise a left-looking loop takes the candidates in order and skips
-    each one whose residual, given those taken before it, is at most thr.
+    Returns (taken, X): the positions taken, in order, and X = L^{-1} for
+    the lower Cholesky factor L of H[taken][:, taken], from
+    ``_inverse_cholesky``.  One call serves the common case, where every
+    pivot's residual L_jj^2 = X_jj^{-2} exceeds thr.  Otherwise a
+    left-looking loop takes the candidates in order and skips each one
+    whose residual, given those taken before it, is at most thr; the taken
+    block is then factored by the same routine.
     """
     m = H.shape[0]
     try:
-        L = np.linalg.cholesky(H)
-        if np.all(np.diagonal(L) ** 2 > thr):
-            return np.arange(m), L
+        X = _inverse_cholesky(H)
+        if np.all(np.diagonal(X) ** -2.0 > thr):
+            return np.arange(m), X
     except np.linalg.LinAlgError:
         pass
     C = np.zeros((m, m))  # factor columns over all candidate rows
@@ -152,7 +177,8 @@ def _skip_cholesky(H: np.ndarray, thr: float):
         if v[0] > thr:
             C[j:, t] = v / np.sqrt(v[0])
             taken.append(j)
-    return np.asarray(taken, dtype=np.int64), C[taken, :len(taken)]
+    taken = np.asarray(taken, dtype=np.int64)
+    return taken, _inverse_cholesky(H[np.ix_(taken, taken)])
 
 
 def _partial_cholesky(oracle: KernelOracle, rank: int, propose) -> PartialCholeskyFactor:
@@ -164,8 +190,8 @@ def _partial_cholesky(oracle: KernelOracle, rank: int, propose) -> PartialCholes
     The factor is grown as the rows of Ft = F^T, one rank x N array
     allocated once.  Each round forms the candidates' residual rows
     Gt = A(cand, :) - Ft(:i, cand)^T Ft(:i, :), takes the candidates that
-    ``_skip_cholesky`` keeps, and writes L^{-1} Gt(taken, :) into the next
-    rows of Ft; every product reads and writes contiguous rows.
+    ``_skip_cholesky`` keeps, and writes X Gt(taken, :), X = L^{-1}, into
+    the next rows of Ft; every product reads and writes contiguous rows.
     """
     n = oracle.n
     d = oracle.diag().astype(np.float64).copy()
@@ -181,13 +207,13 @@ def _partial_cholesky(oracle: KernelOracle, rank: int, propose) -> PartialCholes
             break
         Gt = oracle.block(cand, every)
         Gt -= Ft[:i, cand].T @ Ft[:i]
-        taken, L = _skip_cholesky(Gt[:, cand].T, thr)
+        taken, X = _skip_cholesky(Gt[:, cand].T, thr)
         if taken.size < cand.size:
             Gt = Gt[taken]
         # L^{-1} Gt through the m x m inverse: one product is 5x faster than
         # an LU solve with N right-hand sides, at a backward error near eps
         rows = Ft[i:i + taken.size]
-        np.matmul(_lower_triangular_inverse(L), Gt, out=rows)
+        np.matmul(X, Gt, out=rows)
         d -= np.einsum("ij,ij->j", rows, rows)
         d[cand] = 0.0  # taken, or skipped as exhausted
         d[d <= thr] = 0.0

@@ -1,16 +1,18 @@
 """Preconditioned conjugate gradient over abstract operator actions.
 
 The loop follows the classic recursion: starting from beta = 0, r = b,
-z = P^{-1} r, p = z, omega = z.r, it repeats
+it repeats
 
+    z = P^{-1} r
+    p = z on the first pass, else gamma = z.r / omega;  p = z + gamma p
+    omega = z.r
     v = M p
     eta = omega / p.v;  beta += eta p;  r -= eta v
-    z = P^{-1} r
-    gamma = z.r / omega;  omega = z.r;  p = z + gamma p
 
 while ||r|| >= eps ||b||.  The stopping test uses the recursively updated
-residual.  The loop is deterministic, so iterate t of a solve is the
-solution of the same call with ``max_iter=t``.
+residual, and comes before the next P^{-1} r, so a solve of t iterations
+applies P^{-1} t times.  The loop is deterministic, so iterate t of a
+solve is the solution of the same call with ``max_iter=t``.
 """
 
 from __future__ import annotations
@@ -75,13 +77,15 @@ def pcg(product: LinearOperator, b: np.ndarray, epsilon: float,
 
     beta = np.zeros_like(b)
     r = b.copy()
-    z = np.asarray(precond(r), dtype=np.float64)
-    p = z.copy()
-    omega = float(z @ r)
+    p = None
     history = [1.0]
 
     t = 0
     while history[-1] >= epsilon and t < max_iter:
+        z = np.asarray(precond(r), dtype=np.float64)
+        omega_new = float(z @ r)
+        p = z.copy() if p is None else z + (omega_new / omega) * p
+        omega = omega_new
         if omega <= 0 or not np.isfinite(omega):
             raise NumericalError(
                 f"breakdown at iteration {t}: preconditioned inner product "
@@ -98,11 +102,6 @@ def pcg(product: LinearOperator, b: np.ndarray, epsilon: float,
         r -= eta * v
         if not np.isfinite(r).all():
             raise NumericalError(f"non-finite iterate at iteration {t + 1}")
-        z = np.asarray(precond(r), dtype=np.float64)
-        omega_new = float(z @ r)
-        gamma = omega_new / omega
-        omega = omega_new
-        p = z + gamma * p
         t += 1
         history.append(float(np.linalg.norm(r) / b_norm))
 

@@ -13,14 +13,14 @@ preconditioning*),
 
 applied as (v - F X^T (X F^T v)) / mu at O(N r) per application: F^T v
 reads the rows of F^T in order, and F w reads them once more.  The build
-is one SYRK for F^T F on those rows, one r x r Cholesky and one r x r
-triangular inverse: O(N r^2 + r^3), with no eigensolve and no N x r
-product beyond F itself.  When mu is tiny next to ||F||^2 this is also
-more accurate than diagonalizing F^T F: at mu/N = 1e-7 on a clustered
-kernel P^{-1} v agrees with an SVD-of-F reference to about 4e-15
-relative, where the eigendecomposition gave about 2e-12, and the
-preconditioned condition number is tested against that reference down to
-mu/N = 1e-12.
+is one SYRK for F^T F on those rows and one r x r inverse Cholesky
+factorization, which forms X directly: O(N r^2 + r^3), with no
+eigensolve and no N x r product beyond F itself.  When mu is tiny next to
+||F||^2 this is also more accurate than diagonalizing F^T F: at
+mu/N = 1e-7 on a clustered kernel P^{-1} v agrees with an SVD-of-F
+reference to about 4e-15 relative, where the eigendecomposition gave
+about 2e-12, and the preconditioned condition number is tested against
+that reference down to mu/N = 1e-12.
 
 Restricted system (G + mu A_SS) beta = A(S,:) y with G = A(S,:) A(:,S):
 one builder, ``krill_from_sketch``, replaces G by Y^T Y for a sketch Y of
@@ -30,14 +30,16 @@ already are, so Y^T Y = (N/k) A_SS^2 is the Monte Carlo estimate of G; it
 is unbiased only when the k centers are drawn uniformly from the N points.
 The build factors the k x k matrix P + jitter I = L L^T, with
 P = Y^T Y + mu A_SS and jitter the first eps_mach * tr(P) * 10^j
-(j = 0, 1, ...) at which the Cholesky factorization succeeds, up to
+(j = 0, 1, ...) at which the factorization succeeds, up to
 1e-8 * tr(P), and applies P^{-1} v = X^T (X v).  It costs one k x k
-Cholesky per jitter tried and one triangular inverse.  The direct
-restricted solve in ``krr`` factors the exact P = G + mu A_SS the same way,
-through ``_stabilized_cholesky``.
+inverse Cholesky factorization per jitter tried.  The direct restricted
+solve in ``krr`` factors the exact P = G + mu A_SS the same way, through
+``_stabilized_cholesky``.
 
 Everything runs in numpy's BLAS and LAPACK, the library the kernel
-products and PCG use; X comes from ``lowrank._lower_triangular_inverse``.
+products and PCG use.  Every X comes from one routine,
+``lowrank._inverse_cholesky``, which forms X = L^{-1} by a recursion on
+matrix products and never forms L.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .lowrank import PartialCholeskyFactor, _lower_triangular_inverse
+from .lowrank import PartialCholeskyFactor, _inverse_cholesky
 
 EPS_MACH = np.finfo(np.float64).eps
 
@@ -77,8 +79,8 @@ class CholeskyPreconditioner:
 
 
 def build_rpc_preconditioner(factor: PartialCholeskyFactor, mu: float) -> CholeskyPreconditioner:
-    """Woodbury form of (F F^T + mu I)^{-1} through the Cholesky factor of
-    F^T F + mu I.
+    """Woodbury form of (F F^T + mu I)^{-1} through the inverse X = L^{-1}
+    of the Cholesky factor of F^T F + mu I.
 
     Raises NumericalError when F^T F + mu I is not numerically positive
     definite, which needs mu below roundoff in ||F||^2 and a numerically
@@ -92,19 +94,21 @@ def build_rpc_preconditioner(factor: PartialCholeskyFactor, mu: float) -> Choles
     m = F.T @ F
     m[np.diag_indices_from(m)] += mu
     try:
-        l = np.linalg.cholesky(m)
+        x = _inverse_cholesky(m)
     except np.linalg.LinAlgError:
         raise NumericalError(
             f"F^T F + mu I is not numerically positive definite at mu = {mu:g}: "
             "the factor's columns are numerically dependent and mu is below "
             "roundoff in F^T F") from None
-    return CholeskyPreconditioner(_lower_triangular_inverse(l), F, float(mu))
+    return CholeskyPreconditioner(x, F, float(mu))
 
 
 def _stabilized_cholesky(p: np.ndarray) -> tuple[np.ndarray, float]:
-    """The lower factor L of P + jitter*I = L L^T and the jitter, escalated
-    tenfold from eps_mach*tr(P) until the factorization succeeds, giving up
-    past 1e-8*tr(P).
+    """X = L^{-1} for the lower factor L of P + jitter*I = L L^T, and the
+    jitter, escalated tenfold from eps_mach*tr(P) until the factorization
+    succeeds, giving up past 1e-8*tr(P).  A ``LinAlgError`` anywhere in
+    ``_inverse_cholesky``'s recursion means P + jitter*I is not numerically
+    positive definite, and the next jitter is tried.
 
     P is first symmetrized in place.  The jitter goes onto P's diagonal in
     place, set afresh from the saved diagonal before each try, and the saved
@@ -123,7 +127,7 @@ def _stabilized_cholesky(p: np.ndarray) -> tuple[np.ndarray, float]:
     while True:
         p[diag] = saved + jitter
         try:
-            l = np.linalg.cholesky(p)
+            x = _inverse_cholesky(p)
         except np.linalg.LinAlgError:
             jitter *= 10.0
             if not jitter <= 1e-8 * trace:
@@ -132,7 +136,7 @@ def _stabilized_cholesky(p: np.ndarray) -> tuple[np.ndarray, float]:
                     "1e-8*tr(P); problem is numerically degenerate") from None
             continue
         p[diag] = saved
-        return l, float(jitter)
+        return x, float(jitter)
 
 
 def krill_from_sketch(y_sketch: np.ndarray, a_ss: np.ndarray,
@@ -141,8 +145,8 @@ def krill_from_sketch(y_sketch: np.ndarray, a_ss: np.ndarray,
     (d x k) of A(:,S) and the k x k A_SS: Y = Phi A(:,S) for KRILL, and
     Y = sqrt(N/k) A_SS for Falkon.
 
-    P is formed and symmetrized in one k x k array, which is released before
-    the triangular inverse.
+    P is formed and symmetrized in one k x k array, which is released once
+    X = L^{-1} is formed.
     """
     if not 0 < mu < np.inf:
         raise InputError(f"mu must be finite and positive, got {mu}")
@@ -155,9 +159,9 @@ def krill_from_sketch(y_sketch: np.ndarray, a_ss: np.ndarray,
     p = y_sketch.T @ y_sketch
     del y_sketch  # frees Y here when the caller passed its only reference
     p += mu * a_ss
-    l, jitter = _stabilized_cholesky(p)
+    x, jitter = _stabilized_cholesky(p)
     del p
-    return CholeskyPreconditioner(_lower_triangular_inverse(l), jitter=jitter)
+    return CholeskyPreconditioner(x, jitter=jitter)
 
 
 def precond_condition_number(m: np.ndarray, apply_inv) -> float:

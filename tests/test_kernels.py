@@ -73,7 +73,7 @@ class TestEvalKernel:
 class TestOracle:
     def test_columns_match_entrywise(self):
         o = toy_oracle(n=3)
-        cols = o.columns([0, 1])
+        cols = o.block(np.arange(o.n), [0, 1])
         for i in range(3):
             for j in range(2):
                 expect = pairwise_kernel(o.spec, o.features[i], o.features[j])[0, 0]
@@ -82,20 +82,20 @@ class TestOracle:
     def test_unit_diagonal_column(self):
         for family in (SQUARED_EXPONENTIAL, LAPLACE1):
             o = toy_oracle(family=family)
-            col = o.columns([4])[:, 0]
+            col = o.block(np.arange(o.n), [4])[:, 0]
             assert col[4] == 1.0
 
     def test_duplicate_indices(self):
         o = toy_oracle()
-        cols = o.columns([2, 2])
+        cols = o.block(np.arange(o.n), [2, 2])
         np.testing.assert_array_equal(cols[:, 0], cols[:, 1])
 
     def test_out_of_range(self):
         o = toy_oracle()
         with pytest.raises(InputError):
-            o.columns([o.n])
+            o.block(np.arange(o.n), [o.n])
         with pytest.raises(InputError):
-            o.columns([-1])
+            o.block(np.arange(o.n), [-1])
 
     def test_diag_all_ones(self):
         o = toy_oracle()
@@ -104,7 +104,7 @@ class TestOracle:
     def test_diag_matches_columns(self):
         o = toy_oracle(n=8)
         for i in range(o.n):
-            assert o.diag()[i] == o.columns([i])[i, 0]
+            assert o.diag()[i] == o.block(np.arange(o.n), [i])[i, 0]
 
     def test_explicit_oracle_diag_readback(self):
         o = ExplicitMatrixOracle(np.diag([1.0, 2.0, 3.0]))
@@ -129,7 +129,7 @@ class TestOracle:
     def test_matvec_blocked_matches_dense(self):
         # small budget forces many row slabs
         o = toy_oracle(n=50, memory_budget=8 * 50 * 3)
-        dense = o.columns(np.arange(o.n))
+        dense = o.block(np.arange(o.n), np.arange(o.n))
         v = np.random.default_rng(6).standard_normal(o.n)
         kernel = KernelBlocks(lambda start, stop, out: o.block(np.arange(start, stop),
                                                                np.arange(o.n)),
@@ -301,7 +301,7 @@ class TestTiles:
     @pytest.mark.parametrize("family", KERNEL_FAMILIES)
     def test_empty_blocks(self, family):
         o = toy_oracle(family=family)
-        assert o.columns([]).shape == (o.n, 0)
+        assert o.block(np.arange(o.n), []).shape == (o.n, 0)
         assert o.block([], [1, 2]).shape == (0, 2)
         assert pairwise_kernel(o.spec, np.zeros((0, 3)), o.features).shape == (0, o.n)
 
@@ -411,7 +411,7 @@ class TestFoldedProduct:
         for value in (point, np.full((1, 3), 0.1)):
             same = np.repeat(value, 3, axis=0)
             np.testing.assert_array_equal(
-                DatasetKernelOracle(same, spec).columns(np.arange(3)), 1.0)
+                DatasetKernelOracle(same, spec).block(np.arange(3), np.arange(3)), 1.0)
             np.testing.assert_array_equal(pairwise_kernel(spec, same, same), 1.0)
         # a single point at the shift
         assert pairwise_kernel(spec, point, point)[0, 0] == 1.0
@@ -450,7 +450,7 @@ class TestIndices:
     def test_non_integer_indices_raise(self, bad):
         o = toy_oracle()
         for call in (lambda: o.block(bad, [0]), lambda: o.block([0], bad),
-                     lambda: o.columns(bad)):
+                     lambda: o.block(np.arange(o.n), bad)):
             with pytest.raises(InputError, match="integers"):
                 call()
 
@@ -463,8 +463,8 @@ class TestIndices:
         np.testing.assert_array_equal(
             o.block(np.array([3, 1], dtype=np.int32), np.array([0], dtype=np.uint8)),
             o.block([3, 1], [0]))
-        assert o.columns([]).shape == (o.n, 0)
-        assert o.columns(np.array([], dtype=np.int64)).shape == (o.n, 0)
+        assert o.block(np.arange(o.n), []).shape == (o.n, 0)
+        assert o.block(np.arange(o.n), np.array([], dtype=np.int64)).shape == (o.n, 0)
         e = ExplicitMatrixOracle(np.eye(3))
         np.testing.assert_array_equal(e.block(np.int64(2), [2]), [[1.0]])
         with pytest.raises(InputError, match="integers"):

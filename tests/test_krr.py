@@ -20,6 +20,7 @@ from krrsolve.kernels import (
 from krrsolve.krr import (
     PREDICT_BUDGET,
     PRECONDITIONERS,
+    SINGLE_PASS_BUDGET,
     FullKrrProblem,
     RestrictedKrrProblem,
     predict,
@@ -255,9 +256,11 @@ def test_default_krill_solve_peaks_no_higher_than_d_2k(columns):
 
 
 # the same solves' tracemalloc peaks with KRILL at its default d = 4k are
-# 15.03 MB (kept) and 8.03 MB (streamed); the direct solve builds no sketch,
-# and measured 13.21 and 5.47 MB
-DIRECT_PEAK = {None: 13.5e6, 50: 6.0e6}
+# 14.47 MB (kept) and 7.94 MB (streamed); the direct solve builds no sketch
+# and forms no Cholesky factor beside its inverse, and measured 12.31 and
+# 5.36 MB (A(:,S) is 9.6 MB, under the two slabs a single-pass stream holds,
+# so the first solve keeps it)
+DIRECT_PEAK = {None: 12.6e6, 50: 6.0e6}
 
 
 @pytest.mark.parametrize("columns", [None, 50], ids=["kept", "streamed"])
@@ -274,6 +277,26 @@ def test_direct_solve_peaks_below_krill(columns):
         tracemalloc.stop()
     assert report.converged
     assert peak <= DIRECT_PEAK[columns]
+
+
+def test_direct_solve_streams_a_block_that_fits_the_budget():
+    # A(:,S) is 38.4 MB, well inside the default budget, so KRILL would keep
+    # it; the direct pass reads it once, so it holds one slab at a time
+    # beside the slab buffer of KernelBlocks, G, A(S,S), M and X (k^2
+    # arrays of 0.72 MB), where keeping A(:,S) peaked at 42.2 MB
+    n, k = 16000, 300
+    x, y = points(n=n, dim=20)
+    problem = RestrictedKrrProblem(oracle(x), select_centers_uniform(n, k, seed=1),
+                                   y, 1e-7 * n, preconditioner="direct")
+    assert 8 * n * k < problem.oracle.memory_budget
+    tracemalloc.start()
+    try:
+        report = solve_restricted_krr(problem)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.converged
+    assert peak <= 2 * SINGLE_PASS_BUDGET + 4 * 8 * k * k < 8 * n * k
 
 
 def test_direct_solve_matches_dense_solve_at_tiny_mu():

@@ -288,7 +288,7 @@ def call_sites(source: str, dotted: str) -> list:
 
 # each name used once in lowrank.py, by the function given
 ONE_SITE = {"oracle.block": "_partial_cholesky",
-            "np.linalg.cholesky": "_skip_cholesky",
+            "np.linalg.cholesky": "_inverse_cholesky",
             "_partial_cholesky": "build_factor"}
 
 

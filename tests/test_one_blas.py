@@ -5,8 +5,8 @@ made the factor, preconditioner and PCG phases several times slower with two
 BLAS threads, so these modules import nothing from ``scipy.linalg``.
 
 They also invert matrices one way: ``np.linalg.inv`` appears only inside
-``lowrank._lower_triangular_inverse``, which the factor rounds and every
-preconditioner build call.
+``lowrank._inverse_cholesky``, the inverse Cholesky factorization the factor
+rounds and every preconditioner build call.
 """
 
 import ast
@@ -66,8 +66,8 @@ def test_other_imports_pass(line):
 
 
 def matrix_inverse_uses(source: str) -> list:
-    """(line, name) of every ``inv`` outside ``_lower_triangular_inverse``."""
-    return uses_outside(source, ("inv",), "_lower_triangular_inverse")
+    """(line, name) of every ``inv`` outside ``_inverse_cholesky``."""
+    return uses_outside(source, ("inv",), "_inverse_cholesky")
 
 
 @pytest.mark.parametrize("module", NUMPY_BLAS_MODULES)
@@ -78,7 +78,7 @@ def test_module_inverts_only_in_the_triangular_inverse(module):
 
 def test_the_triangular_inverse_is_where_inv_is_called():
     source = (Path(krrsolve.__file__).parent / "lowrank.py").read_text()
-    renamed = source.replace("def _lower_triangular_inverse(", "def _renamed(")
+    renamed = source.replace("def _inverse_cholesky(", "def _renamed(")
     assert [name for _, name in matrix_inverse_uses(renamed)] == ["inv"]
 
 
@@ -86,7 +86,7 @@ def test_the_triangular_inverse_is_where_inv_is_called():
     "def build(g, l):\n    return g @ np.linalg.inv(l).T\n",
     "from numpy.linalg import inv\n",
     "from numpy.linalg import inv as invert\n",
-    "def _lower_triangular_inverse(l):\n    return np.tril(np.linalg.inv(l))\n"
+    "def _inverse_cholesky(m):\n    return np.tril(np.linalg.inv(m))\n"
     "def other(l):\n    return np.linalg.inv(l)\n",
 ])
 def test_a_second_inverse_is_caught(source):
@@ -94,7 +94,7 @@ def test_a_second_inverse_is_caught(source):
 
 
 def test_uses_inside_the_triangular_inverse_pass():
-    source = ("def _lower_triangular_inverse(l):\n"
-              "    return np.tril(np.linalg.inv(l))\n"
+    source = ("def _inverse_cholesky(m):\n"
+              "    return np.tril(np.linalg.inv(np.linalg.cholesky(m)))\n"
               "def build(pre):\n    return pre.l_inv\n")
     assert matrix_inverse_uses(source) == []

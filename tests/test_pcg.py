@@ -49,6 +49,23 @@ class TestBasics:
         rep = pcg(op_from(m), b, 1e-8, precond=lambda v: inv @ v, max_iter=50)
         assert rep.converged and rep.iterations == 1
 
+    @pytest.mark.parametrize("max_iter", [5, 250], ids=["stopped", "converged"])
+    def test_preconditioner_applied_once_per_iteration(self, max_iter):
+        # convergence is tested before the next P^{-1} r, so the residual
+        # the loop stops on is never preconditioned
+        m = random_spd(40, seed=4)
+        b = np.random.default_rng(5).standard_normal(40)
+        scale = 1.0 / np.diag(m)
+        calls = []
+
+        def precond(v):
+            calls.append(v.copy())
+            return scale * v
+
+        rep = pcg(op_from(m), b, 1e-8, precond=precond, max_iter=max_iter)
+        assert rep.converged == (max_iter == 250)
+        assert len(calls) == rep.iterations
+
     def test_zero_rhs(self):
         rep = pcg(op_from(np.eye(4)), np.zeros(4), 1e-8, max_iter=10)
         assert rep.converged and rep.iterations == 0

@@ -18,7 +18,7 @@ from krrsolve.lowrank import (
     UNIFORM,
     PartialCholeskyFactor,
     PivotRule,
-    _lower_triangular_inverse,
+    _inverse_cholesky,
     build_factor,
     trace_residual,
 )
@@ -173,32 +173,47 @@ class TestRpcPreconditionerTinyMu:
                     <= 1e-8 * np.linalg.norm(expect))
 
 
-def _well_conditioned_lower(n, seed):
-    """Cholesky factor of a Wishart matrix with twice as many samples as n."""
+def _well_conditioned(n, seed):
+    """A Wishart matrix with twice as many samples as n."""
     g = np.random.default_rng(seed).standard_normal((2 * n, n))
-    return np.linalg.cholesky(g.T @ g / (2 * n))
+    return g.T @ g / (2 * n)
 
 
 class TestLowerTriangularInverse:
+    """X = L^{-1} of the Cholesky factor, from ``_inverse_cholesky``."""
+
     @pytest.mark.parametrize("n", [1, _TRIANGULAR_BASE - 1, _TRIANGULAR_BASE,
-                                   _TRIANGULAR_BASE + 1, 1000])
+                                   _TRIANGULAR_BASE + 1, 2 * _TRIANGULAR_BASE - 1,
+                                   600, 1000])
     def test_matches_dense_inverse_and_is_lower_triangular(self, n):
-        l = _well_conditioned_lower(n, seed=n)
-        x = _lower_triangular_inverse(l)
+        m = _well_conditioned(n, seed=n)
+        x = _inverse_cholesky(m)
         assert np.all(np.triu(x, 1) == 0)
-        expect = np.linalg.inv(l)
+        expect = np.tril(np.linalg.inv(np.linalg.cholesky(m)))
         assert np.linalg.norm(x - expect) <= 1e-12 * np.linalg.norm(expect)
+
+    def test_indefinite_trailing_schur_complement_raises(self):
+        # [[I, 2I], [2I, I]]: both diagonal blocks are the identity, and only
+        # the Schur complement I - 4I of the recursion's first split is not
+        # positive definite
+        h = 2 * _TRIANGULAR_BASE
+        m = np.kron([[1.0, 2.0], [2.0, 1.0]], np.eye(h // 2))
+        np.linalg.cholesky(m[:h // 2, :h // 2])
+        np.linalg.cholesky(m[h // 2:, h // 2:])
+        with pytest.raises(np.linalg.LinAlgError):
+            _inverse_cholesky(m)
 
     @pytest.mark.parametrize("kernel_and_factor", ["clustered"], indirect=True)
     def test_backward_error_on_the_tiny_mu_factor(self, kernel_and_factor):
-        # the factor the full-data build inverts at mu/N = 1e-12, where
-        # F^T F + mu I has condition number near 1e8
+        # the matrix the full-data build factors at mu/N = 1e-12, where
+        # F^T F + mu I has condition number near 1e8.  L is never formed, so
+        # the residual is X M X^T - I: 5.8e-14 here, where LAPACK's Cholesky
+        # and then a recursive triangular inverse left 6.5e-14
         _, f = kernel_and_factor
         m = f.F.T @ f.F + 1e-12 * TINY_N * np.eye(f.rank)
-        l = np.linalg.cholesky(m)
-        x = _lower_triangular_inverse(l)
-        assert np.linalg.cond(l) > 1e3
-        assert np.linalg.norm(x @ l - np.eye(f.rank), 2) <= EPS_MACH * f.rank
+        x = _inverse_cholesky(m)
+        assert np.linalg.cond(m) > 1e6
+        assert np.linalg.norm(x @ m @ x.T - np.eye(f.rank), 2) <= 2 * EPS_MACH * f.rank
 
 
 class TestKrill:
