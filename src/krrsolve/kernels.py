@@ -28,11 +28,16 @@ The kernel matrix of N data points is accessed through a ``KernelOracle``,
 which generates dense blocks on demand and carries the byte budget for
 generated blocks.  Products with a kernel block A(R, C) go
 through ``KernelBlocks``, which holds the one slab rule: when all of A(R, C)
-fits in the budget it is generated once and kept, otherwise each product
-regenerates it in row slabs as tall as the budget allows.  It hands every
-slab one buffer that all passes reuse; ``predict``'s ``kernel_rows`` slabs
-are written into it, while the oracle-backed streams of the solvers
-(``krr._kernel_columns``) ignore it and allocate each slab afresh.
+fits in the budget it is generated once, on first use, and kept; otherwise
+each product regenerates it in row slabs as tall as the budget allows.  The
+caller picks the budget.  A pass that reads its block once passes a small
+one, so the block streams even when the oracle's budget would hold it: the
+direct restricted solve's pass, and the full solve's first A.v, whose
+second apply starts a ``KernelBlocks`` under the oracle's budget.
+``KernelBlocks`` hands every slab one buffer that all passes reuse;
+``predict``'s ``kernel_rows`` slabs are written into it, while the
+oracle-backed streams of the solvers (``krr._kernel_columns``) ignore it
+and allocate each slab afresh.
 """
 
 from __future__ import annotations
@@ -328,7 +333,9 @@ class KernelBlocks:
     ``generate(start, stop, out)`` returns the dense rows A(R[start:stop], C).
     Iterating yields ``(start, stop, slab)`` over row slabs of at most
     ``budget`` bytes (at least one row).  When one slab holds all of
-    A(R, C), it is generated on first use with ``out=None`` and kept.
+    A(R, C), it is generated on first use with ``out=None`` and kept as
+    long as this object lives; a caller that reads the block once passes a
+    budget below its size instead (see ``krr._kernel_columns``).
     Otherwise every pass regenerates the slabs into one ``height x n_cols``
     buffer, allocated on the first pass and kept: ``out`` is the C-contiguous
     view of its first ``stop - start`` rows, which ``generate`` may fill and

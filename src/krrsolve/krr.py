@@ -29,10 +29,14 @@ Y^T Y costs less than the exact Gram.
 Both solvers apply their kernel block (A for the full problem, A(:,S) for
 the restricted one) as ``KernelBlocks`` under a byte budget: the block is
 generated once and kept when it fits, and otherwise regenerated in row
-slabs on every product.  The budget is the oracle's, except where a block
-is read once.  The direct solve reads A(:,S) once, so it streams its pass
-in slabs of at most ``SINGLE_PASS_BUDGET`` bytes even when A(:,S) would
-fit, unless A(:,S) is no larger than the two slabs a stream holds.
+slabs on every product.  The budget is the oracle's, except for a pass that
+reads its block once: that pass streams the block in slabs of at most
+``SINGLE_PASS_BUDGET`` bytes even when it would fit, unless it is no larger
+than the two slabs a stream holds (``_kernel_columns``).  The direct solve
+reads A(:,S) once.  The full solve's first A.v is read once too, as PCG may
+stop after it; its second apply generates A again and keeps it, when it
+fits, for the iterations that follow, so a solve of two or more iterations
+pays one streamed pass more than keeping A from the start.
 ``predict`` uses its block K(test, points) once, so it never keeps it
 either: it streams the block through one reused slab buffer of at most
 ``PREDICT_BUDGET`` bytes.
@@ -83,21 +87,33 @@ DEFAULT_PRECONDITIONER = DIRECT
 # bytes of the slab buffer ``predict`` streams its test kernel through; of
 # 2, 4, 8 and 16 MiB, 4 MiB predicted fastest
 PREDICT_BUDGET = 4 << 20
-# bytes of the slabs the direct solve streams A(:,S) through in its one
-# pass; of 2, 4, 8, 16 and 32 MiB, 8 MiB was the smallest as fast as
-# keeping A(:,S) (2 BLAS threads, dim 20): 85 against 90 ms kept at
-# N = 8000, k = 600 (medians of 15), and 515 against 511 ms at N = 20000,
-# k = 1000 (medians of 7), where 2 MiB took 107 and 836 ms
+# bytes of the slabs a pass read once streams its block through (see
+# ``_kernel_columns``); of 2, 4, 8, 16 and 32 MiB, 8 MiB was the smallest
+# as fast as keeping A(:,S) in the direct solve's pass (2 BLAS threads,
+# dim 20): 85 against 90 ms kept at N = 8000, k = 600 (medians of 15), and
+# 515 against 511 ms at N = 20000, k = 1000 (medians of 7), where 2 MiB
+# took 107 and 836 ms.  The full solve's first A.v through these slabs
+# took 27.5 against 37.7 ms kept at N = 3000, and 102.1 against 163.7 ms at
+# N = 6000 (medians of 9)
 SINGLE_PASS_BUDGET = 8 << 20
 
 
 def _kernel_columns(oracle: KernelOracle, cols: np.ndarray,
-                    budget: Optional[int] = None) -> KernelBlocks:
-    """A(:, cols) in row slabs under ``budget`` bytes, by default the
-    oracle's memory budget."""
+                    once: bool = False) -> KernelBlocks:
+    """A(:, cols) in row slabs under the oracle's memory budget.
+
+    With ``once``, for a pass that reads the block once, the slabs hold at
+    most min(oracle budget, ``SINGLE_PASS_BUDGET``) bytes, even when all of
+    A(:, cols) fits the budget: keeping it would hold the whole block for
+    one read.  A stream holds each slab beside the slab buffer
+    ``KernelBlocks`` allocates, so a block of at most two such slabs is
+    kept all the same.
+    """
+    budget = oracle.memory_budget
+    if once and 8 * oracle.n * cols.size > 2 * SINGLE_PASS_BUDGET:
+        budget = min(budget, SINGLE_PASS_BUDGET)
     return KernelBlocks(lambda start, stop, out: oracle.block(np.arange(start, stop), cols),
-                        oracle.n, cols.size,
-                        oracle.memory_budget if budget is None else budget)
+                        oracle.n, cols.size, budget)
 
 
 @dataclass
@@ -121,23 +137,47 @@ class FullKrrProblem:
 
 
 def solve_full_krr(problem: FullKrrProblem) -> SolveReport:
-    """Preconditioned CG on (A + mu I) beta = y."""
+    """Preconditioned CG on (A + mu I) beta = y.
+
+    PCG may stop after its first A.v, so that apply streams A as a pass read
+    once (see ``_kernel_columns``).  A second apply means more follow, so it
+    releases the first pass's blocks, slab buffer included, and then
+    generates A once and keeps it for the rest of the solve when A fits the
+    oracle's budget.  A solve of one iteration thus never holds A.  One of
+    two or more iterations, with an A larger than two single-pass slabs but
+    within the budget, generates A twice: one streamed pass more than
+    keeping A from the start, which took a solve of about 100 iterations at
+    N = 2000 from 0.118 to 0.133 s (medians of 6 processes).
+    ``meta["operator_kept"]`` records whether PCG read a kept A.
+    """
     oracle, mu = problem.oracle, problem.mu
     t0 = time.perf_counter()
     factor = build_factor(oracle, problem.rank, problem.pivot_rule)
     pre = build_rpc_preconditioner(factor, mu)
     build_time = time.perf_counter() - t0
 
-    kernel = _kernel_columns(oracle, np.arange(oracle.n))
-    op = LinearOperator(oracle.n, lambda v: kernel.apply(v) + mu * v)
-    report = pcg(op, problem.y, problem.epsilon, pre.apply_inverse,
-                 max_iter=problem.max_iter)
+    cols = np.arange(oracle.n)
+    kernel = _kernel_columns(oracle, cols, once=True)
+    applies = 0
+
+    def apply(v):
+        nonlocal kernel, applies
+        applies += 1
+        if applies == 2 and kernel.height < oracle.n:
+            # rebinding frees the first pass's blocks, slab buffer included,
+            # before the apply below generates A
+            kernel = _kernel_columns(oracle, cols)
+        return kernel.apply(v) + mu * v
+
+    report = pcg(LinearOperator(oracle.n, apply), problem.y, problem.epsilon,
+                 pre.apply_inverse, max_iter=problem.max_iter)
     report.meta.update(
         mode=FULL,
         pivot_rule=problem.pivot_rule.kind,
         factor_rank=factor.rank,
         factor_rank_requested=problem.rank,
         preconditioner_build_time=build_time,
+        operator_kept=applies > 0 and kernel.height >= oracle.n,
     )
     return report
 
@@ -247,9 +287,8 @@ def solve_restricted_krr(problem: RestrictedKrrProblem) -> SolveReport:
 
     ``DIRECT`` (the default) accumulates the exact matrix
     M = A(S,:) A(:,S) + mu A(S,S) and the right-hand side A(S,:) y in one
-    pass over A(:,S), streamed in slabs of at most min(oracle budget,
-    ``SINGLE_PASS_BUDGET``) bytes even when A(:,S) fits the budget, unless
-    it is no larger than two such slabs.  It factors M + jitter I into
+    pass over A(:,S), streamed as a pass read once (see
+    ``_kernel_columns``).  It factors M + jitter I into
     X = L^{-1} by ``lowrank._inverse_cholesky`` and runs PCG on M itself,
     held in memory (see ``_solve_direct``).  It builds no sketch: it holds
     one slab, G and A(S,S) during the pass, then M, A(S,S) and X; L is
@@ -271,17 +310,11 @@ def solve_restricted_krr(problem: RestrictedKrrProblem) -> SolveReport:
     oracle, centers, mu, y = problem.oracle, problem.centers, problem.mu, problem.y
     k = centers.size
     t0 = time.perf_counter()
-    # the direct solve reads A(:,S) once, so it streams it in slabs of at
-    # most SINGLE_PASS_BUDGET bytes even when it fits the oracle's budget;
-    # the others keep a block that fits for every PCG iteration.  A stream
-    # holds each slab beside the slab buffer ``KernelBlocks`` allocates, so
-    # a block of at most two slabs is kept.  a_ns stays bound until the
-    # solve returns: freeing the streamed pass's blocks early left a higher
-    # peak RSS behind, through glibc's heap
-    budget = None
-    if problem.preconditioner == DIRECT and 8 * oracle.n * k > 2 * SINGLE_PASS_BUDGET:
-        budget = min(oracle.memory_budget, SINGLE_PASS_BUDGET)
-    a_ns = _kernel_columns(oracle, centers, budget)
+    # the direct solve reads A(:,S) once; the others keep a block that fits
+    # for every PCG iteration.  a_ns stays bound until the solve returns:
+    # freeing the direct pass's streamed blocks early left a higher peak RSS
+    # behind, through glibc's heap
+    a_ns = _kernel_columns(oracle, centers, once=problem.preconditioner == DIRECT)
     a_ss = oracle.block(centers, centers)
     a_ss = 0.5 * (a_ss + a_ss.T)
 

@@ -62,6 +62,18 @@ def test_summary_times_prediction_within_the_run(tmp_path, mode):
         assert json.load(fh)["predict_time"] == summary["predict_time"]
 
 
+def test_summary_records_whether_the_full_solve_kept_a(tmp_path):
+    # 60 points give an A well under two single-pass slabs, so it is kept
+    # from the first apply
+    dataset = write_libsvm(tmp_path / "toy.txt", n=60)
+    config = ExperimentConfig(dataset=dataset, seed=3, mode="full", rank=4,
+                              output_dir=str(tmp_path / "out"))
+    summary = harness.run_experiment(config)
+    assert summary["iterations"] >= 1 and summary["operator_kept"] is True
+    with open(os.path.join(config.output_dir, "summary.json")) as fh:
+        assert json.load(fh)["operator_kept"] is True
+
+
 @pytest.mark.parametrize("mode", ["full", "restricted"])
 def test_center_targets_adds_the_target_mean_back(tmp_path, mode):
     # constant targets centre to zero, so the solution is zero and every

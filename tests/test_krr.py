@@ -9,6 +9,7 @@ from scipy.linalg import cho_factor, cho_solve, lstsq
 
 import krrsolve.krr as krr_module
 
+from krrsolve.diagnostics import _EntryCountingOracle, clustered_dataset
 from krrsolve.errors import InputError
 from krrsolve.kernels import (
     DEFAULT_MEMORY_BUDGET,
@@ -28,7 +29,7 @@ from krrsolve.krr import (
     solve_full_krr,
     solve_restricted_krr,
 )
-from krrsolve.lowrank import GREEDY, PIVOT_RULES, UNIFORM, PivotRule
+from krrsolve.lowrank import GREEDY, PIVOT_RULES, UNIFORM, PivotRule, build_factor
 from krrsolve.precond import CholeskyPreconditioner
 from krrsolve.sketch import build_embedding, practical_params
 
@@ -155,6 +156,94 @@ def test_streaming_matches_in_memory(mode):
     assert kept.converged and streamed.converged
     assert streamed.iterations == kept.iterations
     assert relative_gap(streamed.solution, kept.solution) <= 1e-10
+
+
+# A of 1500 points is 18 MB: inside the default budget, beyond the two
+# slabs a single-pass stream holds
+N_BEYOND_TWO_SLABS = 1500
+
+
+def counting_full_solve(n, columns, max_iter, epsilon=1e-14):
+    """A full solve of n points on an entry-counting oracle, and the entries
+    that its factor generated on its own."""
+    x, y = points(n=n)
+    budget = DEFAULT_MEMORY_BUDGET if columns is None else 8 * n * columns
+    rule = PivotRule(seed=3)
+    factor_oracle = _EntryCountingOracle(x, SPEC, budget)
+    build_factor(factor_oracle, 40, rule)
+    solve_oracle = _EntryCountingOracle(x, SPEC, budget)
+    report = solve_full_krr(FullKrrProblem(solve_oracle, y, MU, rank=40, epsilon=epsilon,
+                                           pivot_rule=rule, max_iter=max_iter))
+    return report, solve_oracle.entries - factor_oracle.entries
+
+
+# (points, budget in columns, iterations, passes over A, A kept): beyond two
+# single-pass slabs the first pass streams and a second apply keeps A; within
+# two it is kept from the first; over the budget every pass streams
+@pytest.mark.parametrize("n, columns, iterations, passes, kept", [
+    (N_BEYOND_TWO_SLABS, None, 1, 1, False),
+    (N_BEYOND_TWO_SLABS, None, 2, 2, True),
+    (N_BEYOND_TWO_SLABS, None, 5, 2, True),
+    (N, None, 1, 1, True),
+    (N, None, 2, 1, True),
+    (N, None, 5, 1, True),
+    (N, 3, 1, 1, False),
+    (N, 3, 2, 2, False),
+    (N, 3, 5, 5, False),
+])
+def test_full_solve_passes_over_a(n, columns, iterations, passes, kept):
+    report, entries = counting_full_solve(n, columns, iterations)
+    assert report.iterations == iterations
+    assert entries == passes * n * n
+    assert report.meta["operator_kept"] is kept
+
+
+def test_full_solve_with_a_streamed_first_pass_matches_a_streamed_solve():
+    x, y = points(n=N_BEYOND_TWO_SLABS)
+    first_streamed, streamed = (solve_full_krr(full_problem(x, y, epsilon=1e-8,
+                                                            columns=columns))
+                                for columns in (None, 50))
+    assert first_streamed.converged and streamed.converged
+    assert first_streamed.iterations == streamed.iterations > 1
+    assert first_streamed.meta["operator_kept"] and not streamed.meta["operator_kept"]
+    assert relative_gap(first_streamed.solution, streamed.solution) <= 1e-8
+
+
+def test_full_solve_frees_its_first_pass_before_keeping_a():
+    # holding the first pass's slab buffer beside the kept A would add 8 MiB;
+    # the two-iteration solve measured 18.84 MB against A's 18.0
+    n = N_BEYOND_TWO_SLABS
+    x, y = points(n=n)
+    problem = full_problem(x, y, epsilon=1e-14)
+    problem.max_iter = 2
+    tracemalloc.start()
+    try:
+        report = solve_full_krr(problem)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.iterations == 2 and report.meta["operator_kept"]
+    assert peak <= 8 * n * n + SINGLE_PASS_BUDGET // 4
+
+
+def test_one_iteration_full_solve_never_holds_a():
+    # the clustered set at r = N/3 converges in one iteration; keeping its
+    # 72 MB A peaked at 104.9 MB, and streaming it measured 49.3 MB
+    n = 3000
+    x = clustered_dataset(n, 10, seed=0)
+    x = (x - x.mean(axis=0)) / x.std(axis=0)
+    y = 3.0 + np.sin(x[:, 0]) + 0.1 * np.random.default_rng(1).standard_normal(n)
+    problem = FullKrrProblem(DatasetKernelOracle(x, KernelSpec("squared_exponential", 1.0)),
+                             y, 1e-7 * n, rank=1000, pivot_rule=PivotRule(seed=0))
+    tracemalloc.start()
+    try:
+        report = solve_full_krr(problem)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.converged and report.iterations == 1
+    assert report.meta["operator_kept"] is False
+    assert peak <= 52e6 < 8 * n * n
 
 
 def test_predict_one_row_at_a_time_matches_dense():
