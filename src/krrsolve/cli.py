@@ -56,7 +56,6 @@ def _config_from_args(args, mode):
         value = getattr(args, f.name, None)
         if value is not None:
             setattr(config, f.name, value)
-    config.validate()
     return config
 
 

@@ -28,6 +28,9 @@ tuple kept beside the code that implements it: ``data.FORMATS``,
 iteration defaults are ``krr.DEFAULT_EPSILON`` and ``krr.DEFAULT_MAX_ITER``;
 the bandwidth and memory budget defaults are ``kernels.DEFAULT_BANDWIDTH``
 and ``kernels.DEFAULT_MEMORY_BUDGET``.
+
+``ExperimentConfig.validate`` builds the run's ``KernelSpec`` and ``PivotRule``,
+which need no data, so their bandwidth and seed checks precede the data load.
 """
 
 from __future__ import annotations
@@ -38,12 +41,13 @@ from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .data import FORMATS, LIBSVM
-from .errors import InputError
+from .errors import InputError, check_positive
 from .kernels import (
     DEFAULT_BANDWIDTH,
     DEFAULT_MEMORY_BUDGET,
     KERNEL_FAMILIES,
     SQUARED_EXPONENTIAL,
+    KernelSpec,
 )
 from .krr import (
     DEFAULT_EPSILON,
@@ -56,7 +60,7 @@ from .krr import (
     RESTRICTED,
     TASKS,
 )
-from .lowrank import PIVOT_RULES, RPCHOLESKY, _check_seed
+from .lowrank import PIVOT_RULES, RPCHOLESKY, PivotRule
 
 
 def _key(default, choices=None, mode=None):
@@ -103,15 +107,14 @@ class ExperimentConfig:
         if self.seed is None:
             raise InputError("seed is required (stochastic command): "
                              "set it in the config or pass --seed")
-        _check_seed(self.seed)
-        if not 0 < self.bandwidth < math.inf:
-            raise InputError(f"bandwidth must be finite and positive, got {self.bandwidth}")
-        if not 0 < self.mu_over_n < math.inf:
-            raise InputError(f"mu_over_n must be finite and positive, got {self.mu_over_n}")
+        check_positive("mu_over_n", self.mu_over_n)
         for name in ("subsample", "rank", "centers", "block_size", "embedding_dim",
                      "embedding_nnz", "epsilon", "max_iter"):
             if not getattr(self, name) >= 0:
                 raise InputError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        # after the loop above, so a negative block_size is reported by its key
+        KernelSpec(self.kernel, self.bandwidth)
+        PivotRule(self.pivot_rule, self.block_size or None, seed=self.seed)
         if not self.epsilon < math.inf:
             raise InputError(f"epsilon must be finite, got {self.epsilon}")
         if not 0.0 <= self.test_fraction < 1.0:

@@ -22,7 +22,7 @@ import time
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_positive, rng
 from .kernels import (
     DEFAULT_MEMORY_BUDGET,
     DatasetKernelOracle,
@@ -40,7 +40,6 @@ from .lowrank import (
     GREEDY,
     UNIFORM,
     PivotRule,
-    _check_seed,
     build_factor,
     tail_rank,
     trace_residual,
@@ -49,10 +48,9 @@ from .precond import build_rpc_preconditioner, krill_from_sketch, precond_condit
 from .sketch import build_embedding, distortion_check, theory_params
 
 
-def _check_seeds(n_seeds: int, seed0: int) -> None:
+def _check_n_seeds(n_seeds: int) -> None:
     if n_seeds < 1:
         raise InputError(f"need n_seeds >= 1, got {n_seeds}")
-    _check_seed(seed0)
 
 
 def _cube_root_block(n: int) -> int:
@@ -93,8 +91,7 @@ def psd_matrix_with_spectrum(eigenvalues, seed=None) -> np.ndarray:
     lam = np.asarray(eigenvalues, dtype=np.float64).ravel()
     if lam.size < 1 or lam.min() < 0:
         raise InputError("need a nonempty nonnegative spectrum")
-    rng = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(rng.standard_normal((lam.size, lam.size)))
+    q, _ = np.linalg.qr(rng(seed).standard_normal((lam.size, lam.size)))
     return (q * lam) @ q.T
 
 
@@ -119,9 +116,10 @@ def verify_rpc_theorem(spectrum, mu: float, delta: float, n_seeds: int = 200,
     the tail sum past rank_mu.
     """
     lam = np.sort(np.asarray(spectrum, dtype=np.float64))[::-1]
-    if mu <= 0 or not 0 < delta < 1:
-        raise InputError("need mu > 0 and delta in (0, 1)")
-    _check_seeds(n_seeds, seed0)
+    check_positive("mu", mu)
+    if not 0 < delta < 1:
+        raise InputError(f"delta must lie in (0, 1), got {delta}")
+    _check_n_seeds(n_seeds)
     a = psd_matrix_with_spectrum(lam, seed=seed0)
     oracle = ExplicitMatrixOracle(a)
     r_mu = tail_rank(lam, mu)
@@ -170,10 +168,9 @@ def verify_krill_theorem(n: int, k: int, mu: float, n_seeds: int = 100,
     distortion lands in [1/2, 3/2] the bound kappa <= 3 must hold; that
     implication is deterministic.
     """
-    _check_seeds(n_seeds, seed0)
+    _check_n_seeds(n_seeds)
     d, zeta = theory_params(k)
-    rng = np.random.default_rng(seed0)
-    feats = rng.standard_normal((n, 8)) * 2.0
+    feats = rng(seed0).standard_normal((n, 8)) * 2.0
     oracle = DatasetKernelOracle(feats, KernelSpec())
     centers = select_centers_uniform(n, k, seed=seed0)
     a_cols = oracle.block(np.arange(n), centers)
@@ -224,7 +221,7 @@ def separation_experiment(kind: str, n: int = 1000, rank: int = 10,
     ``kind`` selects the matrix: 'uniform' compares random pivoting against
     uniform pivoting, 'greedy' against the deterministic greedy rule.
     """
-    _check_seeds(n_seeds, seed0)
+    _check_n_seeds(n_seeds)
     if kind == "uniform":
         a = build_uniform_failure_matrix(n)
     elif kind == "greedy":
@@ -291,11 +288,9 @@ def crossover_experiment(n_values, k_values, seed: int = 0,
     ``seconds`` is the median wall time of the repeats, and ``seconds_min``
     and ``seconds_max`` their range.
     """
-    _check_seed(seed)
     records = []
     for n in n_values:
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal((n, 20))
+        x = rng(seed).standard_normal((n, 20))
         y = np.sin(x.sum(axis=1))
         y -= y.mean()
         for k in k_values:
@@ -335,7 +330,7 @@ def clustered_dataset(n: int, dim: int = 10, seed: int = 0) -> np.ndarray:
     """
     if n < 100:
         raise InputError("clustered dataset needs n >= 100")
-    rng = np.random.default_rng(seed)
+    gen = rng(seed)
     weights = np.array([0.42, 0.20, 0.10, 0.07, 0.05, 0.04, 0.03,
                         0.02, 0.015, 0.012, 0.01, 0.008, 0.006, 0.005,
                         0.004, 0.003, 0.002, 0.002, 0.002, 0.001])
@@ -345,9 +340,9 @@ def clustered_dataset(n: int, dim: int = 10, seed: int = 0) -> np.ndarray:
         sizes[0] += 1
     while sizes.sum() > n:
         sizes[np.argmax(sizes)] -= 1
-    centers = rng.standard_normal((len(sizes), dim)) * 40.0
-    spreads = rng.uniform(0.3, 1.2, size=len(sizes))
-    blocks = [centers[i] + spreads[i] * rng.standard_normal((sz, dim))
+    centers = gen.standard_normal((len(sizes), dim)) * 40.0
+    spreads = gen.uniform(0.3, 1.2, size=len(sizes))
+    blocks = [centers[i] + spreads[i] * gen.standard_normal((sz, dim))
               for i, sz in enumerate(sizes)]
     feats = np.vstack(blocks)
-    return feats[rng.permutation(n)]
+    return feats[gen.permutation(n)]

@@ -1,9 +1,24 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and the two input rules
+that more than one module applies.
 
 The CLI maps these onto process exit codes: InputError -> 1 and
 NumericalError -> 3.  Non-convergence is not an exception: a solve that
 stops at its iteration cap reports ``converged: false`` and the CLI exits 2.
+
+A value is checked once, where it is used, except that an exported
+builder keeps its own check, since a caller can reach it directly:
+
+* mu: ``check_positive`` in both problems, ``build_rpc_preconditioner``,
+  ``krill_from_sketch``, ``tail_rank`` and ``verify_rpc_theorem``, and
+  mu_over_n in ``ExperimentConfig.validate``;
+* bandwidth: ``KernelSpec``; epsilon: ``pcg``; rank: ``build_factor``;
+* a seed: ``rng``, at every draw, and ``PivotRule`` when it is made;
+* embedding_dim and embedding_nnz: ``build_embedding``.
 """
+
+import numbers
+
+import numpy as np
 
 
 class KrrSolveError(Exception):
@@ -16,3 +31,18 @@ class InputError(KrrSolveError):
 
 class NumericalError(KrrSolveError):
     """Numerical breakdown: non-finite values or loss of positive definiteness."""
+
+
+def check_positive(name: str, value) -> None:
+    """Raise ``InputError`` unless ``value`` is finite and positive."""
+    if not 0 < value < np.inf:
+        raise InputError(f"{name} must be finite and positive, got {value}")
+
+
+def rng(seed=None) -> np.random.Generator:
+    """``np.random.default_rng(seed)``, the one way the library draws from a
+    caller's seed.  A negative integer seed is an ``InputError`` rather than
+    numpy's ValueError; a ``Generator`` is returned as it is."""
+    if isinstance(seed, numbers.Real) and seed < 0:
+        raise InputError(f"seed must be nonnegative, got {seed}")
+    return np.random.default_rng(seed)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import ExperimentConfig, load_config
 from .data import Dataset, apply_standardization, load_dataset, standardization_params
-from .errors import InputError
+from .errors import InputError, rng
 from .kernels import DatasetKernelOracle, KernelSpec
 from .krr import (
     FULL,
@@ -51,8 +51,7 @@ def split_train_test(data: Dataset, test_fraction: float, seed=None):
         raise InputError(
             f"test_fraction {test_fraction} leaves an empty split for N={data.n}"
         )
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(data.n)
+    perm = rng(seed).permutation(data.n)
     return data.subset(np.sort(perm[n_test:])), data.subset(np.sort(perm[:n_test]))
 
 
@@ -65,14 +64,14 @@ def run_experiment(config: ExperimentConfig) -> dict:
     if data.targets is None:
         raise InputError("dataset has no targets; configure target_column")
 
-    rng = np.random.default_rng(config.seed)
+    gen = rng(config.seed)
     if config.subsample and config.subsample < data.n:
-        keep = np.sort(rng.choice(data.n, size=config.subsample, replace=False))
+        keep = np.sort(gen.choice(data.n, size=config.subsample, replace=False))
         data = data.subset(keep)
 
     test_set: Optional[Dataset] = None
     if config.test_fraction > 0:
-        data, test_set = split_train_test(data, config.test_fraction, seed=rng)
+        data, test_set = split_train_test(data, config.test_fraction, seed=gen)
 
     params = standardization_params(data.features)
     train_feats = apply_standardization(data.features, params)

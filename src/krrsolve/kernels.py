@@ -48,7 +48,7 @@ from typing import Optional
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import InputError
+from .errors import InputError, check_positive
 
 SQUARED_EXPONENTIAL = "squared_exponential"
 LAPLACE1 = "laplace1"
@@ -74,8 +74,7 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in KERNEL_FAMILIES:
             raise InputError(f"unknown kernel family {self.family!r}")
-        if not 0 < self.bandwidth < np.inf:
-            raise InputError(f"bandwidth must be finite and positive, got {self.bandwidth}")
+        check_positive("bandwidth", self.bandwidth)
 
 
 def pairwise_kernel(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -260,9 +259,6 @@ class KernelOracle:
         """Dense submatrix A(rows, cols)."""
         raise NotImplementedError
 
-    def _check_indices(self, idx) -> np.ndarray:
-        return _as_indices(idx, self.n)
-
     def diag(self) -> np.ndarray:
         raise NotImplementedError
 
@@ -289,8 +285,8 @@ class DatasetKernelOracle(KernelOracle):
                                                   features.mean(axis=0))
 
     def block(self, rows, cols) -> np.ndarray:
-        rows = self._check_indices(rows)
-        cols = self._check_indices(cols)
+        rows = _as_indices(rows, self.n)
+        cols = _as_indices(cols, self.n)
         right = self._prepared[cols]  # a gathered copy, turned in place
         _to_right(self.spec, right)
         return _tile(self.spec, self._prepared[rows], right, self._floor)
@@ -319,8 +315,8 @@ class ExplicitMatrixOracle(KernelOracle):
         self.n = matrix.shape[0]
 
     def block(self, rows, cols) -> np.ndarray:
-        rows = self._check_indices(rows)
-        cols = self._check_indices(cols)
+        rows = _as_indices(rows, self.n)
+        cols = _as_indices(cols, self.n)
         return self.matrix[np.ix_(rows, cols)]
 
     def diag(self) -> np.ndarray:

@@ -50,7 +50,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, check_positive, rng
 from .kernels import (
     DEFAULT_MEMORY_BUDGET,
     KernelBlocks,
@@ -59,7 +59,7 @@ from .kernels import (
     _as_indices,
     kernel_rows,
 )
-from .lowrank import PivotRule, _check_seed, build_factor
+from .lowrank import PivotRule, build_factor
 from .pcg import LinearOperator, SolveReport, pcg
 from .precond import (
     CholeskyPreconditioner,
@@ -128,10 +128,7 @@ class FullKrrProblem:
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=np.float64).ravel()
-        if not 0 < self.mu < np.inf:
-            raise InputError(f"mu must be finite and positive, got {self.mu}")
-        if not 1 <= self.rank <= self.oracle.n:
-            raise InputError(f"rank must be in [1, {self.oracle.n}]")
+        check_positive("mu", self.mu)  # here, so it fails before the N r^2 factor
         if self.y.shape[0] != self.oracle.n:
             raise InputError("target length does not match oracle size")
 
@@ -203,27 +200,20 @@ class RestrictedKrrProblem:
             raise InputError("need between 1 and N centers")
         if len(np.unique(self.centers)) != self.centers.size:
             raise InputError("centers must be distinct")
-        if not 0 < self.mu < np.inf:
-            raise InputError(f"mu must be finite and positive, got {self.mu}")
+        check_positive("mu", self.mu)  # here, so it fails before the pass over A(:,S)
         if self.y.shape[0] != n:
             raise InputError("target length does not match oracle size")
         if self.preconditioner not in PRECONDITIONERS:
             raise InputError(f"unknown preconditioner {self.preconditioner!r}")
-        for name in ("embedding_dim", "embedding_nnz"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise InputError(f"{name} must be >= 1, got {value}")
-        d, zeta = self.embedding_shape()
-        if zeta > d:
-            raise InputError(f"embedding_nnz must be <= the embedding dimension {d}, "
-                             f"got {zeta}")
-        _check_seed(self.embedding_seed)
 
     def embedding_shape(self) -> tuple[int, int]:
         """The (d, zeta) of KRILL's embedding: the explicit values, else d
-        from ``sketch.practical_params(k)`` and zeta = min(8, d)."""
-        d = self.embedding_dim or practical_params(self.centers.size)[0]
-        return d, self.embedding_nnz or min(8, d)
+        from ``sketch.practical_params(k)`` and zeta = min(8, d).
+        ``build_embedding`` checks them, and the seed, when it draws Phi."""
+        d, zeta = self.embedding_dim, self.embedding_nnz
+        if d is None:
+            d = practical_params(self.centers.size)[0]
+        return d, min(8, d) if zeta is None else zeta
 
 
 def _first_pass(a_ns: KernelBlocks, y: np.ndarray, b: np.ndarray, phi=None,
@@ -369,9 +359,7 @@ def select_centers_uniform(n: int, k: int, seed=None) -> np.ndarray:
     """k distinct indices drawn uniformly without replacement."""
     if not 1 <= k <= n:
         raise InputError(f"need 1 <= k <= {n}, got {k}")
-    _check_seed(seed)
-    rng = np.random.default_rng(seed)
-    return np.sort(rng.choice(n, size=k, replace=False))
+    return np.sort(rng(seed).choice(n, size=k, replace=False))
 
 
 def predict(coefficients: np.ndarray, train_points: np.ndarray, spec: KernelSpec,

@@ -36,13 +36,12 @@ on contiguous rows.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_positive, rng
 from .kernels import KernelOracle
 
 RPCHOLESKY = "rpcholesky"
@@ -103,13 +102,6 @@ def _inverse_cholesky(m: np.ndarray, out: Optional[np.ndarray] = None) -> np.nda
     return out
 
 
-def _check_seed(seed) -> None:
-    """Reject a negative integer seed, which ``np.random.default_rng`` refuses
-    with a ValueError of its own."""
-    if isinstance(seed, numbers.Real) and seed < 0:
-        raise InputError(f"seed must be nonnegative, got {seed}")
-
-
 @dataclass(frozen=True)
 class PivotRule:
     """Pivot selection strategy for the low-rank factor."""
@@ -123,7 +115,7 @@ class PivotRule:
             raise InputError(f"unknown pivot rule {self.kind!r}")
         if self.block_size is not None and self.block_size < 1:
             raise InputError("block size must be >= 1")
-        _check_seed(self.seed)
+        rng(self.seed)  # a bad seed fails here, where the rule is made
 
 
 @dataclass
@@ -227,7 +219,7 @@ def build_factor(oracle: KernelOracle, rank: int,
     """Partial-Cholesky factor of at most ``rank`` columns under ``rule``."""
     if not 1 <= rank <= oracle.n:
         raise InputError(f"rank must be in [1, {oracle.n}], got {rank}")
-    rng = np.random.default_rng(rule.seed)
+    gen = rng(rule.seed)
 
     if rule.kind == RPCHOLESKY:
         block_size = rule.block_size or min(100, -(-rank // 10))  # ceil(rank/10)
@@ -236,13 +228,13 @@ def build_factor(oracle: KernelOracle, rank: int,
             total = d.sum()
             if total <= 0.0:
                 return []
-            return np.unique(rng.choice(d.size, size=min(block_size, rank - i), p=d / total))
+            return np.unique(gen.choice(d.size, size=min(block_size, rank - i), p=d / total))
     elif rule.kind == GREEDY:
         def propose(d, i):
             s = int(np.argmax(d))
             return [s] if d[s] > 0.0 else []
     else:
-        chosen = rng.choice(oracle.n, size=rank, replace=False)
+        chosen = gen.choice(oracle.n, size=rank, replace=False)
 
         def propose(d, i):
             return chosen[d[chosen] > 0.0]
@@ -253,8 +245,7 @@ def build_factor(oracle: KernelOracle, rank: int,
 def tail_rank(eigenvalues, mu: float) -> int:
     """Smallest r >= 0 such that the eigenvalues beyond the top r sum to <= mu."""
     lam = np.asarray(eigenvalues, dtype=np.float64).ravel()
-    if not 0 < mu < np.inf:
-        raise InputError(f"mu must be finite and positive, got {mu}")
+    check_positive("mu", mu)
     if lam.size and lam.min() < 0:
         raise InputError("eigenvalues must be nonnegative")
     if np.any(np.diff(lam) > 0):

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, check_positive
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,7 @@ def pcg(product: LinearOperator, b: np.ndarray, epsilon: float,
 
     ``precond`` is the inverse action v -> P^{-1} v (identity when None).
     """
-    if not 0 < epsilon < np.inf:
-        raise InputError(f"epsilon must be finite and positive, got {epsilon}")
+    check_positive("epsilon", epsilon)
     if max_iter < 1:
         raise InputError("max_iter must be >= 1")
     b = np.asarray(b, dtype=np.float64)

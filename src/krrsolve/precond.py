@@ -49,7 +49,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, check_positive
 from .lowrank import PartialCholeskyFactor, _inverse_cholesky
 
 EPS_MACH = np.finfo(np.float64).eps
@@ -86,8 +86,7 @@ def build_rpc_preconditioner(factor: PartialCholeskyFactor, mu: float) -> Choles
     definite, which needs mu below roundoff in ||F||^2 and a numerically
     rank-deficient F.
     """
-    if not 0 < mu < np.inf:
-        raise InputError(f"mu must be finite and positive, got {mu}")
+    check_positive("mu", mu)  # exported: a caller may pass a factor and mu directly
     if factor.rank < 1:
         raise InputError("factor has no columns")
     F = factor.F
@@ -148,8 +147,7 @@ def krill_from_sketch(y_sketch: np.ndarray, a_ss: np.ndarray,
     P is formed and symmetrized in one k x k array, which is released once
     X = L^{-1} is formed.
     """
-    if not 0 < mu < np.inf:
-        raise InputError(f"mu must be finite and positive, got {mu}")
+    check_positive("mu", mu)  # exported; verify_krill_theorem passes mu unchecked
     if np.ndim(a_ss) != 2 or a_ss.shape[0] != a_ss.shape[1]:
         raise InputError(f"A(S,S) must be square, got shape {np.shape(a_ss)}")
     k = a_ss.shape[0]

@@ -24,7 +24,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InputError
+from .errors import InputError, rng
 
 # calibration constants for the theory-mode scalings d ~ k log(k/delta),
 # zeta ~ log(k/delta); configuration defaults, not asserted ground truth.
@@ -56,7 +56,7 @@ def theory_params(k: int) -> tuple[int, int]:
     return d, min(zeta, d)
 
 
-def _distinct_rows(rng: np.random.Generator, n_cols: int, d: int,
+def _distinct_rows(gen: np.random.Generator, n_cols: int, d: int,
                    zeta: int) -> np.ndarray:
     """n_cols x zeta distinct uniform indices from range(d), by Floyd's algorithm.
 
@@ -65,7 +65,7 @@ def _distinct_rows(rng: np.random.Generator, n_cols: int, d: int,
     zeta steps the picks are a uniformly random zeta-subset.  The steps
     run over all columns at once, with every t drawn up front.
     """
-    rows = rng.integers(0, np.arange(d - zeta, d) + 1, size=(n_cols, zeta))
+    rows = gen.integers(0, np.arange(d - zeta, d) + 1, size=(n_cols, zeta))
     for i in range(1, zeta):
         taken = (rows[:, :i] == rows[:, i, None]).any(axis=1)
         rows[taken, i] = d - zeta + i
@@ -82,10 +82,11 @@ def build_embedding(d: int, n: int, zeta: int, seed=None) -> sp.csc_matrix:
     if n < 1:
         raise InputError("input dimension must be >= 1")
     if not 1 <= zeta <= d:
-        raise InputError(f"need 1 <= zeta <= d, got zeta={zeta}, d={d}")
-    rng = np.random.default_rng(seed)
-    rows = _distinct_rows(rng, n, d, zeta)
-    signs = rng.integers(0, 2, size=(n, zeta)) * 2 - 1
+        raise InputError("need 1 <= embedding_nnz <= embedding_dim, got "
+                         f"embedding_nnz = {zeta}, embedding_dim = {d}")
+    gen = rng(seed)
+    rows = _distinct_rows(gen, n, d, zeta)
+    signs = gen.integers(0, 2, size=(n, zeta)) * 2 - 1
     values = signs / math.sqrt(zeta)
     return sp.csc_matrix((values.ravel(), rows.ravel(), zeta * np.arange(n + 1)),
                          shape=(d, n))

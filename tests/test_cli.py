@@ -305,6 +305,15 @@ def test_negative_seed_is_an_input_error(tmp_path, dataset, capsys, command, own
     assert cap.out == ""
 
 
+@pytest.mark.parametrize("mu", ["nan", "inf", "0", "-1"])
+def test_bad_mu_is_an_input_error(capsys, mu):
+    code, cap = _run(capsys, ["verify-theorems", "--seed", "1", "--n-seeds", "1",
+                              "--mu", mu])
+    assert code == EXIT_INPUT
+    assert "mu" in cap.err and "Traceback" not in cap.err
+    assert cap.out == ""
+
+
 def test_verify_theorems_reports_are_pinned(tmp_path, capsys):
     from krrsolve.sketch import theory_params
 

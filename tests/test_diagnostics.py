@@ -11,6 +11,8 @@ from krrsolve.diagnostics import (
 )
 from krrsolve.errors import InputError
 
+from .test_precond import BAD_MU
+
 
 def test_krill_bound_holds_whenever_the_embedding_is_a_good_subspace_embedding():
     # kappa <= 3 must follow deterministically from distortion in [1/2, 3/2]
@@ -67,3 +69,13 @@ def test_crossover_counts_one_pass_for_direct_and_one_per_iteration_for_krill():
 def test_no_seeds_is_an_input_error(experiment):
     with pytest.raises(InputError, match="n_seeds >= 1"):
         experiment()
+
+
+@pytest.mark.parametrize("mu", BAD_MU)
+@pytest.mark.parametrize("experiment", [
+    lambda mu: verify_rpc_theorem(2.0 ** -np.arange(1, 21), mu=mu, delta=0.1, n_seeds=1),
+    lambda mu: verify_krill_theorem(n=100, k=5, mu=mu, n_seeds=1),
+], ids=["rpc", "krill"])
+def test_mu_that_is_not_finite_and_positive_is_an_input_error(experiment, mu):
+    with pytest.raises(InputError, match="mu must be finite and positive"):
+        experiment(mu)

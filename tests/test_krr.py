@@ -300,12 +300,22 @@ def test_problems_reject_mu_that_is_not_finite_and_positive(mu):
         RestrictedKrrProblem(oracle(x), np.arange(5), y, mu)
 
 
-def test_negative_seeds_are_input_errors():
+def krill_fails_before_a_pass(match, **kwargs):
+    """A KRILL solve over 5 centers raises ``InputError`` matching ``match``
+    having generated only A(S,S), before any pass over A(:,S)."""
     x, y = points(n=20)
+    counting = _EntryCountingOracle(x, SPEC)
+    problem = RestrictedKrrProblem(counting, np.arange(5), y, MU,
+                                   preconditioner="krill", **kwargs)
+    with pytest.raises(InputError, match=match):
+        solve_restricted_krr(problem)
+    assert counting.entries == 5 * 5
+
+
+def test_negative_seeds_are_input_errors():
     with pytest.raises(InputError, match="seed"):
         select_centers_uniform(5, 2, seed=-1)
-    with pytest.raises(InputError, match="seed"):
-        RestrictedKrrProblem(oracle(x), np.arange(5), y, MU, embedding_seed=-1)
+    krill_fails_before_a_pass("seed", embedding_seed=-1)
 
 
 @pytest.mark.parametrize("kwargs,match", [
@@ -316,10 +326,7 @@ def test_negative_seeds_are_input_errors():
     ({"embedding_nnz": practical_params(5)[0] + 1}, "embedding_nnz"),
 ])
 def test_restricted_problem_rejects_a_bad_embedding_shape(kwargs, match):
-    # at construction, before any kernel entry is generated
-    x, y = points(n=20)
-    with pytest.raises(InputError, match=match):
-        RestrictedKrrProblem(oracle(x), np.arange(5), y, MU, **kwargs)
+    krill_fails_before_a_pass(match, **kwargs)
 
 
 # tracemalloc peaks of the same KRILL solves at d = 2k (N = 4000, k = 300,
