@@ -10,15 +10,34 @@ Supported input formats:
   repeated within a row keeps its last value.
 * CSV with a header row; the target column is selected by name.
 
+Both are read as UTF-8: a file that is not is rejected before any row is
+parsed, with an ``InputError`` that names its first line that is not.
 Malformed and non-finite values are rejected with an ``InputError`` that
-names ``path:line`` of the first bad line in the file.  A libsvm file is
-converted one chunk of lines at a time, so the loader's Python strings stay
-bounded by the chunk size whatever the file size.
+names ``path:line`` of the first bad line in the file.
+
+A libsvm file is converted one chunk of lines at a time, so the loader's
+Python strings stay bounded by the chunk size whatever the file size.  A
+chunk that is a dense block goes to numpy's C reader, ``np.loadtxt``; any
+other chunk goes to the general parser, which implements the grammar above
+token by token.  In a dense block every row reads ``label 1:v 2:v ... d:v``
+for one d, with one space before each feature token and nothing after the
+last, and the label and values are spelled in the characters
+``0-9 + - . e E`` alone.  One regular expression checks this, and the check
+is exact: such text holds no comment, blank line or other whitespace, each
+index is the decimal text of its position, so the indices are 1..d in
+order, and on those characters numpy's reader and Python's ``float`` both
+call ``PyOS_string_to_double``, so either path gives the same bits.  A chunk
+that fails the check, that the reader rejects, or that holds a non-finite
+label or value goes to the general parser, which names the bad line.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
+import io
+import re
 from dataclasses import dataclass
 from typing import NoReturn, Optional
 
@@ -36,6 +55,9 @@ FORMATS = (LIBSVM, CSV)
 # free lists; 1 MiB chunks left holes in the heap whose layout, and with it
 # the resident size of the work after loading, changed from run to run.
 _CHUNK_BYTES = 1 << 16
+
+# The number text of a dense libsvm block (see _dense_rows).
+_DENSE_NUMBER = r"[0-9+\-.eE]+"
 
 
 @dataclass
@@ -108,12 +130,17 @@ def load_libsvm(path: str) -> Dataset:
     and per colon), so that parsing allocates nothing but the current
     chunk's buffers and the heap left behind is laid out the same in every
     run.  The file is read twice, so it must be seekable.  Whole lines are
-    read in chunks of about ``_CHUNK_BYTES`` characters; each chunk is split
-    once per line and converted by one NumPy call per column kind.  The
-    Python strings of one chunk are all that is held at a time.  One scatter
-    fills the dense features at the end.
+    read in chunks of about ``_CHUNK_BYTES`` characters.  A chunk whose rows
+    all read ``label 1:v 2:v ... d:v`` with single spaces and number text of
+    ``0-9 + - . e E`` (a dense block; the module docstring says why the
+    check is exact) is converted by one ``np.loadtxt`` call.  Any other
+    chunk, or a dense one that the reader rejects or that holds a non-finite
+    number, goes to the general parser: it is split once per line and
+    converted by one NumPy call per column kind.  Both give the same labels,
+    token counts, indices and values, and one scatter fills the dense
+    features at the end.
     """
-    with open(path) as fh:
+    with _utf8_text(path) as fh:
         # Bounds for the parsed arrays: a row per line, a colon per token.
         max_rows, max_tokens = 1, 0
         while text := fh.read(_CHUNK_BYTES):
@@ -127,7 +154,8 @@ def load_libsvm(path: str) -> Dataset:
         n = n_tokens = 0
         first_line = 1
         while lines := fh.readlines(_CHUNK_BYTES):
-            chunk = _parse_libsvm_chunk(path, lines, first_line)
+            chunk = (_parse_dense_chunk("".join(lines))
+                     or _parse_libsvm_chunk(path, lines, first_line))
             rows, toks = n + chunk[0].size, n_tokens + chunk[2].size
             labels[n:rows], counts[n:rows], idx[n_tokens:toks], vals[n_tokens:toks] = chunk
             n, n_tokens = rows, toks
@@ -156,6 +184,36 @@ def load_libsvm(path: str) -> Dataset:
     np.put(features, flat, vals)
     # a copy, so that the array sized by the line count is freed
     return Dataset(features, labels.copy())
+
+
+@functools.lru_cache(maxsize=16)
+def _dense_rows(dim: int) -> re.Pattern:
+    """One or more rows ``label 1:v 2:v ... dim:v\\n`` of number text."""
+    row = _DENSE_NUMBER + "".join(f" {j}:{_DENSE_NUMBER}" for j in range(1, dim + 1))
+    return re.compile(f"(?:{row}\\n)+")
+
+
+def _parse_dense_chunk(text: str):
+    """Labels, per-row token counts, indices and values of a chunk of whole
+    lines that is a dense block, by numpy's C reader; None for any other
+    chunk, which the general parser then reads."""
+    if not text.endswith("\n"):
+        text += "\n"
+    dim = text.count(":", 0, text.index("\n"))
+    # Rows of different lengths fail the count before a pattern is compiled.
+    if text.count(":") != dim * text.count("\n") or not _dense_rows(dim).fullmatch(text):
+        return None
+    try:
+        # the label and value columns once each colon is a space
+        table = np.loadtxt(io.StringIO(text.replace(":", " ")), delimiter=" ",
+                           comments=None, usecols=range(0, 2 * dim + 1, 2), ndmin=2)
+    except ValueError:
+        return None
+    if not np.isfinite(table).all():
+        return None
+    rows = table.shape[0]
+    return (table[:, 0], np.full(rows, dim, dtype=np.int64),
+            np.tile(np.arange(1, dim + 1, dtype=np.int64), rows), table[:, 1:].ravel())
 
 
 def _parse_libsvm_chunk(path: str, lines: list, first_line: int):
@@ -218,14 +276,37 @@ def _raise_first_libsvm_error(path: str, lines: list, first_line: int) -> NoRetu
     raise AssertionError(f"{path}: bulk and per-token libsvm checks disagree")
 
 
+@contextlib.contextmanager
+def _utf8_text(path: str, newline: Optional[str] = None):
+    """``path`` opened as UTF-8 text; a byte that is not UTF-8, met anywhere
+    in the block, raises an ``InputError`` instead."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+
+
+def _not_utf8(path: str) -> InputError:
+    """The error for a file that is not UTF-8, naming its first such line."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                return InputError(f"{path}:{line_no}: not UTF-8 text")
+    return InputError(f"{path}: not UTF-8 text")
+
+
 def load_csv(path: str, target_column: Optional[str] = None) -> Dataset:
     """Parse a CSV file with a header row.
 
     All non-target columns become features, in header order.  With no
     ``target_column`` the dataset has no targets (prediction-only use).
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with _utf8_text(path, newline="") as fh:
+        # the whole text first, so that it is known to be UTF-8 before a row is read
+        reader = csv.reader(io.StringIO(fh.read(), newline=""))
         try:
             header = next(reader)
         except StopIteration:

@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import InputError, check_positive
 
@@ -215,6 +214,9 @@ def _tile(spec: KernelSpec, left: np.ndarray, right: np.ndarray, floor: float,
     """The block between prepared left rows and right rows, written into
     ``out`` when it is given; see ``pairwise_kernel``."""
     if spec.family == LAPLACE1:
+        # imported here so that importing krrsolve does not load scipy
+        from scipy.spatial.distance import cdist
+
         out = cdist(left, right, "cityblock", out=out)
         out /= -spec.bandwidth
         return np.exp(out, out=out)

@@ -20,11 +20,14 @@ experiments with calibration constants recorded below.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InputError, rng
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # calibration constants for the theory-mode scalings d ~ k log(k/delta),
 # zeta ~ log(k/delta); configuration defaults, not asserted ground truth.
@@ -84,6 +87,9 @@ def build_embedding(d: int, n: int, zeta: int, seed=None) -> sp.csc_matrix:
     if not 1 <= zeta <= d:
         raise InputError("need 1 <= embedding_nnz <= embedding_dim, got "
                          f"embedding_nnz = {zeta}, embedding_dim = {d}")
+    # imported here so that importing krrsolve does not load scipy
+    import scipy.sparse as sp
+
     gen = rng(seed)
     rows = _distinct_rows(gen, n, d, zeta)
     signs = gen.integers(0, 2, size=(n, zeta)) * 2 - 1

@@ -198,6 +198,40 @@ def test_unallocatable_libsvm_features_exit_with_input_error(tmp_path):
     assert f"{path}: the dense features, 2 x 3000000000 float64, need 44.7 GiB" in proc.stderr
 
 
+def _run_cli(argv):
+    """The CLI in a fresh interpreter, so that an uncaught error shows."""
+    src = str(Path(krrsolve.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-m", "krrsolve.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("fmt,text,line", [
+    ("libsvm", b"1 1:0.5\n-1 1:\xe9\n", 2),
+    ("csv", b"a,target\xe9\n1,2\n", 1),
+])
+def test_non_utf8_dataset_exits_with_input_error(tmp_path, fmt, text, line):
+    path = tmp_path / f"latin1.{fmt}"
+    path.write_bytes(text)
+    proc = _run_cli(["solve-full", "--dataset", str(path), "--format", fmt,
+                     "--target-column", "target", "--seed", "0", "--rank", "1",
+                     "--output-dir", str(tmp_path / "out")])
+    assert proc.returncode == EXIT_INPUT, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"error: {path}:{line}: not UTF-8 text" in proc.stderr
+
+
+def test_importing_the_package_loads_no_scipy():
+    # scipy is imported where the Laplace kernel and KRILL's embedding use it
+    script = ("import sys, krrsolve, krrsolve.cli\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = str(Path(krrsolve.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_exit_numerical_breakdown(tmp_path, dataset, capsys, monkeypatch):
     def breakdown(config):
         raise NumericalError("Cholesky failed")

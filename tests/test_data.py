@@ -253,6 +253,151 @@ def test_libsvm_property_names_the_corrupted_line(tmp_path, monkeypatch, lines, 
 
 
 @st.composite
+def dense_libsvm_rows(draw):
+    """The words of dense rows, ``[label, "1:v", ..., "d:v"]``, for one d."""
+    dim = draw(st.integers(1, 12))
+    rows = draw(st.lists(st.lists(_FINITE, min_size=dim + 1, max_size=dim + 1),
+                         min_size=1, max_size=30))
+    return [[draw(_SPELLINGS)(row[0])]
+            + [f"{j}:{draw(_SPELLINGS)(v)}" for j, v in enumerate(row[1:], 1)]
+            for row in rows]
+
+
+def _token(edit):
+    """Apply ``edit(index, value)`` to the text of feature token j."""
+    def apply(words, j):
+        index, _, value = words[j].partition(":")
+        return words[:j] + [edit(index, value)] + words[j + 1:]
+    return apply
+
+
+def _swap(words, j):
+    k = j % (len(words) - 1) + 1
+    words = list(words)
+    words[j], words[k] = words[k], words[j]
+    return words
+
+
+_FULL_WIDTH = str.maketrans("0123456789", "".join(chr(0xFF10 + d) for d in range(10)))
+# Edits of one row of a dense block, each given the row's words and a token
+# position j >= 1.  Each makes the text sparse, irregular or malformed, or
+# keeps it dense with a spelling at the edge of the number syntax.
+_DENSE_EDITS = {
+    "label takes the colon": lambda w, j: ["1:" + w[0], w[1].partition(":")[2]] + w[2:],
+    "double colon": _token(lambda i, v: f"{i}::{v}"),
+    "index 1.0": _token(lambda i, v: f"{i}.0:{v}"),
+    "index 01": _token(lambda i, v: f"0{i}:{v}"),
+    "index +1": _token(lambda i, v: f"+{i}:{v}"),
+    "index 1_0": _token(lambda i, v: f"{i}_0:{v}"),
+    "full-width index": _token(lambda i, v: f"{i.translate(_FULL_WIDTH)}:{v}"),
+    "tab": lambda w, j: w[:j - 1] + [w[j - 1] + "\t" + w[j]] + w[j + 1:],
+    "double space": lambda w, j: w[:j] + [""] + w[j:],
+    "trailing space": lambda w, j: w + [""],
+    "comment": lambda w, j: w + ["# 1:2"],
+    "CRLF": lambda w, j: w[:-1] + [w[-1] + "\r"],
+    "lone CR": lambda w, j: w[:j] + ["\r" + w[j]] + w[j + 1:],
+    "nan": _token(lambda i, v: f"{i}:nan"),
+    "inf": _token(lambda i, v: f"{i}:inf"),
+    "1e999": _token(lambda i, v: f"{i}:1e999"),
+    "subnormal": _token(lambda i, v: f"{i}:5e-324"),
+    "negative zero": _token(lambda i, v: f"{i}:-0.0"),
+    "short row": lambda w, j: w[:-1],
+    "gap": lambda w, j: w[:j] + w[j + 1:],
+    "swapped indices": _swap,
+    "repeated index": lambda w, j: w + [w[j]],
+    "extra column": lambda w, j: w + [f"{len(w)}:1.5"],
+    "label only": lambda w, j: w[:1],
+}
+# number text in the dense block's own characters, most of it malformed
+_NUMBER_TEXT = st.text(alphabet="0123456789+-.eE", min_size=1, max_size=8)
+_EDITS = st.one_of(
+    st.sampled_from(sorted(_DENSE_EDITS.items())),
+    st.builds(lambda text, label: (f"label {text}", lambda w, j: [text] + w[1:]) if label
+              else (f"value {text}", _token(lambda i, v: f"{i}:{text}")),
+              _NUMBER_TEXT, st.booleans()),
+)
+
+
+def _load_both_ways(monkeypatch, path):
+    """What ``load_libsvm`` gives, or the InputError it raises, with the
+    dense parse and with the general parser alone."""
+    results = []
+    for dense in (True, False):
+        with monkeypatch.context() as m:
+            if not dense:
+                m.setattr(data, "_parse_dense_chunk", lambda text: None)
+            try:
+                ds = load_libsvm(str(path))
+            except InputError as exc:
+                results.append(str(exc))
+            else:
+                results.append((ds.features.shape, ds.features.tobytes(),
+                                ds.targets.tobytes()))
+    return results
+
+
+@settings(_PROPERTY_SETTINGS, max_examples=400)
+@given(dense_libsvm_rows(), st.booleans(), _CHUNKS, st.data())
+def test_libsvm_dense_parse_matches_the_general_parser(tmp_path, monkeypatch, rows, final,
+                                                       chunk, draw):
+    monkeypatch.setattr(data, "_CHUNK_BYTES", chunk)
+    edits = draw.draw(st.lists(st.tuples(st.integers(0, len(rows) - 1),
+                                         st.integers(1, len(rows[0]) - 1), _EDITS),
+                               max_size=3))
+    for r, j, (_, edit) in edits:
+        if j < len(rows[r]):
+            rows[r] = edit(rows[r], j)
+    p = tmp_path / "rows.txt"
+    write_lines(p, [" ".join(words) for words in rows], "\n", final)
+    with_dense, general = _load_both_ways(monkeypatch, p)
+    assert with_dense == general
+
+
+def test_libsvm_dense_file_takes_the_dense_parse(tmp_path, monkeypatch):
+    # signed labels in exponent notation, CRLF line ends and no final
+    # newline keep a chunk dense
+    x = np.random.default_rng(2).standard_normal((50, 4))
+    texts = [f"{row[0]:+.17e} " + " ".join(f"{j}:{v!r}" for j, v in enumerate(row, 1))
+             for row in x.tolist()]
+    p = tmp_path / "dense.txt"
+    write_lines(p, texts, "\r\n", False)
+    monkeypatch.setattr(data, "_CHUNK_BYTES", 300)
+
+    def general(*args):
+        raise AssertionError("a dense chunk reached the general parser")
+
+    monkeypatch.setattr(data, "_parse_libsvm_chunk", general)
+    ds = load_libsvm(str(p))
+    assert ds.features.tobytes() == x.tobytes()
+    assert ds.targets.tobytes() == x[:, 0].tobytes()
+
+
+@pytest.mark.parametrize("text,line", [
+    (b"1 1:0.5\n-1 1:\xe9\n", 2),
+    (b"1 1:0.5\n# caf\xe9\n1 1:2\n", 2),
+    # the encoding is checked before any row, even a malformed one
+    (b"1 1:x\n" + b"1 1:2\n" * 10000 + b"1 1:\xe9\n", 10002),
+])
+def test_libsvm_not_utf8(tmp_path, text, line):
+    p = tmp_path / "bad.txt"
+    p.write_bytes(text)
+    with pytest.raises(InputError, match=re.escape(f"{p}:{line}: not UTF-8 text")):
+        load_libsvm(str(p))
+
+
+@pytest.mark.parametrize("text,line", [
+    (b"a,b\xe9\n1,2\n", 1),
+    (b"a,b\n1,2\n3,\xe94\n", 3),
+    (b"a,b\n1,oops\n" + b"1,2\n" * 10000 + b"3,\xe94\n", 10003),
+])
+def test_csv_not_utf8(tmp_path, text, line):
+    p = tmp_path / "bad.csv"
+    p.write_bytes(text)
+    with pytest.raises(InputError, match=re.escape(f"{p}:{line}: not UTF-8 text")):
+        load_csv(str(p))
+
+
+@st.composite
 def csv_table(draw):
     """A header and rows of finite floats, with the target column's name."""
     width = draw(st.integers(1, 5))
@@ -323,4 +468,40 @@ def test_libsvm_memory_stays_within_one_chunk_of_strings(tmp_path):
     finally:
         tracemalloc.stop()
     assert ds.features.tobytes() == x.tobytes()
+    assert peak <= 0.75 * token_list_bytes
+
+
+def test_libsvm_general_path_memory_stays_within_one_chunk_of_strings(tmp_path, monkeypatch):
+    # The same bound on rows whose indices are gapped and out of order, which
+    # only the general parser reads; the scatter then also sorts the tokens.
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((14000, 20))
+    x[:, 1] = 0.0
+    order = [j for j in range(20, 0, -1) if j != 2]
+    text = "".join(f"{row[0]!r} " + " ".join(f"{j}:{row[j - 1]!r}" for j in order)
+                   + "\n" for row in x.tolist())
+    tokens = text.split()
+    token_list_bytes = sys.getsizeof(tokens) + sum(map(sys.getsizeof, tokens))
+    del tokens
+    p = tmp_path / "big.txt"
+    p.write_text(text)
+    assert len(text) >= 5 * data._CHUNK_BYTES
+    del text
+    dense_chunks = []
+    dense = data._parse_dense_chunk
+
+    def spy(text):
+        chunk = dense(text)
+        dense_chunks.append(chunk is not None)
+        return chunk
+
+    monkeypatch.setattr(data, "_parse_dense_chunk", spy)
+    tracemalloc.start()
+    try:
+        ds = load_libsvm(str(p))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.features.tobytes() == x.tobytes()
+    assert len(dense_chunks) >= 5 and not any(dense_chunks)
     assert peak <= 0.75 * token_list_bytes
