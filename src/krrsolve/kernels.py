@@ -25,19 +25,13 @@ slab can be written into a caller's C-contiguous float64 buffer instead,
 with the same bits.
 
 The kernel matrix of N data points is accessed through a ``KernelOracle``,
-which generates dense blocks on demand and carries the byte budget for
-generated blocks.  Products with a kernel block A(R, C) go
-through ``KernelBlocks``, which holds the one slab rule: when all of A(R, C)
-fits in the budget it is generated once, on first use, and kept; otherwise
-each product regenerates it in row slabs as tall as the budget allows.  The
-caller picks the budget.  A pass that reads its block once passes a small
-one, so the block streams even when the oracle's budget would hold it: the
-direct restricted solve's pass, and the full solve's first A.v, whose
-second apply starts a ``KernelBlocks`` under the oracle's budget.
-``KernelBlocks`` hands every slab one buffer that all passes reuse;
-``predict``'s ``kernel_rows`` slabs are written into it, while the
-oracle-backed streams of the solvers (``krr._kernel_columns``) ignore it
-and allocate each slab afresh.
+which generates dense blocks on demand and carries the memory budget, the
+largest block kept.  Products with a kernel block A(R, C) go through
+``KernelBlocks``, the one place that decides whether a block is kept or
+streamed and how tall its slabs are (see its docstring and
+``SLAB_BYTES``).  ``predict``'s ``kernel_rows`` slabs are written into its
+slab buffer, while the oracle-backed streams of the solvers
+(``krr._kernel_columns``) ignore it and allocate each slab afresh.
 """
 
 from __future__ import annotations
@@ -55,7 +49,20 @@ LAPLACE1 = "laplace1"
 KERNEL_FAMILIES = (SQUARED_EXPONENTIAL, LAPLACE1)
 DEFAULT_BANDWIDTH = 3.0
 
-DEFAULT_MEMORY_BUDGET = 1 << 30  # bytes of scratch for generated kernel blocks
+DEFAULT_MEMORY_BUDGET = 1 << 30  # bytes of the largest kernel block kept
+
+# bytes of the slabs every stream generates (see ``KernelBlocks``).  Of 2,
+# 4, 8, 16 and 32 MiB, 8 MiB was the smallest as fast as keeping A(:,S) in
+# the direct solve's pass (2 BLAS threads, dim 20): 85 against 90 ms kept
+# at N = 8000, k = 600 (medians of 15), and 515 against 511 ms at
+# N = 20000, k = 1000 (medians of 7), where 2 MiB took 107 and 836 ms.  The
+# full solve's first A.v through these slabs took 27.5 against 37.7 ms
+# kept at N = 3000, and 102.1 against 163.7 ms at N = 6000 (medians of 9).
+# Over a budget they beat slabs as tall as the budget: KRILL at N = 100000,
+# k = 1000, with its 800 MB A(:,S) over a 400 MiB budget, took 4.5-6.3 s
+# at 162-168 MB max RSS against 6.7-8.1 s at 551-564 MB, in the same 14
+# iterations
+SLAB_BYTES = 8 << 20
 
 _EPS = np.finfo(np.float64).eps
 # entries per row tile when finishing a squared-exponential block (512 KiB);
@@ -255,7 +262,7 @@ class KernelOracle:
     """
 
     n: int
-    memory_budget: int = DEFAULT_MEMORY_BUDGET  # bytes per generated block
+    memory_budget: int = DEFAULT_MEMORY_BUDGET  # bytes of the largest block kept
 
     def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Dense submatrix A(rows, cols)."""
@@ -326,35 +333,61 @@ class ExplicitMatrixOracle(KernelOracle):
 
 
 class KernelBlocks:
-    """Products with a kernel block A(R, C), one budgeted row slab at a time.
+    """Products with a kernel block A(R, C): the one rule for keeping a
+    block or streaming it in row slabs.
 
     ``generate(start, stop, out)`` returns the dense rows A(R[start:stop], C).
-    Iterating yields ``(start, stop, slab)`` over row slabs of at most
-    ``budget`` bytes (at least one row).  When one slab holds all of
-    A(R, C), it is generated on first use with ``out=None`` and kept as
-    long as this object lives; a caller that reads the block once passes a
-    budget below its size instead (see ``krr._kernel_columns``).
-    Otherwise every pass regenerates the slabs into one ``height x n_cols``
-    buffer, allocated on the first pass and kept: ``out`` is the C-contiguous
-    view of its first ``stop - start`` rows, which ``generate`` may fill and
-    return, or ignore and return an array of its own.  A streamed slab is
-    then overwritten by the next one, so each must be used before the
-    iteration advances.
+    Iterating is one pass over the block: it yields ``(start, stop, slab)``.
+
+    * Every stream uses slabs of at most min(budget, ``SLAB_BYTES``) bytes
+      (at least one row), however large the block.
+    * The budget decides only whether the block is kept: it is kept when
+      all of A(R, C) fits in the budget, generated once with ``out=None``
+      and held as long as this object lives.
+    * A block that fits is kept from the first pass when it is at most two
+      slabs of ``SLAB_BYTES``, which a stream holds anyway (a slab beside
+      the slab buffer), or when the caller passes ``reread`` because it
+      always passes again.  Otherwise the first pass streams it, so a caller
+      that reads it once never holds it, and the second pass releases the
+      first pass's slab buffer and then keeps it.  That costs one streamed
+      pass more than keeping it from the start: a full solve of about 100
+      iterations at N = 2000 went from 0.118 to 0.133 s (medians of 6
+      processes).
+    * A stream regenerates its slabs on every pass into one
+      ``height x n_cols`` buffer, allocated on its first pass and kept:
+      ``out`` is the C-contiguous view of its first ``stop - start`` rows,
+      which ``generate`` may fill and return, or ignore and return an array
+      of its own.  A streamed slab is then overwritten by the next one, so
+      each must be used before the iteration advances.
     """
 
-    def __init__(self, generate, n_rows: int, n_cols: int, budget: int):
+    def __init__(self, generate, n_rows: int, n_cols: int, budget: int,
+                 reread: bool = False):
         self.generate = generate
         self.n_rows = n_rows
         self.n_cols = n_cols
+        size = 8 * n_rows * n_cols
         # a block with no columns takes no bytes, so any budget holds all of it
-        self.height = max(1, int(budget // (8 * n_cols)) if n_cols else n_rows)
+        self.height = (max(1, int(min(budget, SLAB_BYTES) // (8 * n_cols))) if n_cols
+                       else n_rows)
+        # the pass that generates the block to keep, or None to stream it
+        keep_at = 0 if reread or size <= 2 * SLAB_BYTES else 1
+        self._keep_at = keep_at if size <= budget else None
+        self._passes = 0
         self._kept = None
         self._buffer = None
 
+    @property
+    def kept(self) -> bool:
+        """Whether the whole block is held."""
+        return self._kept is not None
+
     def __iter__(self):
-        if self.height >= self.n_rows:
-            if self._kept is None:
-                self._kept = self.generate(0, self.n_rows, None)
+        if self._passes == self._keep_at:
+            self._buffer = None  # released before the block is generated
+            self._kept = self.generate(0, self.n_rows, None)
+        self._passes += 1
+        if self._kept is not None:
             yield 0, self.n_rows, self._kept
             return
         if self._buffer is None:

@@ -27,19 +27,14 @@ k >~ iterations * 3.8 ns * 44 GFLOP/s, about 2400, and N >> 4k, where
 Y^T Y costs less than the exact Gram.
 
 Both solvers apply their kernel block (A for the full problem, A(:,S) for
-the restricted one) as ``KernelBlocks`` under a byte budget: the block is
-generated once and kept when it fits, and otherwise regenerated in row
-slabs on every product.  The budget is the oracle's, except for a pass that
-reads its block once: that pass streams the block in slabs of at most
-``SINGLE_PASS_BUDGET`` bytes even when it would fit, unless it is no larger
-than the two slabs a stream holds (``_kernel_columns``).  The direct solve
-reads A(:,S) once.  The full solve's first A.v is read once too, as PCG may
-stop after it; its second apply generates A again and keeps it, when it
-fits, for the iterations that follow, so a solve of two or more iterations
-pays one streamed pass more than keeping A from the start.
-``predict`` uses its block K(test, points) once, so it never keeps it
-either: it streams the block through one reused slab buffer of at most
-``PREDICT_BUDGET`` bytes.
+the restricted one) as ``KernelBlocks`` under the oracle's memory budget,
+which keeps the block or streams it (see ``kernels.KernelBlocks``).  The
+full solve and the direct restricted solve may read their block once, so
+they keep it only from a second pass; the PCG restricted methods pass
+again every iteration, so they keep it from the first.
+``meta["operator_kept"]`` records whether the solve ended holding its block.
+``predict`` uses its block K(test, points) once, so it streams the block
+through one reused slab buffer of at most ``PREDICT_BUDGET`` bytes.
 """
 
 from __future__ import annotations
@@ -87,33 +82,13 @@ DEFAULT_PRECONDITIONER = DIRECT
 # bytes of the slab buffer ``predict`` streams its test kernel through; of
 # 2, 4, 8 and 16 MiB, 4 MiB predicted fastest
 PREDICT_BUDGET = 4 << 20
-# bytes of the slabs a pass read once streams its block through (see
-# ``_kernel_columns``); of 2, 4, 8, 16 and 32 MiB, 8 MiB was the smallest
-# as fast as keeping A(:,S) in the direct solve's pass (2 BLAS threads,
-# dim 20): 85 against 90 ms kept at N = 8000, k = 600 (medians of 15), and
-# 515 against 511 ms at N = 20000, k = 1000 (medians of 7), where 2 MiB
-# took 107 and 836 ms.  The full solve's first A.v through these slabs
-# took 27.5 against 37.7 ms kept at N = 3000, and 102.1 against 163.7 ms at
-# N = 6000 (medians of 9)
-SINGLE_PASS_BUDGET = 8 << 20
 
 
 def _kernel_columns(oracle: KernelOracle, cols: np.ndarray,
-                    once: bool = False) -> KernelBlocks:
-    """A(:, cols) in row slabs under the oracle's memory budget.
-
-    With ``once``, for a pass that reads the block once, the slabs hold at
-    most min(oracle budget, ``SINGLE_PASS_BUDGET``) bytes, even when all of
-    A(:, cols) fits the budget: keeping it would hold the whole block for
-    one read.  A stream holds each slab beside the slab buffer
-    ``KernelBlocks`` allocates, so a block of at most two such slabs is
-    kept all the same.
-    """
-    budget = oracle.memory_budget
-    if once and 8 * oracle.n * cols.size > 2 * SINGLE_PASS_BUDGET:
-        budget = min(budget, SINGLE_PASS_BUDGET)
+                    reread: bool = False) -> KernelBlocks:
+    """A(:, cols) as ``KernelBlocks`` under the oracle's memory budget."""
     return KernelBlocks(lambda start, stop, out: oracle.block(np.arange(start, stop), cols),
-                        oracle.n, cols.size, budget)
+                        oracle.n, cols.size, oracle.memory_budget, reread)
 
 
 @dataclass
@@ -136,16 +111,10 @@ class FullKrrProblem:
 def solve_full_krr(problem: FullKrrProblem) -> SolveReport:
     """Preconditioned CG on (A + mu I) beta = y.
 
-    PCG may stop after its first A.v, so that apply streams A as a pass read
-    once (see ``_kernel_columns``).  A second apply means more follow, so it
-    releases the first pass's blocks, slab buffer included, and then
-    generates A once and keeps it for the rest of the solve when A fits the
-    oracle's budget.  A solve of one iteration thus never holds A.  One of
-    two or more iterations, with an A larger than two single-pass slabs but
-    within the budget, generates A twice: one streamed pass more than
-    keeping A from the start, which took a solve of about 100 iterations at
-    N = 2000 from 0.118 to 0.133 s (medians of 6 processes).
-    ``meta["operator_kept"]`` records whether PCG read a kept A.
+    PCG may stop after its first A.v, so A is a block that may be read once
+    (see ``kernels.KernelBlocks``): a solve of one iteration never holds an
+    A larger than two slabs.  ``meta["operator_kept"]`` records whether PCG
+    read a kept A.
     """
     oracle, mu = problem.oracle, problem.mu
     t0 = time.perf_counter()
@@ -153,28 +122,16 @@ def solve_full_krr(problem: FullKrrProblem) -> SolveReport:
     pre = build_rpc_preconditioner(factor, mu)
     build_time = time.perf_counter() - t0
 
-    cols = np.arange(oracle.n)
-    kernel = _kernel_columns(oracle, cols, once=True)
-    applies = 0
-
-    def apply(v):
-        nonlocal kernel, applies
-        applies += 1
-        if applies == 2 and kernel.height < oracle.n:
-            # rebinding frees the first pass's blocks, slab buffer included,
-            # before the apply below generates A
-            kernel = _kernel_columns(oracle, cols)
-        return kernel.apply(v) + mu * v
-
-    report = pcg(LinearOperator(oracle.n, apply), problem.y, problem.epsilon,
-                 pre.apply_inverse, max_iter=problem.max_iter)
+    kernel = _kernel_columns(oracle, np.arange(oracle.n))
+    report = pcg(LinearOperator(oracle.n, lambda v: kernel.apply(v) + mu * v), problem.y,
+                 problem.epsilon, pre.apply_inverse, max_iter=problem.max_iter)
     report.meta.update(
         mode=FULL,
         pivot_rule=problem.pivot_rule.kind,
         factor_rank=factor.rank,
         factor_rank_requested=problem.rank,
         preconditioner_build_time=build_time,
-        operator_kept=applies > 0 and kernel.height >= oracle.n,
+        operator_kept=kernel.kept,
     )
     return report
 
@@ -219,7 +176,8 @@ class RestrictedKrrProblem:
 def _first_pass(a_ns: KernelBlocks, y: np.ndarray, b: np.ndarray, phi=None,
                 gram: bool = False):
     """Add A(S,:) y into ``b`` and return, given Phi, Y = Phi A(:,S), or, with
-    ``gram``, G = A(S,:) A(:,S), in one pass over the slabs of A(:,S).
+    ``gram``, G = A(S,:) A(:,S), in one pass over A(:,S), whose slabs
+    ``kernels.KernelBlocks`` sizes.
 
     Y is accumulated k rows at a time, so no d x k temporary is made; each
     entry is the same sum, in the same order, as in Y += Phi(:,I) A(I,S).
@@ -277,10 +235,9 @@ def solve_restricted_krr(problem: RestrictedKrrProblem) -> SolveReport:
 
     ``DIRECT`` (the default) accumulates the exact matrix
     M = A(S,:) A(:,S) + mu A(S,S) and the right-hand side A(S,:) y in one
-    pass over A(:,S), streamed as a pass read once (see
-    ``_kernel_columns``).  It factors M + jitter I into
-    X = L^{-1} by ``lowrank._inverse_cholesky`` and runs PCG on M itself,
-    held in memory (see ``_solve_direct``).  It builds no sketch: it holds
+    pass over A(:,S), a block read once (see ``kernels.KernelBlocks``).
+    It factors M + jitter I into X = L^{-1} by ``lowrank._inverse_cholesky``
+    and runs PCG on M itself, held in memory (see ``_solve_direct``).  It builds no sketch: it holds
     one slab, G and A(S,S) during the pass, then M, A(S,S) and X; L is
     never formed.
 
@@ -300,11 +257,11 @@ def solve_restricted_krr(problem: RestrictedKrrProblem) -> SolveReport:
     oracle, centers, mu, y = problem.oracle, problem.centers, problem.mu, problem.y
     k = centers.size
     t0 = time.perf_counter()
-    # the direct solve reads A(:,S) once; the others keep a block that fits
-    # for every PCG iteration.  a_ns stays bound until the solve returns:
-    # freeing the direct pass's streamed blocks early left a higher peak RSS
-    # behind, through glibc's heap
-    a_ns = _kernel_columns(oracle, centers, once=problem.preconditioner == DIRECT)
+    # the direct solve reads A(:,S) once; the others pass again every PCG
+    # iteration.  a_ns stays bound until the solve returns: freeing the
+    # direct pass's streamed blocks early left a higher peak RSS behind,
+    # through glibc's heap
+    a_ns = _kernel_columns(oracle, centers, reread=problem.preconditioner != DIRECT)
     a_ss = oracle.block(centers, centers)
     a_ss = 0.5 * (a_ss + a_ss.T)
 
@@ -347,6 +304,7 @@ def solve_restricted_krr(problem: RestrictedKrrProblem) -> SolveReport:
         preconditioner=problem.preconditioner,
         centers=k,
         preconditioner_build_time=build_time,
+        operator_kept=a_ns.kept,
     )
     if pre is not None:
         report.meta["preconditioner_jitter"] = pre.jitter

@@ -74,6 +74,15 @@ def test_summary_records_whether_the_full_solve_kept_a(tmp_path):
         assert json.load(fh)["operator_kept"] is True
 
 
+def test_summary_records_whether_the_restricted_solve_kept_a_ns(tmp_path):
+    dataset = write_libsvm(tmp_path / "toy.txt", n=60)
+    config = ExperimentConfig(dataset=dataset, seed=3, mode="restricted", centers=8,
+                              preconditioner="krill", output_dir=str(tmp_path / "out"))
+    harness.run_experiment(config)
+    with open(os.path.join(config.output_dir, "summary.json")) as fh:
+        assert json.load(fh)["operator_kept"] is True
+
+
 @pytest.mark.parametrize("mode", ["full", "restricted"])
 def test_center_targets_adds_the_target_mean_back(tmp_path, mode):
     # constant targets centre to zero, so the solution is zero and every

@@ -6,8 +6,10 @@ import pytest
 
 from krrsolve.errors import InputError
 from krrsolve.kernels import (
+    DEFAULT_MEMORY_BUDGET,
     KERNEL_FAMILIES,
     LAPLACE1,
+    SLAB_BYTES,
     SQUARED_EXPONENTIAL,
     _TILE_ENTRIES,
     DatasetKernelOracle,
@@ -186,6 +188,53 @@ class TestKernelBlocks:
             out[...] = matrix[start:stop]
             return out
         return KernelBlocks(generate, *matrix.shape, budget), outs
+
+    @staticmethod
+    def logged(n_rows, n_cols, reread=False):
+        """Blocks of ones under the default budget whose generator logs each
+        call as (start, stop, ``out`` given, slab buffer held)."""
+        calls = []
+
+        def generate(start, stop, out):
+            calls.append((start, stop, out is not None, kernel._buffer is not None))
+            return np.ones((stop - start, n_cols))
+        kernel = KernelBlocks(generate, n_rows, n_cols, DEFAULT_MEMORY_BUDGET, reread)
+        return kernel, calls
+
+    # 1000 columns of a block just over two slabs, which fits the default budget
+    BEYOND_TWO_SLABS = 2 * SLAB_BYTES // 8000 + 1
+
+    def test_reread_keeps_a_fitting_block_from_the_first_pass(self):
+        rows = self.BEYOND_TWO_SLABS
+        kernel, calls = self.logged(rows, 1000, reread=True)
+        for _ in range(3):
+            np.testing.assert_array_equal(kernel.apply(np.ones(1000)), np.full(rows, 1000.0))
+        assert calls == [(0, rows, False, False)]
+        assert kernel.kept
+
+    def test_a_block_read_once_streams_then_is_kept_from_the_second_pass(self):
+        rows = self.BEYOND_TWO_SLABS
+        kernel, calls = self.logged(rows, 1000)
+        height = SLAB_BYTES // 8000
+        assert kernel.height == height
+        kernel.apply(np.ones(1000))
+        assert calls == [(0, height, True, True), (height, 2 * height, True, True),
+                         (2 * height, rows, True, True)]
+        assert not kernel.kept
+        for _ in range(2):
+            np.testing.assert_array_equal(kernel.apply(np.ones(1000)), np.full(rows, 1000.0))
+        # generated once more, whole, after the stream's buffer was released
+        assert calls[3:] == [(0, rows, False, False)]
+        assert kernel.kept and kernel._buffer is None
+
+    def test_a_block_over_a_large_budget_streams_in_slab_bytes(self):
+        def generate(start, stop, out):
+            raise AssertionError("generated at construction")
+        n_cols = 1000
+        n_rows = DEFAULT_MEMORY_BUDGET // (8 * n_cols) + 1
+        kernel = KernelBlocks(generate, n_rows, n_cols, DEFAULT_MEMORY_BUDGET, reread=True)
+        assert kernel.height == SLAB_BYTES // (8 * n_cols)
+        assert not kernel.kept and kernel._buffer is None
 
     def test_keeps_block_that_fits(self):
         a = np.random.default_rng(7).standard_normal((10, 4))

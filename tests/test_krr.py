@@ -14,6 +14,7 @@ from krrsolve.errors import InputError
 from krrsolve.kernels import (
     DEFAULT_MEMORY_BUDGET,
     KERNEL_FAMILIES,
+    SLAB_BYTES,
     DatasetKernelOracle,
     KernelSpec,
     pairwise_kernel,
@@ -21,7 +22,6 @@ from krrsolve.kernels import (
 from krrsolve.krr import (
     PREDICT_BUDGET,
     PRECONDITIONERS,
-    SINGLE_PASS_BUDGET,
     FullKrrProblem,
     RestrictedKrrProblem,
     predict,
@@ -223,7 +223,7 @@ def test_full_solve_frees_its_first_pass_before_keeping_a():
     finally:
         tracemalloc.stop()
     assert report.iterations == 2 and report.meta["operator_kept"]
-    assert peak <= 8 * n * n + SINGLE_PASS_BUDGET // 4
+    assert peak <= 8 * n * n + SLAB_BYTES // 4
 
 
 def test_one_iteration_full_solve_never_holds_a():
@@ -244,6 +244,68 @@ def test_one_iteration_full_solve_never_holds_a():
     assert report.converged and report.iterations == 1
     assert report.meta["operator_kept"] is False
     assert peak <= 52e6 < 8 * n * n
+
+
+def test_full_solve_over_its_budget_holds_two_slabs():
+    # A is 128 MB over a 64 MiB budget, so both passes stream it in slabs of
+    # SLAB_BYTES; slabs as tall as the budget peaked at 136.2 MB, and these
+    # measured 18.6 MB
+    n, rank = 4000, 40
+    x, y = points(n=n)
+    problem = FullKrrProblem(DatasetKernelOracle(x, SPEC, 64 << 20), y, MU, rank=rank,
+                             epsilon=1e-14, pivot_rule=PivotRule(seed=3), max_iter=2)
+    tracemalloc.start()
+    try:
+        report = solve_full_krr(problem)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.iterations == 2 and report.meta["operator_kept"] is False
+    # beside the slab and the slab buffer: the factor, the preconditioner
+    # and PCG's vectors
+    assert peak <= 2 * SLAB_BYTES + 4 * 8 * n * rank < problem.oracle.memory_budget
+
+
+def test_krill_solve_over_its_budget_holds_two_slabs():
+    # A(:,S) is 96 MB over a 48 MiB budget; slabs as tall as the budget
+    # peaked at 120.3 MB, and these measured 36.1 MB
+    n, k = 20000, 600
+    x, y = points(n=n)
+    centers = select_centers_uniform(n, k, seed=1)
+    problem = RestrictedKrrProblem(DatasetKernelOracle(x, SPEC, 48 << 20), centers, y,
+                                   MU, preconditioner="krill", embedding_seed=2)
+    d = problem.embedding_shape()[0]
+    tracemalloc.start()
+    try:
+        report = solve_restricted_krr(problem)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.converged and report.meta["operator_kept"] is False
+    # beside the slab and the slab buffer: Y = Phi A(:,S), and k x k arrays
+    # (A(S,S), each slab's share of Y, the preconditioner) and Phi below them
+    assert peak <= 2 * SLAB_BYTES + 8 * d * k + 4 * 8 * k * k < problem.oracle.memory_budget
+
+
+# (preconditioner, points, centers, budget in columns, A(:,S) kept): the PCG
+# methods pass again every iteration, so they keep a block that fits from
+# the first pass; the direct solve reads it once, so it keeps only a block
+# of at most two slabs
+@pytest.mark.parametrize("pre, n, k, columns, kept", [
+    ("krill", N, K, None, True),
+    ("falkon", N, K, None, True),
+    ("none", N, K, None, True),
+    ("krill", N, K, 3, False),
+    ("direct", N, K, None, True),
+    ("direct", 16000, 300, None, False),
+])
+def test_restricted_solve_records_whether_it_kept_a_ns(pre, n, k, columns, kept):
+    x, y = points(n=n)
+    problem = RestrictedKrrProblem(oracle(x, columns), select_centers_uniform(n, k, seed=4),
+                                   y, MU, preconditioner=pre, embedding_seed=5)
+    report = solve_restricted_krr(problem)
+    assert report.converged
+    assert report.meta["operator_kept"] is kept
 
 
 def test_predict_one_row_at_a_time_matches_dense():
@@ -392,7 +454,7 @@ def test_direct_solve_streams_a_block_that_fits_the_budget():
     finally:
         tracemalloc.stop()
     assert report.converged
-    assert peak <= 2 * SINGLE_PASS_BUDGET + 4 * 8 * k * k < 8 * n * k
+    assert peak <= 2 * SLAB_BYTES + 4 * 8 * k * k < 8 * n * k
 
 
 def test_direct_solve_matches_dense_solve_at_tiny_mu():
