@@ -33,8 +33,9 @@ EXIT_NUMERICAL = 3
 
 
 def _add_solve_flags(parser, mode):
-    """One flag per config key, except ``mode`` (the subcommand sets it) and
-    the keys tagged for the other mode."""
+    """The handler that solves in ``mode``, and one flag per config key,
+    except ``mode`` itself and the keys tagged for the other mode."""
+    parser.set_defaults(run=lambda args: _cmd_solve(args, mode))
     parser.add_argument("--config", help="config file; flags below override it "
                                          "(a seed must be set in one of them)")
     types = field_types()
@@ -133,8 +134,10 @@ def build_parser():
     p_bench = sub.add_parser("bench", help="run a directory of configs")
     p_bench.add_argument("config_dir")
     p_bench.add_argument("--workers", type=int, default=1)
+    p_bench.set_defaults(run=_cmd_bench)
 
     p_adv = sub.add_parser("adversarial", help="failure-mode separation suite")
+    p_adv.set_defaults(run=_cmd_adversarial)
     p_adv.add_argument("--seed", type=int, required=True)
     p_adv.add_argument("--n", type=int, default=1000)
     p_adv.add_argument("--rank", type=int, default=10)
@@ -143,6 +146,7 @@ def build_parser():
     p_adv.add_argument("--output", help="write full JSON records here")
 
     p_ver = sub.add_parser("verify-theorems", help="conditioning-guarantee experiments")
+    p_ver.set_defaults(run=_cmd_verify)
     p_ver.add_argument("--seed", type=int, required=True)
     p_ver.add_argument("--n", type=int, default=200, help="spectrum length")
     p_ver.add_argument("--mu", type=float, default=1e-3)
@@ -155,20 +159,9 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "solve-full":
-            return _cmd_solve(args, FULL)
-        if args.command == "solve-restricted":
-            return _cmd_solve(args, RESTRICTED)
-        if args.command == "bench":
-            return _cmd_bench(args)
-        if args.command == "adversarial":
-            return _cmd_adversarial(args)
-        if args.command == "verify-theorems":
-            return _cmd_verify(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -178,7 +171,6 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical breakdown: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    return EXIT_INPUT
 
 
 if __name__ == "__main__":

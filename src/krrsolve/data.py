@@ -10,8 +10,9 @@ Supported input formats:
   repeated within a row keeps its last value.
 * CSV with a header row; the target column is selected by name.
 
-Both are read as UTF-8: a file that is not is rejected before any row is
-parsed, with an ``InputError`` that names its first line that is not.
+Both are read as UTF-8, after a byte-order mark if the file starts with
+one: a file that is not UTF-8 is rejected before any row is parsed, with
+an ``InputError`` that names its first line that is not.
 Malformed and non-finite values are rejected with an ``InputError`` that
 names ``path:line`` of the first bad line in the file.
 
@@ -278,10 +279,11 @@ def _raise_first_libsvm_error(path: str, lines: list, first_line: int) -> NoRetu
 
 @contextlib.contextmanager
 def _utf8_text(path: str, newline: Optional[str] = None):
-    """``path`` opened as UTF-8 text; a byte that is not UTF-8, met anywhere
-    in the block, raises an ``InputError`` instead."""
+    """``path`` opened as UTF-8 text, less a leading byte-order mark (also
+    after ``seek(0)``); a byte that is not UTF-8, met anywhere in the block,
+    raises an ``InputError`` instead."""
     try:
-        with open(path, encoding="utf-8", newline=newline) as fh:
+        with open(path, encoding="utf-8-sig", newline=newline) as fh:
             yield fh
     except UnicodeDecodeError:
         raise _not_utf8(path) from None

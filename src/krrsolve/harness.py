@@ -4,10 +4,11 @@ Each run produces, inside the configured output directory:
 
 * ``residuals.csv``  -- iteration, relative_residual
 * ``summary.json``   -- convergence flag, iteration counts, timings
-  (``load_time`` for reading the dataset, ``solve_time``, ``total_time``),
-  and test metrics when a test split is configured: ``test_error``,
-  ``test_size`` and ``predict_time``, the wall time of predicting the test
-  targets.
+  (``load_time`` for reading the dataset; ``solve_time``, the solver's
+  whole call, of which ``preconditioner_build_time`` is the part before
+  PCG; ``total_time``), the solver's other ``meta`` records, and test
+  metrics when a test split is configured: ``test_error``, ``test_size``
+  and ``predict_time``, the wall time of predicting the test targets.
 
 Batch mode runs a directory of configs (in parallel up to a worker limit)
 and additionally writes ``fraction_solved.csv``, the fraction of runs whose
@@ -127,7 +128,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
         "iterations_to_epsilon": int(report.iterations) if report.converged else None,
         "final_relative_residual": float(report.residual_history[-1]),
         "load_time": load_time,
-        "solve_time": float(report.wall_time),
         "total_time": None,  # filled below
         "seed": config.seed,
         **{k: v for k, v in report.meta.items() if not isinstance(v, np.ndarray)},

@@ -131,6 +131,7 @@ def solve_full_krr(problem: FullKrrProblem) -> SolveReport:
         factor_rank=factor.rank,
         factor_rank_requested=problem.rank,
         preconditioner_build_time=build_time,
+        solve_time=time.perf_counter() - t0,
         operator_kept=kernel.kept,
     )
     return report
@@ -250,9 +251,10 @@ def solve_restricted_krr(problem: RestrictedKrrProblem) -> SolveReport:
     ``krill_from_sketch`` builds either preconditioner as Y^T Y + mu A(S,S).
 
     ``meta["preconditioner_build_time"]`` counts the first pass and the
-    factorization, and ``meta["preconditioner_jitter"]`` is the
-    multiple of the identity added to make the k x k matrix factorable.  See
-    the module docstring for what each method costs.
+    factorization, ``meta["solve_time"]`` the whole call, and
+    ``meta["preconditioner_jitter"]`` is the multiple of the identity added
+    to make the k x k matrix factorable.  See the module docstring for what
+    each method costs.
     """
     oracle, centers, mu, y = problem.oracle, problem.centers, problem.mu, problem.y
     k = centers.size
@@ -304,6 +306,7 @@ def solve_restricted_krr(problem: RestrictedKrrProblem) -> SolveReport:
         preconditioner=problem.preconditioner,
         centers=k,
         preconditioner_build_time=build_time,
+        solve_time=time.perf_counter() - t0,
         operator_kept=a_ns.kept,
     )
     if pre is not None:

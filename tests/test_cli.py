@@ -301,6 +301,50 @@ def test_bench_rejects_config_without_seed(tmp_path, dataset, capsys):
         run_batch(str(cfg_dir))
 
 
+def _bench_dir(tmp_path, dataset, runs):
+    """A directory of restricted-run configs, one per (name, extra lines)."""
+    cfg_dir = tmp_path / "cfgs"
+    cfg_dir.mkdir()
+    for name, extra in runs.items():
+        (cfg_dir / f"{name}.cfg").write_text(
+            f"dataset = {dataset}\nseed = 0\nmode = restricted\ncenters = 10\n"
+            f"output_dir = {tmp_path / name}\n{extra}")
+    return cfg_dir
+
+
+@pytest.mark.parametrize("capped, code", [(False, EXIT_OK), (True, EXIT_NOT_CONVERGED)])
+def test_bench_exits_by_how_many_runs_converged(tmp_path, dataset, capsys, capped, code):
+    runs = {"direct": "", "krill": "preconditioner = krill\n"}
+    if capped:
+        runs["capped"] = "preconditioner = none\nmax_iter = 1\nepsilon = 1e-12\n"
+    cfg_dir = _bench_dir(tmp_path, dataset, runs)
+    exit_code, cap = _run(capsys, ["bench", str(cfg_dir)])
+    assert exit_code == code
+    assert json.loads(cap.out) == {
+        "runs": len(runs), "not_converged": int(capped),
+        "fraction_solved_csv": str(cfg_dir / "fraction_solved.csv")}
+    for name in runs:
+        assert (tmp_path / name / "summary.json").exists()
+
+
+def test_bench_without_configs_is_an_input_error(tmp_path, dataset, capsys):
+    cfg_dir = _bench_dir(tmp_path, dataset, {})
+    (cfg_dir / "notes.txt").write_text("seed = 0\n")
+    code, cap = _run(capsys, ["bench", str(cfg_dir)])
+    assert code == EXIT_INPUT
+    assert f"no .cfg files in {cfg_dir}" in cap.err
+
+
+def test_csv_without_target_column_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "feat.csv"
+    path.write_text("a,b\n1,2\n3,4\n5,7\n")
+    code, cap = _run(capsys, ["solve-full", "--dataset", str(path), "--format", "csv",
+                              "--seed", "0", "--rank", "1",
+                              "--output-dir", str(tmp_path / "out")])
+    assert code == EXIT_INPUT
+    assert "dataset has no targets" in cap.err
+
+
 def test_adversarial_stdout_has_no_lists(tmp_path, capsys):
     out = tmp_path / "adv.json"
     code, cap = _run(capsys, ["adversarial", "--seed", "0", "--n", "100",

@@ -159,6 +159,16 @@ def test_nonfinite_or_nonpositive_values_are_rejected(name, value):
         _valid(**{name: value}).validate()
 
 
+@pytest.mark.parametrize("overrides,match", [
+    ({"test_fraction": 1.0}, "test_fraction"),
+    ({"memory_budget_bytes": 0}, "memory budget"),
+    ({"mode": "restricted", "centers": 0}, "centers"),
+])
+def test_out_of_range_values_are_rejected(overrides, match):
+    with pytest.raises(InputError, match=match):
+        _valid(**overrides).validate()
+
+
 def test_missing_seed_is_rejected():
     _valid().validate()
     with pytest.raises(InputError, match="seed"):

@@ -397,6 +397,46 @@ def test_csv_not_utf8(tmp_path, text, line):
         load_csv(str(p))
 
 
+def test_libsvm_after_a_byte_order_mark_parses_as_without_it(tmp_path, monkeypatch):
+    # both passes drop the mark, so every chunk stays dense and the line
+    # numbers are unchanged
+    x = np.random.default_rng(5).standard_normal((60, 3))
+    text = "".join(f"{row[0]!r} " + " ".join(f"{j}:{v!r}" for j, v in enumerate(row, 1))
+                   + "\n" for row in x.tolist())
+    plain, marked = tmp_path / "plain.svm", tmp_path / "bom.svm"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    monkeypatch.setattr(data, "_CHUNK_BYTES", 300)
+
+    def general(*args):
+        raise AssertionError("a dense chunk reached the general parser")
+
+    with monkeypatch.context() as m:
+        m.setattr(data, "_parse_libsvm_chunk", general)
+        ds, expect = load_libsvm(str(marked)), load_libsvm(str(plain))
+    assert ds.features.tobytes() == expect.features.tobytes() == x.tobytes()
+    assert ds.targets.tobytes() == expect.targets.tobytes()
+    marked.write_text("1 1:2\n-1 1:x\n", encoding="utf-8-sig")
+    with pytest.raises(InputError, match=re.escape(f"{marked}:2: bad feature token '1:x'")):
+        load_libsvm(str(marked))
+
+
+def test_csv_after_a_byte_order_mark_finds_its_first_column(tmp_path):
+    p = tmp_path / "bom.csv"
+    p.write_text("y,a,b\n10,1,2\n20,3,4\n", encoding="utf-8-sig")
+    ds = load_csv(str(p), target_column="y")
+    np.testing.assert_array_equal(ds.targets, [10.0, 20.0])
+    np.testing.assert_array_equal(ds.features, [[1.0, 2.0], [3.0, 4.0]])
+
+
+def test_libsvm_of_comments_and_blank_lines_has_no_data_rows(tmp_path):
+    p = tmp_path / "empty.svm"
+    p.write_text("# a header\n\n   \n# 1 1:2\n")
+    with pytest.raises(InputError, match=re.escape(f"{p}: no data rows")):
+        load_libsvm(str(p))
+
+
 @st.composite
 def csv_table(draw):
     """A header and rows of finite floats, with the target column's name."""

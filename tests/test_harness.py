@@ -62,6 +62,28 @@ def test_summary_times_prediction_within_the_run(tmp_path, mode):
         assert json.load(fh)["predict_time"] == summary["predict_time"]
 
 
+@pytest.mark.parametrize("mode", ["full", "restricted"])
+def test_summary_solve_time_is_the_solvers_own(tmp_path, monkeypatch, mode):
+    name = "solve_full_krr" if mode == "full" else "solve_restricted_krr"
+    solve, reports = getattr(harness, name), []
+
+    def spy(problem):
+        reports.append(solve(problem))
+        return reports[-1]
+
+    monkeypatch.setattr(harness, name, spy)
+    dataset = write_libsvm(tmp_path / "toy.txt", n=60)
+    config = ExperimentConfig(dataset=dataset, seed=3, mode=mode, rank=4, centers=8,
+                              output_dir=str(tmp_path / "out"))
+    summary = harness.run_experiment(config)
+    (report,) = reports
+    assert summary["solve_time"] == report.meta["solve_time"]
+    assert summary["preconditioner_build_time"] <= summary["solve_time"]
+    assert summary["solve_time"] <= summary["total_time"]
+    with open(tmp_path / "out" / "summary.json") as fh:
+        assert json.load(fh)["solve_time"] == report.meta["solve_time"]
+
+
 def test_summary_records_whether_the_full_solve_kept_a(tmp_path):
     # 60 points give an A well under two single-pass slabs, so it is kept
     # from the first apply
@@ -122,3 +144,40 @@ def test_run_batch_gives_the_same_runs_on_two_workers(tmp_path):
     assert len(runs[1]) == 2
     assert runs[1] == runs[2]
     assert fractions[1] == fractions[2]
+
+
+def test_classification_reports_the_sign_error_rate(tmp_path):
+    # a prediction of 0 counts as +1
+    assert harness.test_error([0.3, -0.2, 0.0, -1.0], [1, 1, -1, -1],
+                              "classification") == 0.5
+    dataset = tmp_path / "signs.txt"
+    x = np.random.default_rng(6).standard_normal((80, 2))
+    dataset.write_text("".join(f"{1 if a > 0 else -1} 1:{a} 2:{b}\n" for a, b in x))
+    config = ExperimentConfig(dataset=str(dataset), seed=3, task="classification",
+                              mode="full", rank=10, mu_over_n=1e-3, test_fraction=0.25,
+                              output_dir=str(tmp_path / "out"))
+    summary = harness.run_experiment(config)
+    # the label is the sign of the first feature, which the solve learns
+    assert summary["test_size"] == 20 and summary["test_error"] <= 0.1
+
+
+def test_classification_rejects_labels_other_than_plus_minus_one(tmp_path):
+    config = ExperimentConfig(dataset=write_libsvm(tmp_path / "toy.txt", n=60), seed=3,
+                              task="classification", rank=4, test_fraction=0.25,
+                              output_dir=str(tmp_path / "out"))
+    with pytest.raises(InputError, match="labels must be -1 or \\+1"):
+        harness.run_experiment(config)
+
+
+def test_subsample_trains_on_that_many_points_the_same_way_at_one_seed(tmp_path):
+    dataset = write_libsvm(tmp_path / "toy.txt", n=60)
+    timing = {"load_time", "solve_time", "total_time", "preconditioner_build_time"}
+    summaries = []
+    for run in range(2):
+        config = ExperimentConfig(dataset=dataset, seed=3, subsample=30, rank=4,
+                                  output_dir=str(tmp_path / str(run)))
+        summary = harness.run_experiment(config)
+        summaries.append({k: v for k, v in summary.items() if k not in timing})
+        assert summary["n_train"] == 30
+    assert summaries[0] == summaries[1]
+    assert _read_residuals(tmp_path / "0").tobytes() == _read_residuals(tmp_path / "1").tobytes()

@@ -1,5 +1,6 @@
 """The two solvers and ``predict`` against dense direct computations at small N."""
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -30,6 +31,7 @@ from krrsolve.krr import (
     solve_restricted_krr,
 )
 from krrsolve.lowrank import GREEDY, PIVOT_RULES, UNIFORM, PivotRule, build_factor
+from krrsolve.pcg import pcg
 from krrsolve.precond import CholeskyPreconditioner
 from krrsolve.sketch import build_embedding, practical_params
 
@@ -306,6 +308,40 @@ def test_restricted_solve_records_whether_it_kept_a_ns(pre, n, k, columns, kept)
     report = solve_restricted_krr(problem)
     assert report.converged
     assert report.meta["operator_kept"] is kept
+
+
+# (solver, points, dimension, centers, mu, PCG runs): the last case is the
+# direct solve's fallback, which runs PCG a second time on M + jitter I
+@pytest.mark.parametrize("mode, n, dim, k, mu, runs", [
+    ("full", N, 5, None, MU, 1),
+    *((pre, N, 5, K, MU, 1) for pre in PRECONDITIONERS),
+    ("direct", 400, 3, 80, 1e-12 * 400, 2),
+], ids=["full", *PRECONDITIONERS, "direct-fallback"])
+def test_solve_time_covers_the_build_and_every_pcg_run(monkeypatch, mode, n, dim, k, mu,
+                                                       runs):
+    spent = []
+
+    def timed_pcg(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return pcg(*args, **kwargs)
+        finally:  # a run that breaks down counts too
+            spent.append(time.perf_counter() - start)
+
+    monkeypatch.setattr(krr_module, "pcg", timed_pcg)
+    x, y = points(n=n, dim=dim)
+    if mode == "full":
+        report = solve_full_krr(FullKrrProblem(oracle(x), y, mu, rank=40,
+                                               pivot_rule=PivotRule(seed=3)))
+    else:
+        report = solve_restricted_krr(RestrictedKrrProblem(
+            oracle(x), select_centers_uniform(n, k, seed=4), y, mu,
+            preconditioner=mode, embedding_seed=5))
+    meta = report.meta
+    assert len(spent) == runs
+    assert meta["solve_time"] >= meta["preconditioner_build_time"] > 0
+    # the build and the PCG runs are disjoint parts of the one timed call
+    assert meta["solve_time"] >= meta["preconditioner_build_time"] + sum(spent)
 
 
 def test_predict_one_row_at_a_time_matches_dense():
