@@ -8,8 +8,10 @@ Subcommands:
 * ``adversarial``       failure-mode separation suite on the adversarial matrices
 * ``verify-theorems``   conditioning-guarantee Monte Carlo experiments
 
-Exit codes: 0 success, 1 config or I/O error, 2 solver non-convergence,
-3 numerical breakdown.
+Exit codes: 0 success, 1 config, usage or I/O error, 2 solver
+non-convergence, 3 numerical breakdown.  A usage error (an unknown flag, a
+value of the wrong type, no subcommand) prints the usage and exits 1, not
+argparse's own 2.
 """
 
 from __future__ import annotations
@@ -30,6 +32,15 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NOT_CONVERGED = 2
 EXIT_NUMERICAL = 3
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose usage errors exit ``EXIT_INPUT``; its
+    subparsers are made of the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
 def _add_solve_flags(parser, mode):
@@ -120,7 +131,7 @@ def _emit_reports(reports, output):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="krrsolve",
         description="Randomized-preconditioned solvers for kernel ridge regression",
     )

@@ -12,7 +12,8 @@ builder keeps its own check, since a caller can reach it directly:
   ``krill_from_sketch``, ``tail_rank`` and ``verify_rpc_theorem``, and
   mu_over_n in ``ExperimentConfig.validate``;
 * bandwidth: ``KernelSpec``; epsilon: ``pcg``; rank: ``build_factor``;
-* a seed: ``rng``, at every draw, and ``PivotRule`` when it is made;
+* a seed: ``rng``, at every draw, and ``PivotRule`` when it is made; it
+  must be None, a ``Generator`` or a nonnegative integer;
 * embedding_dim and embedding_nnz: ``build_embedding``.
 """
 
@@ -41,8 +42,12 @@ def check_positive(name: str, value) -> None:
 
 def rng(seed=None) -> np.random.Generator:
     """``np.random.default_rng(seed)``, the one way the library draws from a
-    caller's seed.  A negative integer seed is an ``InputError`` rather than
-    numpy's ValueError; a ``Generator`` is returned as it is."""
-    if isinstance(seed, numbers.Real) and seed < 0:
-        raise InputError(f"seed must be nonnegative, got {seed}")
+    caller's seed.  The seed is None, a ``Generator``, returned as it is, or
+    a nonnegative integer; anything else is an ``InputError`` rather than
+    numpy's ValueError or TypeError."""
+    if seed is not None and not isinstance(seed, np.random.Generator):
+        if not isinstance(seed, numbers.Integral):
+            raise InputError(f"seed must be a nonnegative integer, got {seed!r}")
+        if seed < 0:
+            raise InputError(f"seed must be nonnegative, got {seed}")
     return np.random.default_rng(seed)

@@ -21,7 +21,6 @@ import csv
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
 import numpy as np
@@ -176,6 +175,9 @@ def run_batch(config_dir: str, workers: int = 1) -> dict:
         raise InputError(f"no .cfg files in {config_dir}")
     results = {}
     if workers > 1:
+        # imported here so that importing krrsolve does not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for path, summary in pool.map(_run_one, paths):
                 results[path] = summary

@@ -25,10 +25,10 @@ slab can be written into a caller's C-contiguous float64 buffer instead,
 with the same bits.
 
 The kernel matrix of N data points is accessed through a ``KernelOracle``,
-which generates dense blocks on demand and carries the memory budget, the
-largest block kept.  Products with a kernel block A(R, C) go through
-``KernelBlocks``, the one place that decides whether a block is kept or
-streamed and how tall its slabs are (see its docstring and
+which generates dense blocks on demand, counts their entries and carries
+the memory budget, the largest block kept.  Products with a kernel block
+A(R, C) go through ``KernelBlocks``, the one place that decides whether a
+block is kept or streamed and how tall its slabs are (see its docstring and
 ``SLAB_BYTES``).  ``predict``'s ``kernel_rows`` slabs are written into its
 slab buffer, while the oracle-backed streams of the solvers
 (``krr._kernel_columns``) ignore it and allocate each slab afresh.
@@ -258,14 +258,22 @@ def _as_indices(idx, n: int) -> np.ndarray:
 class KernelOracle:
     """Matrix-free view of a symmetric psd matrix A.
 
-    Subclasses provide ``block``; everything else is derived from it.
+    Subclasses provide ``_block`` and ``diag``; ``block`` checks the indices
+    and counts in ``entries`` every entry it returns.
     """
 
     n: int
     memory_budget: int = DEFAULT_MEMORY_BUDGET  # bytes of the largest block kept
+    entries: int = 0  # kernel entries generated so far
 
-    def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    def block(self, rows, cols) -> np.ndarray:
         """Dense submatrix A(rows, cols)."""
+        out = self._block(_as_indices(rows, self.n), _as_indices(cols, self.n))
+        self.entries += out.size
+        return out
+
+    def _block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """A(rows, cols) for flat int64 index arrays into range(n)."""
         raise NotImplementedError
 
     def diag(self) -> np.ndarray:
@@ -293,9 +301,7 @@ class DatasetKernelOracle(KernelOracle):
         (self._prepared,), self._floor = _prepare(spec, (features,),
                                                   features.mean(axis=0))
 
-    def block(self, rows, cols) -> np.ndarray:
-        rows = _as_indices(rows, self.n)
-        cols = _as_indices(cols, self.n)
+    def _block(self, rows, cols) -> np.ndarray:
         right = self._prepared[cols]  # a gathered copy, turned in place
         _to_right(self.spec, right)
         return _tile(self.spec, self._prepared[rows], right, self._floor)
@@ -323,9 +329,7 @@ class ExplicitMatrixOracle(KernelOracle):
         self.matrix = matrix
         self.n = matrix.shape[0]
 
-    def block(self, rows, cols) -> np.ndarray:
-        rows = _as_indices(rows, self.n)
-        cols = _as_indices(cols, self.n)
+    def _block(self, rows, cols) -> np.ndarray:
         return self.matrix[np.ix_(rows, cols)]
 
     def diag(self) -> np.ndarray:

@@ -221,10 +221,33 @@ def test_non_utf8_dataset_exits_with_input_error(tmp_path, fmt, text, line):
     assert f"error: {path}:{line}: not UTF-8 text" in proc.stderr
 
 
+@pytest.mark.parametrize("argv,match", [
+    (["solve-full", "--rank", "x"], "argument --rank: invalid int value: 'x'"),
+    (["solve-full", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    ([], "the following arguments are required: command"),
+], ids=["bad-value", "unknown-flag", "no-command"])
+def test_usage_errors_exit_as_input_errors(capsys, argv, match):
+    # argparse's own exit code, 2, is EXIT_NOT_CONVERGED
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("usage: krrsolve") and match in err
+
+
+def test_help_exits_ok(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve-full", "--help"])
+    assert exc.value.code == EXIT_OK
+    assert "--rank" in capsys.readouterr().out
+
+
 def test_importing_the_package_loads_no_scipy():
-    # scipy is imported where the Laplace kernel and KRILL's embedding use it
+    # scipy is imported where the Laplace kernel and KRILL's embedding use it,
+    # and the process pool only where ``run_batch`` runs on several workers
     script = ("import sys, krrsolve, krrsolve.cli\n"
-              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+              "print(sorted(m for m in sys.modules if m.split('.')[0]\n"
+              "             in ('scipy', 'multiprocessing', 'concurrent')))\n")
     src = str(Path(krrsolve.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), timeout=120)

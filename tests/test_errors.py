@@ -2,6 +2,8 @@
 functions that take a seed, each of which reports a bad one as an
 ``InputError``."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -55,8 +57,23 @@ def test_a_negative_seed_is_an_input_error(call):
         call(-1)
 
 
+@pytest.mark.parametrize("call", SEEDED.values(), ids=SEEDED.keys())
+def test_a_fractional_seed_is_an_input_error(call):
+    # numpy's own TypeError would leave the CLI with a traceback
+    with pytest.raises(InputError, match=r"seed must be a nonnegative integer, got 1\.5"):
+        call(1.5)
+
+
+@pytest.mark.parametrize("seed", [1.5, math.nan, 2.0, "3", [1, 2]],
+                         ids=["fraction", "nan", "integral-float", "str", "list"])
+def test_rng_takes_no_seed_but_an_integer(seed):
+    with pytest.raises(InputError, match="seed must be a nonnegative integer, got"):
+        rng(seed)
+
+
 def test_rng_draws_the_stream_of_its_seed_and_passes_a_generator_through():
     assert rng(7).standard_normal() == np.random.default_rng(7).standard_normal()
+    assert rng(np.uint8(7)).standard_normal() == np.random.default_rng(7).standard_normal()
     gen = np.random.default_rng(3)
     assert rng(gen) is gen
 

@@ -503,6 +503,20 @@ class TestIndices:
             with pytest.raises(InputError, match="integers"):
                 call()
 
+    @pytest.mark.parametrize("make", [toy_oracle, lambda: ExplicitMatrixOracle(np.eye(12))],
+                             ids=["dataset", "explicit"])
+    def test_block_checks_indices_and_counts_the_entries_it_returns(self, make):
+        o = make()
+        assert o.entries == 0
+        o.block([0, 1, 2], [3, 4])
+        o.block([], [1])
+        o.block(np.arange(12), [5])
+        assert o.entries == 3 * 2 + 12
+        for bad in ([12], [-1], [0.5]):
+            with pytest.raises(InputError):
+                o.block([0], bad)
+        assert o.entries == 3 * 2 + 12  # a rejected block counts nothing
+
     def test_fractional_pair_is_not_truncated(self):
         with pytest.raises(InputError, match="integers"):
             toy_oracle().block([0.9], [1.5])

@@ -10,7 +10,7 @@ from scipy.linalg import cho_factor, cho_solve, lstsq
 
 import krrsolve.krr as krr_module
 
-from krrsolve.diagnostics import _EntryCountingOracle, clustered_dataset
+from krrsolve.diagnostics import clustered_dataset
 from krrsolve.errors import InputError
 from krrsolve.kernels import (
     DEFAULT_MEMORY_BUDGET,
@@ -48,46 +48,56 @@ def points(n=N, dim=5, seed=0):
     return x, y
 
 
-def oracle(x, columns=None):
+def oracle(x, columns=None, spec=SPEC):
     """An oracle whose budget holds ``columns`` kernel columns (default budget if None)."""
     if columns is None:
-        return DatasetKernelOracle(x, SPEC)
-    return DatasetKernelOracle(x, SPEC, memory_budget=8 * x.shape[0] * columns)
+        return DatasetKernelOracle(x, spec)
+    return DatasetKernelOracle(x, spec, memory_budget=8 * x.shape[0] * columns)
 
 
-def full_problem(x, y, rule=PivotRule(seed=3), epsilon=1e-10, columns=None):
-    return FullKrrProblem(oracle(x, columns), y, MU, rank=40, epsilon=epsilon,
+def full_problem(x, y, rule=PivotRule(seed=3), epsilon=1e-10, columns=None, spec=SPEC):
+    return FullKrrProblem(oracle(x, columns, spec), y, MU, rank=40, epsilon=epsilon,
                           pivot_rule=rule, max_iter=500)
 
 
-def restricted_problem(x, y, pre, epsilon=1e-10, columns=None):
+def restricted_problem(x, y, pre, epsilon=1e-10, columns=None, spec=SPEC):
     centers = select_centers_uniform(x.shape[0], K, seed=4)
-    return RestrictedKrrProblem(oracle(x, columns), centers, y, MU, epsilon=epsilon,
+    return RestrictedKrrProblem(oracle(x, columns, spec), centers, y, MU, epsilon=epsilon,
                                 preconditioner=pre, embedding_seed=5, max_iter=500)
+
+
+def each_family(values):
+    """``(family, value)`` cases for every family in ``KERNEL_FAMILIES``;
+    the cases of ``SPEC``'s family keep the value alone as their id."""
+    return [pytest.param(family, value, id=str(value) if family == SPEC.family
+                         else f"{family}-{value}")
+            for family in KERNEL_FAMILIES for value in values]
 
 
 def relative_gap(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
-@pytest.mark.parametrize("kind", PIVOT_RULES)
-def test_full_solve_matches_dense_cholesky(kind):
+@pytest.mark.parametrize("family, kind", each_family(PIVOT_RULES))
+def test_full_solve_matches_dense_cholesky(family, kind):
+    spec = KernelSpec(family, 3.0)
     x, y = points()
-    report = solve_full_krr(full_problem(x, y, PivotRule(kind, seed=3)))
+    report = solve_full_krr(full_problem(x, y, PivotRule(kind, seed=3), spec=spec))
     assert report.converged
-    a = pairwise_kernel(SPEC, x, x)
+    a = pairwise_kernel(spec, x, x)
     dense = cho_solve(cho_factor(a + MU * np.eye(N)), y)
     assert relative_gap(report.solution, dense) <= 1e-9
 
 
-@pytest.mark.parametrize("pre", PRECONDITIONERS)
-def test_restricted_solve_matches_dense_solve(pre):
+@pytest.mark.parametrize("family, pre", each_family(PRECONDITIONERS))
+def test_restricted_solve_matches_dense_solve(family, pre):
+    spec = KernelSpec(family, 3.0)
     x, y = points()
-    problem = restricted_problem(x, y, pre)
+    problem = restricted_problem(x, y, pre, spec=spec)
     report = solve_restricted_krr(problem)
     assert report.converged
-    a_ns = pairwise_kernel(SPEC, x, x[problem.centers])
-    system = a_ns.T @ a_ns + MU * pairwise_kernel(SPEC, x[problem.centers],
+    a_ns = pairwise_kernel(spec, x, x[problem.centers])
+    system = a_ns.T @ a_ns + MU * pairwise_kernel(spec, x[problem.centers],
                                                   x[problem.centers])
     dense = cho_solve(cho_factor(system), a_ns.T @ y)
     assert relative_gap(report.solution, dense) <= 1e-8
@@ -166,14 +176,14 @@ N_BEYOND_TWO_SLABS = 1500
 
 
 def counting_full_solve(n, columns, max_iter, epsilon=1e-14):
-    """A full solve of n points on an entry-counting oracle, and the entries
-    that its factor generated on its own."""
+    """A full solve of n points, and the entries it generated beyond those
+    its factor generated on its own."""
     x, y = points(n=n)
     budget = DEFAULT_MEMORY_BUDGET if columns is None else 8 * n * columns
     rule = PivotRule(seed=3)
-    factor_oracle = _EntryCountingOracle(x, SPEC, budget)
+    factor_oracle = DatasetKernelOracle(x, SPEC, budget)
     build_factor(factor_oracle, 40, rule)
-    solve_oracle = _EntryCountingOracle(x, SPEC, budget)
+    solve_oracle = DatasetKernelOracle(x, SPEC, budget)
     report = solve_full_krr(FullKrrProblem(solve_oracle, y, MU, rank=40, epsilon=epsilon,
                                            pivot_rule=rule, max_iter=max_iter))
     return report, solve_oracle.entries - factor_oracle.entries
@@ -402,7 +412,7 @@ def krill_fails_before_a_pass(match, **kwargs):
     """A KRILL solve over 5 centers raises ``InputError`` matching ``match``
     having generated only A(S,S), before any pass over A(:,S)."""
     x, y = points(n=20)
-    counting = _EntryCountingOracle(x, SPEC)
+    counting = DatasetKernelOracle(x, SPEC)
     problem = RestrictedKrrProblem(counting, np.arange(5), y, MU,
                                    preconditioner="krill", **kwargs)
     with pytest.raises(InputError, match=match):
@@ -414,6 +424,11 @@ def test_negative_seeds_are_input_errors():
     with pytest.raises(InputError, match="seed"):
         select_centers_uniform(5, 2, seed=-1)
     krill_fails_before_a_pass("seed", embedding_seed=-1)
+    with pytest.raises(InputError, match="seed"):
+        select_centers_uniform(10, 3, seed=2.5)
+    with pytest.raises(InputError, match="seed"):
+        PivotRule(seed=1.5)
+    krill_fails_before_a_pass("seed", embedding_seed=1.5)
 
 
 @pytest.mark.parametrize("kwargs,match", [
