@@ -41,7 +41,7 @@ from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .data import FORMATS, LIBSVM
-from .errors import InputError, check_positive
+from .errors import InputError, check_count, check_positive
 from .kernels import (
     DEFAULT_BANDWIDTH,
     DEFAULT_MEMORY_BUDGET,
@@ -83,7 +83,7 @@ class ExperimentConfig:
     mode: str = _key(FULL, choices=MODES)
     pivot_rule: str = _key(RPCHOLESKY, choices=PIVOT_RULES, mode=FULL)
     rank: int = _key(0, mode=FULL)
-    block_size: int = _key(0, mode=FULL)  # 0 = min(100, rank/10)
+    block_size: int = _key(0, mode=FULL)  # 0 = min(100, rank/10); greedy ignores it
     preconditioner: str = _key(DEFAULT_PRECONDITIONER, choices=PRECONDITIONERS,
                                mode=RESTRICTED)
     centers: int = _key(0, mode=RESTRICTED)
@@ -109,22 +109,19 @@ class ExperimentConfig:
                              "set it in the config or pass --seed")
         check_positive("mu_over_n", self.mu_over_n)
         for name in ("subsample", "rank", "centers", "block_size", "embedding_dim",
-                     "embedding_nnz", "epsilon", "max_iter"):
-            if not getattr(self, name) >= 0:
-                raise InputError(f"{name} must be nonnegative, got {getattr(self, name)}")
-        # after the loop above, so a negative block_size is reported by its key
+                     "embedding_nnz", "max_iter"):
+            check_count(name, getattr(self, name), low=0)  # 0 selects the default
+        if self.mode == FULL:
+            check_count("rank", self.rank)
+        else:
+            check_count("centers", self.centers)
         KernelSpec(self.kernel, self.bandwidth)
         PivotRule(self.pivot_rule, self.block_size or None, seed=self.seed)
-        if not self.epsilon < math.inf:
-            raise InputError(f"epsilon must be finite, got {self.epsilon}")
+        if not 0.0 <= self.epsilon < math.inf:
+            raise InputError(f"epsilon must be finite and nonnegative, got {self.epsilon}")
         if not 0.0 <= self.test_fraction < 1.0:
             raise InputError("test_fraction must lie in [0, 1)")
-        if self.memory_budget_bytes <= 0:
-            raise InputError("memory budget must be positive")
-        if self.mode == FULL and self.rank < 1:
-            raise InputError("full mode requires rank >= 1")
-        if self.mode == RESTRICTED and self.centers < 1:
-            raise InputError("restricted mode requires centers >= 1")
+        check_positive("memory budget", self.memory_budget_bytes)
 
     @property
     def effective_epsilon(self) -> float:

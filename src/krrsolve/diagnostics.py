@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import InputError, check_positive, rng
+from .errors import InputError, check_count, check_positive, rng
 from .kernels import (
     DEFAULT_MEMORY_BUDGET,
     DatasetKernelOracle,
@@ -47,11 +47,6 @@ from .precond import build_rpc_preconditioner, krill_from_sketch, precond_condit
 from .sketch import build_embedding, distortion_check, theory_params
 
 
-def _check_n_seeds(n_seeds: int) -> None:
-    if n_seeds < 1:
-        raise InputError(f"need n_seeds >= 1, got {n_seeds}")
-
-
 def _cube_root_block(n: int) -> int:
     return int(math.ceil(n ** (1.0 / 3.0) - 1e-9))
 
@@ -62,8 +57,7 @@ def _two_thirds_block(n: int) -> int:
 
 def build_uniform_failure_matrix(n: int) -> np.ndarray:
     """Block-diagonal ones matrix with blocks N - ceil(N^(1/3)), ceil(N^(1/3))."""
-    if n < 8:
-        raise InputError("uniform-failure matrix needs N >= 8")
+    n = check_count("n", n, low=8)
     m = _cube_root_block(n)
     a = np.zeros((n, n))
     a[: n - m, : n - m] = 1.0
@@ -74,10 +68,9 @@ def build_uniform_failure_matrix(n: int) -> np.ndarray:
 def build_greedy_failure_matrix(n: int, delta: float) -> np.ndarray:
     """Global ones matrix plus (delta/2) ones on the left block and delta I
     on the right block of size ceil(N^(2/3))."""
-    if n < 8:
-        raise InputError("greedy-failure matrix needs N >= 8")
-    if not 0 < delta < 1:
-        raise InputError("delta must lie in (0, 1)")
+    n = check_count("n", n, low=8)
+    if not 0.0 < delta < 1.0:
+        raise InputError(f"delta must lie in (0, 1), got {delta}")
     m = _two_thirds_block(n)
     a = np.ones((n, n))
     a[: n - m, : n - m] += delta / 2.0
@@ -116,9 +109,9 @@ def verify_rpc_theorem(spectrum, mu: float, delta: float, n_seeds: int = 200,
     """
     lam = np.sort(np.asarray(spectrum, dtype=np.float64))[::-1]
     check_positive("mu", mu)
-    if not 0 < delta < 1:
+    if not 0.0 < delta < 1.0:
         raise InputError(f"delta must lie in (0, 1), got {delta}")
-    _check_n_seeds(n_seeds)
+    n_seeds = check_count("n_seeds", n_seeds)
     a = psd_matrix_with_spectrum(lam, seed=seed0)
     oracle = ExplicitMatrixOracle(a)
     r_mu = tail_rank(lam, mu)
@@ -167,7 +160,8 @@ def verify_krill_theorem(n: int, k: int, mu: float, n_seeds: int = 100,
     distortion lands in [1/2, 3/2] the bound kappa <= 3 must hold; that
     implication is deterministic.
     """
-    _check_n_seeds(n_seeds)
+    n = check_count("n", n)
+    n_seeds = check_count("n_seeds", n_seeds)
     d, zeta = theory_params(k)
     feats = rng(seed0).standard_normal((n, 8)) * 2.0
     oracle = DatasetKernelOracle(feats, KernelSpec())
@@ -220,7 +214,7 @@ def separation_experiment(kind: str, n: int = 1000, rank: int = 10,
     ``kind`` selects the matrix: 'uniform' compares random pivoting against
     uniform pivoting, 'greedy' against the deterministic greedy rule.
     """
-    _check_n_seeds(n_seeds)
+    n_seeds = check_count("n_seeds", n_seeds)
     if kind == "uniform":
         a = build_uniform_failure_matrix(n)
     elif kind == "greedy":
@@ -279,6 +273,7 @@ def crossover_experiment(n_values, k_values, seed: int = 0,
     """
     records = []
     for n in n_values:
+        n = check_count("n", n)
         x = rng(seed).standard_normal((n, 20))
         y = np.sin(x.sum(axis=1))
         y -= y.mean()
@@ -318,8 +313,8 @@ def clustered_dataset(n: int, dim: int = 10, seed: int = 0) -> np.ndarray:
     far apart relative to the default bandwidth so each cluster contributes
     its own block to the kernel matrix.
     """
-    if n < 100:
-        raise InputError("clustered dataset needs n >= 100")
+    n = check_count("n", n, low=100)
+    dim = check_count("dim", dim)
     gen = rng(seed)
     weights = np.array([0.42, 0.20, 0.10, 0.07, 0.05, 0.04, 0.03,
                         0.02, 0.015, 0.012, 0.01, 0.008, 0.006, 0.005,

@@ -1,4 +1,4 @@
-"""Exception types shared across the library, and the two input rules
+"""Exception types shared across the library, and the three input rules
 that more than one module applies.
 
 The CLI maps these onto process exit codes: InputError -> 1 and
@@ -11,10 +11,16 @@ builder keeps its own check, since a caller can reach it directly:
 * mu: ``check_positive`` in both problems, ``build_rpc_preconditioner``,
   ``krill_from_sketch``, ``tail_rank`` and ``verify_rpc_theorem``, and
   mu_over_n in ``ExperimentConfig.validate``;
-* bandwidth: ``KernelSpec``; epsilon: ``pcg``; rank: ``build_factor``;
+* bandwidth: ``KernelSpec``; epsilon: ``pcg``;
+* a memory budget, a byte size that may be a float: ``check_positive`` in
+  ``DatasetKernelOracle``, ``predict`` and ``ExperimentConfig.validate``;
 * a seed: ``rng``, at every draw, and ``PivotRule`` when it is made; it
   must be None, a ``Generator`` or a nonnegative integer;
-* embedding_dim and embedding_nnz: ``build_embedding``.
+* a count: ``check_count``.  The rank in ``build_factor``, the block size
+  in ``PivotRule``, n and k in ``select_centers_uniform``, max_iter in
+  ``pcg``, embedding_dim, n and embedding_nnz in ``build_embedding``, k in
+  ``theory_params``, the diagnostics' n, dim and n_seeds, and the integer keys
+  of ``ExperimentConfig.validate``, where 0 selects a default.
 """
 
 import numbers
@@ -38,6 +44,17 @@ def check_positive(name: str, value) -> None:
     """Raise ``InputError`` unless ``value`` is finite and positive."""
     if not 0 < value < np.inf:
         raise InputError(f"{name} must be finite and positive, got {value}")
+
+
+def check_count(name: str, value, low: int = 1, high=None) -> int:
+    """``value`` as an ``int``, or ``InputError`` unless it is an integer
+    (a ``numbers.Integral`` other than ``bool``; numpy integers pass) with
+    ``low <= value``, and ``value <= high`` when ``high`` is given."""
+    if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and low <= value and (high is None or value <= high)):
+        return int(value)
+    upper = "" if high is None else f" and <= {high}"
+    raise InputError(f"need an integer {name} >= {low}{upper}, got {value!r}")
 
 
 def rng(seed=None) -> np.random.Generator:

@@ -290,6 +290,7 @@ class DatasetKernelOracle(KernelOracle):
             raise InputError("features must be a nonempty N x dim array")
         if not np.isfinite(features).all():
             raise InputError("features contain non-finite values")
+        check_positive("memory budget", memory_budget)
         if memory_budget < 8 * features.shape[0]:
             raise InputError("memory budget below one kernel column")
         self.features = features

@@ -45,7 +45,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InputError, NumericalError, check_positive, rng
+from .errors import InputError, NumericalError, check_count, check_positive, rng
 from .kernels import (
     DEFAULT_MEMORY_BUDGET,
     KernelBlocks,
@@ -185,16 +185,18 @@ def _first_pass(a_ns: KernelBlocks, y: np.ndarray, b: np.ndarray, phi=None,
     G is the sum of one SYRK A(I,S)^T A(I,S) per slab.
     """
     k = b.size
-    out = None if phi is None else np.zeros((phi.shape[0], k))
+    if phi is not None:
+        out = np.zeros((phi.shape[0], k))
+    elif gram:
+        out = np.zeros((k, k))
+    else:
+        out = None
     for start, stop, slab in a_ns:
         if phi is not None:
             for i in range(0, out.shape[0], k):
                 out[i:i + k] += phi[i:i + k, start:stop] @ slab
         elif gram:
-            if out is None:
-                out = slab.T @ slab
-            else:
-                out += slab.T @ slab
+            out += slab.T @ slab
         b += slab.T @ y[start:stop]
         del slab  # a streamed slab is freed before the next is generated
     return out
@@ -318,8 +320,8 @@ def solve_restricted_krr(problem: RestrictedKrrProblem) -> SolveReport:
 
 def select_centers_uniform(n: int, k: int, seed=None) -> np.ndarray:
     """k distinct indices drawn uniformly without replacement."""
-    if not 1 <= k <= n:
-        raise InputError(f"need 1 <= k <= {n}, got {k}")
+    n = check_count("n", n)
+    k = check_count("k", k, high=n)
     return np.sort(rng(seed).choice(n, size=k, replace=False))
 
 
@@ -333,6 +335,7 @@ def predict(coefficients: np.ndarray, train_points: np.ndarray, spec: KernelSpec
     ``PREDICT_BUDGET``) bytes, from points shifted and scaled once (see
     ``kernel_rows``).  An empty expansion predicts 0 everywhere.
     """
+    check_positive("memory budget", memory_budget)
     coefficients = np.asarray(coefficients, dtype=np.float64).ravel()
     train_points = np.atleast_2d(np.asarray(train_points, dtype=np.float64))
     test_points = np.atleast_2d(np.asarray(test_points, dtype=np.float64))

@@ -12,7 +12,10 @@ the candidate pivots they propose each round:
   rules.
 * greedy: the largest residual diagonal entry (ties to the lowest index).
 * uniform: ``rank`` distinct pivots drawn uniformly without replacement up
-  front; one block step takes those still live, in the order drawn.
+  front; each round takes the next ``min(block_size, rank - i)`` of them
+  still live, in the order drawn, with the same default block size.  So a
+  round forms at most ``block_size`` kernel rows, not all ``rank`` at once;
+  in exact arithmetic it takes the pivots one round over all of them would.
 
 One exhaustion rule serves all three.  A residual diagonal entry is live
 while it exceeds a roundoff threshold, 1e-10 tr(A)/N; once it falls to the
@@ -41,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InputError, check_positive, rng
+from .errors import InputError, check_count, check_positive, rng
 from .kernels import KernelOracle
 
 RPCHOLESKY = "rpcholesky"
@@ -107,14 +110,14 @@ class PivotRule:
     """Pivot selection strategy for the low-rank factor."""
 
     kind: str = RPCHOLESKY
-    block_size: Optional[int] = None  # random rule only; None = min(100, r/10)
+    block_size: Optional[int] = None  # rpcholesky and uniform; None = min(100, r/10)
     seed: Optional[int] = None
 
     def __post_init__(self):
         if self.kind not in PIVOT_RULES:
             raise InputError(f"unknown pivot rule {self.kind!r}")
-        if self.block_size is not None and self.block_size < 1:
-            raise InputError("block size must be >= 1")
+        if self.block_size is not None:
+            check_count("block_size", self.block_size)
         rng(self.seed)  # a bad seed fails here, where the rule is made
 
 
@@ -217,13 +220,11 @@ def _partial_cholesky(oracle: KernelOracle, rank: int, propose) -> PartialCholes
 def build_factor(oracle: KernelOracle, rank: int,
                  rule: PivotRule = PivotRule()) -> PartialCholeskyFactor:
     """Partial-Cholesky factor of at most ``rank`` columns under ``rule``."""
-    if not 1 <= rank <= oracle.n:
-        raise InputError(f"rank must be in [1, {oracle.n}], got {rank}")
+    rank = check_count("rank", rank, high=oracle.n)
     gen = rng(rule.seed)
+    block_size = rule.block_size or min(100, -(-rank // 10))  # ceil(rank/10)
 
     if rule.kind == RPCHOLESKY:
-        block_size = rule.block_size or min(100, -(-rank // 10))  # ceil(rank/10)
-
         def propose(d, i):
             total = d.sum()
             if total <= 0.0:
@@ -235,9 +236,15 @@ def build_factor(oracle: KernelOracle, rank: int,
             return [s] if d[s] > 0.0 else []
     else:
         chosen = gen.choice(oracle.n, size=rank, replace=False)
+        start = 0  # chosen[:start] have been proposed or passed over
 
         def propose(d, i):
-            return chosen[d[chosen] > 0.0]
+            nonlocal start
+            rest = chosen[start:]
+            live = np.flatnonzero(d[rest] > 0.0)[:min(block_size, rank - i)]
+            if live.size:
+                start += int(live[-1]) + 1
+            return rest[live]
 
     return _partial_cholesky(oracle, rank, propose)
 

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InputError, NumericalError, check_positive
+from .errors import InputError, NumericalError, check_count, check_positive
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,7 @@ def pcg(product: LinearOperator, b: np.ndarray, epsilon: float,
     ``precond`` is the inverse action v -> P^{-1} v (identity when None).
     """
     check_positive("epsilon", epsilon)
-    if max_iter < 1:
-        raise InputError("max_iter must be >= 1")
+    max_iter = check_count("max_iter", max_iter)
     b = np.asarray(b, dtype=np.float64)
     if b.ndim != 1 or b.shape[0] != product.n:
         raise InputError(f"b must be a length-{product.n} vector")

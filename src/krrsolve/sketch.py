@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import InputError, rng
+from .errors import InputError, check_count, rng
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -51,8 +51,7 @@ def practical_params(k: int) -> tuple[int, int]:
 def theory_params(k: int) -> tuple[int, int]:
     """Theory-mode (d, zeta) for k >= 1 centers at failure probability
     ``THEORY_DEFAULT_DELTA``."""
-    if k < 1:
-        raise InputError(f"need k >= 1 centers, got {k}")
+    k = check_count("k", k)
     logterm = max(math.log(k / THEORY_DEFAULT_DELTA), 1.0)
     d = max(int(math.ceil(THEORY_DIM_CONST * k * logterm)), 1)
     zeta = max(int(math.ceil(THEORY_NNZ_CONST * logterm)), 1)
@@ -82,11 +81,9 @@ def build_embedding(d: int, n: int, zeta: int, seed=None) -> sp.csc_matrix:
     drawn, so ``indices.reshape(n, zeta)`` and ``data.reshape(n, zeta)``
     give each column's rows and values; the rows are not sorted.
     """
-    if n < 1:
-        raise InputError("input dimension must be >= 1")
-    if not 1 <= zeta <= d:
-        raise InputError("need 1 <= embedding_nnz <= embedding_dim, got "
-                         f"embedding_nnz = {zeta}, embedding_dim = {d}")
+    d = check_count("embedding_dim", d)
+    n = check_count("n", n)
+    zeta = check_count("embedding_nnz", zeta, high=d)
     # imported here so that importing krrsolve does not load scipy
     import scipy.sparse as sp
 

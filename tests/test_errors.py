@@ -1,5 +1,6 @@
-"""``errors.rng``, the one draw from a caller's seed, and the exported
-functions that take a seed, each of which reports a bad one as an
+"""``errors.rng``, the one draw from a caller's seed, and
+``errors.check_count``, the one rule for integer counts, with the exported
+functions that take a seed or a count, each of which reports a bad one as an
 ``InputError``."""
 
 import math
@@ -7,8 +8,11 @@ import math
 import numpy as np
 import pytest
 
+from krrsolve.config import ExperimentConfig
 from krrsolve.data import Dataset
 from krrsolve.diagnostics import (
+    build_greedy_failure_matrix,
+    build_uniform_failure_matrix,
     clustered_dataset,
     crossover_experiment,
     psd_matrix_with_spectrum,
@@ -16,12 +20,20 @@ from krrsolve.diagnostics import (
     verify_krill_theorem,
     verify_rpc_theorem,
 )
-from krrsolve.errors import InputError, rng
+from krrsolve.errors import InputError, check_count, rng
 from krrsolve.harness import split_train_test
-from krrsolve.kernels import DatasetKernelOracle, KernelSpec
-from krrsolve.krr import RestrictedKrrProblem, select_centers_uniform, solve_restricted_krr
-from krrsolve.lowrank import PivotRule
-from krrsolve.sketch import build_embedding
+from krrsolve.kernels import DatasetKernelOracle, ExplicitMatrixOracle, KernelSpec
+from krrsolve.krr import (
+    FullKrrProblem,
+    RestrictedKrrProblem,
+    predict,
+    select_centers_uniform,
+    solve_full_krr,
+    solve_restricted_krr,
+)
+from krrsolve.lowrank import PivotRule, build_factor
+from krrsolve.pcg import LinearOperator, pcg
+from krrsolve.sketch import build_embedding, theory_params
 
 
 def krill_solve(seed):
@@ -77,3 +89,100 @@ def test_rng_draws_the_stream_of_its_seed_and_passes_a_generator_through():
     gen = np.random.default_rng(3)
     assert rng(gen) is gen
 
+
+
+def test_check_count_returns_a_python_int():
+    for value in (3, np.int32(3), np.int64(3), np.uint8(3)):
+        assert type(check_count("n", value)) is int and check_count("n", value) == 3
+    assert check_count("n", 0, low=0) == 0
+    assert check_count("k", 5, high=5) == 5
+    with pytest.raises(InputError, match=r"need an integer k >= 1 and <= 5, got 6"):
+        check_count("k", 6, high=5)
+
+
+def _x(n=20):
+    return np.random.default_rng(0).standard_normal((n, 3))
+
+
+def _config(**overrides):
+    return ExperimentConfig(**{"dataset": "d.txt", "seed": 0, "rank": 5, "centers": 5,
+                               **overrides})
+
+
+# every place a count is checked: (call with the count, its name, its least
+# legal value, a legal value)
+COUNTS = {
+    "build_factor.rank": (lambda v: build_factor(ExplicitMatrixOracle(np.eye(3)), v),
+                          "rank", 1, 2),
+    "PivotRule.block_size": (lambda v: PivotRule(block_size=v), "block_size", 1, 2),
+    "select_centers_uniform.n": (lambda v: select_centers_uniform(v, 1, seed=0), "n", 1, 5),
+    "select_centers_uniform.k": (lambda v: select_centers_uniform(50, v, seed=0), "k", 1, 5),
+    "pcg.max_iter": (lambda v: pcg(LinearOperator(2, lambda x: x), np.ones(2), 1e-6,
+                                   max_iter=v), "max_iter", 1, 2),
+    "solve_full_krr.max_iter": (lambda v: solve_full_krr(FullKrrProblem(
+        DatasetKernelOracle(_x(), KernelSpec()), np.ones(20), 0.1, 5, max_iter=v)),
+        "max_iter", 1, 2),
+    "solve_restricted_krr.max_iter": (lambda v: solve_restricted_krr(RestrictedKrrProblem(
+        DatasetKernelOracle(_x(), KernelSpec()), np.arange(5), np.ones(20), 0.1,
+        max_iter=v)), "max_iter", 1, 2),
+    "build_embedding.embedding_dim": (lambda v: build_embedding(v, 10, 1),
+                                      "embedding_dim", 1, 4),
+    "build_embedding.n": (lambda v: build_embedding(4, v, 2), "n", 1, 10),
+    "build_embedding.embedding_nnz": (lambda v: build_embedding(4, 10, v),
+                                      "embedding_nnz", 1, 2),
+    "theory_params.k": (theory_params, "k", 1, 5),
+    "verify_rpc_theorem.n_seeds": (lambda v: verify_rpc_theorem(
+        2.0 ** -np.arange(1, 101), mu=1e-3, delta=0.1, n_seeds=v), "n_seeds", 1, 1),
+    "verify_krill_theorem.n_seeds": (lambda v: verify_krill_theorem(
+        n=30, k=3, mu=0.4, n_seeds=v), "n_seeds", 1, 1),
+    "verify_krill_theorem.n": (lambda v: verify_krill_theorem(n=v, k=1, mu=0.4, n_seeds=1),
+                               "n", 1, 30),
+    "separation_experiment.n_seeds": (lambda v: separation_experiment(
+        "uniform", n=30, rank=2, n_seeds=v), "n_seeds", 1, 1),
+    "build_uniform_failure_matrix.n": (build_uniform_failure_matrix, "n", 8, 8),
+    "build_greedy_failure_matrix.n": (lambda v: build_greedy_failure_matrix(v, 0.1),
+                                      "n", 8, 8),
+    "clustered_dataset.n": (clustered_dataset, "n", 100, 100),
+    "clustered_dataset.dim": (lambda v: clustered_dataset(100, v), "dim", 1, 2),
+    "crossover_experiment.n": (lambda v: crossover_experiment((v,), (1,)), "n", 1, 20),
+    **{f"ExperimentConfig.{name}": (lambda v, name=name: _config(**{name: v}).validate(),
+                                    name, 0, 1)
+       for name in ("subsample", "rank", "centers", "block_size", "embedding_dim",
+                    "embedding_nnz", "max_iter")},
+}
+
+
+@pytest.mark.parametrize("bad", ["fraction", "nan", "bool", "below"])
+@pytest.mark.parametrize("call,name,low,_", COUNTS.values(), ids=COUNTS.keys())
+def test_a_count_that_is_not_an_integer_in_range_is_an_input_error(call, name, low, _, bad):
+    value = {"fraction": 2.5, "nan": math.nan, "bool": True, "below": low - 1}[bad]
+    if bad == "bool" and low == 0:
+        value = False  # True is 1, legal where 0 is
+    with pytest.raises(InputError, match=rf"\b{name} >= {low}"):
+        call(value)
+
+
+@pytest.mark.parametrize("call,name,low,legal", COUNTS.values(), ids=COUNTS.keys())
+def test_numpy_integer_counts_are_accepted(call, name, low, legal):
+    for value in (np.int32(legal), np.int64(legal)):
+        call(value)
+
+
+@pytest.mark.parametrize("mode,name", [("full", "rank"), ("restricted", "centers")])
+def test_the_count_of_the_run_mode_must_be_positive(mode, name):
+    # 0 passes the loop over the integer keys, where it selects a default
+    _config(mode=mode, **{name: 1}).validate()
+    with pytest.raises(InputError, match=f"{name} >= 1, got 0"):
+        _config(mode=mode, **{name: 0}).validate()
+
+
+@pytest.mark.parametrize("budget", [math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda b: DatasetKernelOracle(_x(), KernelSpec(), memory_budget=b),
+    lambda b: predict(np.ones(3), _x(3), KernelSpec(), _x(4), memory_budget=b),
+    lambda b: _config(memory_budget_bytes=b).validate(),
+], ids=["DatasetKernelOracle", "predict", "validate"])
+def test_a_memory_budget_that_is_not_finite_is_an_input_error(call, budget):
+    # floats stay legal: a budget is a byte size, not a count
+    with pytest.raises(InputError, match="memory budget must be finite and positive"):
+        call(budget)

@@ -11,7 +11,7 @@ from scipy.stats import chisquare
 
 import krrsolve.lowrank as lowrank_module
 from krrsolve.diagnostics import build_greedy_failure_matrix, build_uniform_failure_matrix
-from krrsolve.errors import InputError
+from krrsolve.errors import InputError, rng
 from krrsolve.kernels import DatasetKernelOracle, ExplicitMatrixOracle, KernelSpec
 from krrsolve.lowrank import (
     GREEDY,
@@ -186,6 +186,57 @@ class TestUniform:
         f = build_factor(o, 6, PivotRule(UNIFORM, seed=4))
         assert f.rank == 1
         assert trace_residual(o, f) == pytest.approx(0.0, abs=1e-10)
+
+
+def one_round_uniform(o, rank, seed):
+    """The uniform factor as one round over every pre-drawn pivot still live."""
+    chosen = rng(seed).choice(o.n, size=rank, replace=False)
+    return lowrank_module._partial_cholesky(
+        o, rank, lambda d, i: chosen[d[chosen] > 0.0] if i == 0 else [])
+
+
+class TestUniformRounds:
+    """Uniform pivots arrive ``block_size`` at a time, as RPCholesky's do."""
+
+    @pytest.mark.parametrize("x", [
+        np.random.default_rng(0).standard_normal((300, 4)),
+        np.repeat(np.random.default_rng(1).standard_normal((60, 3)), 4, axis=0),
+    ], ids=["cloud", "repeated"])
+    @pytest.mark.parametrize("block_size", [None, 1, 7])
+    def test_pivots_are_those_of_one_round(self, x, block_size):
+        o = DatasetKernelOracle(x, KernelSpec(bandwidth=2.0))
+        rank = 120
+        f = build_factor(o, rank, PivotRule(UNIFORM, block_size, seed=3))
+        ref = one_round_uniform(o, rank, 3)
+        np.testing.assert_array_equal(f.pivots, ref.pivots)
+        np.testing.assert_allclose(f.F @ f.F.T, ref.F @ ref.F.T, rtol=0, atol=1e-8 * o.n)
+
+    def test_a_round_forms_at_most_a_block_of_kernel_rows(self):
+        # one round over all 1000 pivots formed a 1000 x N residual block
+        # beside F^T, 68.7 MiB in all; the default block is 100 rows
+        n, rank, dim = 3000, 1000, 10
+        o = DatasetKernelOracle(np.random.default_rng(0).standard_normal((n, dim)),
+                                KernelSpec())
+        m = 100
+        tracemalloc.start()
+        try:
+            f = build_factor(o, rank, PivotRule(UNIFORM, seed=0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert f.rank == rank
+        assert peak <= 8 * rank * n + 3 * 8 * m * n + 8 * n * (dim + 2)
+
+    def test_rpcholesky_and_greedy_pivots_are_pinned(self):
+        # the pivots these rules took before uniform pivots came in rounds
+        o = DatasetKernelOracle(np.random.default_rng(5).standard_normal((200, 4)),
+                                KernelSpec())
+        assert build_factor(o, 30, PivotRule(seed=11)).pivots.tolist() == [
+            25, 99, 120, 5, 35, 183, 16, 36, 189, 79, 110, 133, 43, 60, 141, 118, 151,
+            159, 122, 160, 196, 46, 106, 117, 52, 77, 129, 30, 158, 172]
+        assert build_factor(o, 30, PivotRule(GREEDY)).pivots.tolist() == [
+            0, 46, 55, 125, 141, 45, 159, 43, 129, 194, 184, 81, 57, 79, 156, 106, 172,
+            175, 130, 92, 158, 14, 166, 77, 71, 114, 37, 23, 118, 36]
 
 
 class TestDominationAllRules:

@@ -280,6 +280,12 @@ class TestKrill:
         with pytest.raises(NumericalError):
             krill_from_sketch(np.zeros((5, 3)), bad, 1.0)
 
+    def test_the_jitter_ladder_gives_up_past_its_last_rung(self):
+        # tr(P) = 1.5 passes the trace check, and no jitter <= 1e-8 tr(P)
+        # lifts the eigenvalue -0.5
+        with pytest.raises(NumericalError, match="up to jitter"):
+            krill_from_sketch(np.zeros((5, 3)), np.diag([1.0, 1.0, -0.5]), 1.0)
+
     def test_zero_matrix_raises(self):
         # tr(P) = 0: no jitter on the ladder is positive
         with pytest.raises(NumericalError, match="trace"):
