@@ -44,7 +44,7 @@ from typing import NoReturn, Optional
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_array
 
 LIBSVM = "libsvm"
 CSV = "csv"
@@ -69,17 +69,9 @@ class Dataset:
     targets: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        if self.features.ndim != 2 or self.features.shape[0] < 1:
-            raise InputError("features must be a nonempty N x dim array")
-        if not np.isfinite(self.features).all():
-            raise InputError("features contain non-finite values")
+        self.features = check_array("features", self.features, ndim=2)
         if self.targets is not None:
-            self.targets = np.asarray(self.targets, dtype=np.float64).ravel()
-            if self.targets.shape[0] != self.features.shape[0]:
-                raise InputError("targets length does not match feature rows")
-            if not np.isfinite(self.targets).all():
-                raise InputError("targets contain non-finite values")
+            self.targets = check_array("targets", self.targets, length=self.n)
 
     @property
     def n(self) -> int:

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import InputError, check_count, check_positive, rng
+from .errors import InputError, check_array, check_count, check_positive, rng
 from .kernels import (
     DEFAULT_MEMORY_BUDGET,
     DatasetKernelOracle,
@@ -80,7 +80,7 @@ def build_greedy_failure_matrix(n: int, delta: float) -> np.ndarray:
 
 def psd_matrix_with_spectrum(eigenvalues, seed=None) -> np.ndarray:
     """Random-orthogonal conjugation of a prescribed nonnegative spectrum."""
-    lam = np.asarray(eigenvalues, dtype=np.float64).ravel()
+    lam = check_array("eigenvalues", eigenvalues)
     if lam.size < 1 or lam.min() < 0:
         raise InputError("need a nonempty nonnegative spectrum")
     q, _ = np.linalg.qr(rng(seed).standard_normal((lam.size, lam.size)))
@@ -90,11 +90,10 @@ def psd_matrix_with_spectrum(eigenvalues, seed=None) -> np.ndarray:
 def guarantee_rank(eigenvalues, mu: float) -> int:
     """Approximation rank that activates the conditioning guarantee:
     rank_mu(A) * (1 + log(tr A / mu)), rounded up."""
-    lam = np.asarray(eigenvalues, dtype=np.float64).ravel()
-    r_mu = tail_rank(lam, mu)
+    r_mu = tail_rank(eigenvalues, mu)
     if r_mu == 0:
         return 1
-    return int(math.ceil(r_mu * (1.0 + math.log(lam.sum() / mu))))
+    return int(math.ceil(r_mu * (1.0 + math.log(np.sum(eigenvalues) / mu))))
 
 
 def verify_rpc_theorem(spectrum, mu: float, delta: float, n_seeds: int = 200,
@@ -107,7 +106,7 @@ def verify_rpc_theorem(spectrum, mu: float, delta: float, n_seeds: int = 200,
     probability at least 1 - delta, and mean trace residual at most twice
     the tail sum past rank_mu.
     """
-    lam = np.sort(np.asarray(spectrum, dtype=np.float64))[::-1]
+    lam = np.sort(check_array("eigenvalues", spectrum))[::-1]
     check_positive("mu", mu)
     if not 0.0 < delta < 1.0:
         raise InputError(f"delta must lie in (0, 1), got {delta}")

@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import ExperimentConfig, load_config
 from .data import Dataset, apply_standardization, load_dataset, standardization_params
-from .errors import InputError, rng
+from .errors import InputError, check_count, rng
 from .kernels import DatasetKernelOracle, KernelSpec
 from .krr import (
     FULL,
@@ -166,6 +166,7 @@ def _run_one(path: str) -> tuple[str, dict]:
 
 def run_batch(config_dir: str, workers: int = 1) -> dict:
     """Run every ``*.cfg`` file in a directory; aggregate fraction-solved."""
+    workers = check_count("workers", workers)
     paths = sorted(
         os.path.join(config_dir, name)
         for name in os.listdir(config_dir)

@@ -41,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InputError, check_positive
+from .errors import InputError, check_array, check_positive
 
 SQUARED_EXPONENTIAL = "squared_exponential"
 LAPLACE1 = "laplace1"
@@ -134,7 +134,7 @@ def pairwise_kernel(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarra
     and exponentiated in place.
     """
     x, y = _point_sets(x, y)
-    return kernel_rows(spec, x, y)(0, len(x), None)
+    return _rows(spec, x, y)(0, len(x), None)
 
 
 def kernel_rows(spec: KernelSpec, x: np.ndarray, y: np.ndarray):
@@ -149,7 +149,20 @@ def kernel_rows(spec: KernelSpec, x: np.ndarray, y: np.ndarray):
     same bits as with ``out=None``, and ``out`` is returned.  Anything else
     raises ``InputError``.
     """
-    x, y = _point_sets(x, y)
+    return _rows(spec, *_point_sets(x, y))
+
+
+def _point_sets(x, y, names=("points x", "points y")):
+    """x and y as checked point sets of one dimension, a 1-d set being one
+    point; either may be empty."""
+    x, y = (np.atleast_2d(check_array(name, p, ndim=None)) for name, p in zip(names, (x, y)))
+    if x.shape[1] != y.shape[1]:
+        raise InputError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]} features")
+    return x, y
+
+
+def _rows(spec: KernelSpec, x: np.ndarray, y: np.ndarray):
+    """``kernel_rows`` of point sets that ``_point_sets`` has checked."""
     # an empty block needs no shift, and the mean of no rows would warn
     shift = 0.5 * (x.mean(axis=0) + y.mean(axis=0)) if len(x) and len(y) else 0.0
     (left, right), floor = _prepare(spec, (x, y), shift)
@@ -160,16 +173,6 @@ def kernel_rows(spec: KernelSpec, x: np.ndarray, y: np.ndarray):
             _check_out(out, (stop - start, len(y)))
         return _tile(spec, left[start:stop], right, floor, out)
     return rows
-
-
-def _point_sets(x, y):
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    if x.shape[1] != y.shape[1]:
-        raise InputError(
-            f"dimension mismatch: {x.shape[1]} vs {y.shape[1]} features"
-        )
-    return x, y
 
 
 def _check_out(out, shape) -> None:
@@ -285,11 +288,7 @@ class DatasetKernelOracle(KernelOracle):
 
     def __init__(self, features: np.ndarray, spec: KernelSpec,
                  memory_budget: int = DEFAULT_MEMORY_BUDGET):
-        features = np.asarray(features, dtype=np.float64)
-        if features.ndim != 2 or features.shape[0] < 1:
-            raise InputError("features must be a nonempty N x dim array")
-        if not np.isfinite(features).all():
-            raise InputError("features contain non-finite values")
+        features = check_array("features", features, ndim=2)
         check_positive("memory budget", memory_budget)
         if memory_budget < 8 * features.shape[0]:
             raise InputError("memory budget below one kernel column")
@@ -320,11 +319,9 @@ class ExplicitMatrixOracle(KernelOracle):
     """
 
     def __init__(self, matrix: np.ndarray):
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        matrix = check_array("matrix entries", matrix, ndim=2)
+        if matrix.shape[0] != matrix.shape[1]:
             raise InputError("explicit oracle needs a square matrix")
-        if not np.isfinite(matrix).all():
-            raise InputError("matrix contains non-finite values")
         if not np.allclose(matrix, matrix.T, atol=1e-12 * max(1.0, abs(matrix).max())):
             raise InputError("matrix is not symmetric")
         self.matrix = matrix

@@ -45,14 +45,15 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InputError, NumericalError, check_count, check_positive, rng
+from .errors import InputError, NumericalError, check_array, check_count, check_positive, rng
 from .kernels import (
     DEFAULT_MEMORY_BUDGET,
     KernelBlocks,
     KernelOracle,
     KernelSpec,
     _as_indices,
-    kernel_rows,
+    _point_sets,
+    _rows,
 )
 from .lowrank import PivotRule, build_factor
 from .pcg import LinearOperator, SolveReport, pcg
@@ -102,10 +103,8 @@ class FullKrrProblem:
     max_iter: int = DEFAULT_MAX_ITER[FULL]
 
     def __post_init__(self):
-        self.y = np.asarray(self.y, dtype=np.float64).ravel()
-        check_positive("mu", self.mu)  # here, so it fails before the N r^2 factor
-        if self.y.shape[0] != self.oracle.n:
-            raise InputError("target length does not match oracle size")
+        self.y = check_array("targets", self.y, length=self.oracle.n)
+        check_positive("mu", self.mu)  # both here, so they fail before the N r^2 factor
 
 
 def solve_full_krr(problem: FullKrrProblem) -> SolveReport:
@@ -153,14 +152,12 @@ class RestrictedKrrProblem:
     def __post_init__(self):
         n = self.oracle.n
         self.centers = _as_indices(self.centers, n)
-        self.y = np.asarray(self.y, dtype=np.float64).ravel()
         if self.centers.size < 1 or self.centers.size > n:
             raise InputError("need between 1 and N centers")
         if len(np.unique(self.centers)) != self.centers.size:
             raise InputError("centers must be distinct")
-        check_positive("mu", self.mu)  # here, so it fails before the pass over A(:,S)
-        if self.y.shape[0] != n:
-            raise InputError("target length does not match oracle size")
+        self.y = check_array("targets", self.y, length=n)
+        check_positive("mu", self.mu)  # both here, so they fail before the pass over A(:,S)
         if self.preconditioner not in PRECONDITIONERS:
             raise InputError(f"unknown preconditioner {self.preconditioner!r}")
 
@@ -336,12 +333,10 @@ def predict(coefficients: np.ndarray, train_points: np.ndarray, spec: KernelSpec
     ``kernel_rows``).  An empty expansion predicts 0 everywhere.
     """
     check_positive("memory budget", memory_budget)
-    coefficients = np.asarray(coefficients, dtype=np.float64).ravel()
-    train_points = np.atleast_2d(np.asarray(train_points, dtype=np.float64))
-    test_points = np.atleast_2d(np.asarray(test_points, dtype=np.float64))
-    if coefficients.shape[0] != train_points.shape[0]:
-        raise InputError("coefficient length does not match training points")
-    kernel = KernelBlocks(kernel_rows(spec, test_points, train_points),
+    test_points, train_points = _point_sets(test_points, train_points,
+                                            ("test points", "training points"))
+    coefficients = check_array("coefficients", coefficients, length=len(train_points))
+    kernel = KernelBlocks(_rows(spec, test_points, train_points),
                           test_points.shape[0], train_points.shape[0],
                           min(memory_budget, PREDICT_BUDGET))
     return kernel.apply(coefficients)
@@ -349,8 +344,8 @@ def predict(coefficients: np.ndarray, train_points: np.ndarray, spec: KernelSpec
 
 def smape(predicted: np.ndarray, actual: np.ndarray) -> float:
     """Symmetric mean absolute percentage error; 0/0 terms contribute 0."""
-    predicted = np.asarray(predicted, dtype=np.float64).ravel()
-    actual = np.asarray(actual, dtype=np.float64).ravel()
+    predicted = check_array("predictions", predicted)
+    actual = check_array("actuals", actual)
     if predicted.shape != actual.shape or predicted.size == 0:
         raise InputError("predictions and actuals must be equal nonempty lengths")
     denom = 0.5 * (np.abs(predicted) + np.abs(actual))
@@ -369,8 +364,8 @@ def test_error(predictions: np.ndarray, labels: np.ndarray, task: str) -> float:
     """SMAPE for regression; sign misclassification rate for classification."""
     if task not in TASKS:
         raise InputError(f"unknown task {task!r}")
-    predictions = np.asarray(predictions, dtype=np.float64).ravel()
-    labels = np.asarray(labels, dtype=np.float64).ravel()
+    predictions = check_array("predictions", predictions)
+    labels = check_array("labels", labels)
     if predictions.shape != labels.shape:
         raise InputError("predictions and labels must have equal length")
     if task == REGRESSION:

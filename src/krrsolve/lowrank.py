@@ -44,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InputError, check_count, check_positive, rng
+from .errors import InputError, check_array, check_count, check_positive, rng
 from .kernels import KernelOracle
 
 RPCHOLESKY = "rpcholesky"
@@ -251,7 +251,7 @@ def build_factor(oracle: KernelOracle, rank: int,
 
 def tail_rank(eigenvalues, mu: float) -> int:
     """Smallest r >= 0 such that the eigenvalues beyond the top r sum to <= mu."""
-    lam = np.asarray(eigenvalues, dtype=np.float64).ravel()
+    lam = check_array("eigenvalues", eigenvalues)
     check_positive("mu", mu)
     if lam.size and lam.min() < 0:
         raise InputError("eigenvalues must be nonnegative")

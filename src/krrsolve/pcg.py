@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InputError, NumericalError, check_count, check_positive
+from .errors import NumericalError, check_array, check_count, check_positive
 
 
 @dataclass(frozen=True)
@@ -59,11 +59,7 @@ def pcg(product: LinearOperator, b: np.ndarray, epsilon: float,
     """
     check_positive("epsilon", epsilon)
     max_iter = check_count("max_iter", max_iter)
-    b = np.asarray(b, dtype=np.float64)
-    if b.ndim != 1 or b.shape[0] != product.n:
-        raise InputError(f"b must be a length-{product.n} vector")
-    if not np.isfinite(b).all():
-        raise InputError("right-hand side contains non-finite values")
+    b = check_array("right-hand side values", b, length=product.n)
     if precond is None:
         precond = lambda v: v
 

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import InputError, check_count, rng
+from .errors import InputError, check_array, check_count, rng
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -101,9 +101,7 @@ def distortion_check(phi: sp.csc_matrix, basis: np.ndarray) -> tuple[float, floa
     ``basis`` must have orthonormal columns; the extremes are the smallest
     and largest eigenvalues of (Phi B)^T (Phi B).
     """
-    basis = np.asarray(basis, dtype=np.float64)
-    if basis.ndim != 2:
-        raise InputError("basis must be a 2-d array")
+    basis = check_array("basis vectors", basis, ndim=2)
     gram = basis.T @ basis
     if np.abs(gram - np.eye(basis.shape[1])).max() > 1e-8:
         raise InputError("basis columns are not orthonormal")

@@ -76,8 +76,9 @@ def test_a_fractional_seed_is_an_input_error(call):
         call(1.5)
 
 
-@pytest.mark.parametrize("seed", [1.5, math.nan, 2.0, "3", [1, 2]],
-                         ids=["fraction", "nan", "integral-float", "str", "list"])
+@pytest.mark.parametrize("seed", [1.5, math.nan, 2.0, "3", [1, 2], True, False],
+                         ids=["fraction", "nan", "integral-float", "str", "list", "True",
+                              "False"])
 def test_rng_takes_no_seed_but_an_integer(seed):
     with pytest.raises(InputError, match="seed must be a nonnegative integer, got"):
         rng(seed)

@@ -13,6 +13,15 @@ ordering comparison between an integer literal and a parameter of the
 enclosing function or a ``self`` field, such as ``if rank < 1``.  ``rng``'s
 ``seed < 0`` is that rule's one copy, since its messages are its own.
 
+A copy of the array rule, ``check_array``, is an ``if`` that raises
+``InputError`` on ``np.isfinite``, ``np.isnan`` or ``np.isinf`` of a
+parameter or a ``self`` field reduced by ``all`` or ``any``, such as
+``if not np.isfinite(b).all()``.  Five such copies once checked features,
+targets, an explicit matrix and ``pcg``'s b, while the targets of both
+problems, the point sets and the scores took NaN.
+``data._finite_or_raise`` is not a copy: it tests one parsed value, not an
+array, and names the ``path:line`` it came from.
+
 A ``0 < x < inf`` test that raises ``NumericalError`` is not a copy: it
 guards a computed value, such as the trace ``precond._stabilized_cholesky``
 factors, not an input.
@@ -70,16 +79,37 @@ def _compares_a_count(node, params) -> bool:
         return False
     operands = [node.left, *node.comparators]
     literal = any(isinstance(o, ast.Constant) and type(o.value) is int for o in operands)
-    named = any(isinstance(o, ast.Name) and o.id in params
-                or isinstance(o, ast.Attribute) and isinstance(o.value, ast.Name)
-                and o.value.id == "self" for o in operands)
-    return literal and named
+    return literal and any(_names_an_input(o, params) for o in operands)
 
 
-def count_copies(tree) -> set:
-    """(line, "count") of every ``if`` in a function of ``tree`` that copies
-    the count rule; an ``if`` in a nested function is judged against the
-    parameters of each function around it."""
+def _names_an_input(node, params) -> bool:
+    """A name in ``params`` or a ``self`` field."""
+    return (isinstance(node, ast.Name) and node.id in params
+            or isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "self")
+
+
+def _tests_finiteness(node, params) -> bool:
+    """``all`` or ``any``, as a method or a function, of ``isfinite``,
+    ``isnan`` or ``isinf`` of a name in ``params`` or a ``self`` field."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("all", "any")):
+        return False
+    for inner in (node.func.value, *node.args):
+        if isinstance(inner, ast.Call) and inner.args:
+            func = inner.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name in ("isfinite", "isnan", "isinf") and _names_an_input(inner.args[0],
+                                                                          params):
+                return True
+    return False
+
+
+def _input_copies(tree, rule, copies) -> set:
+    """(line, rule) of every ``if`` in a function of ``tree`` that raises
+    ``InputError`` on a test with a node for which ``copies(node, params)``
+    holds; an ``if`` in a nested function is judged against the parameters
+    of each function around it."""
     found = set()
     for func in ast.walk(tree):
         if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -88,18 +118,30 @@ def count_copies(tree) -> set:
         params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
         for node in ast.walk(func):
             if (isinstance(node, ast.If) and _raises_input_error(node.body)
-                    and any(_compares_a_count(n, params) for n in ast.walk(node.test))):
-                found.add((node.lineno, "count"))
+                    and any(copies(n, params) for n in ast.walk(node.test))):
+                found.add((node.lineno, rule))
     return found
+
+
+def count_copies(tree) -> set:
+    """(line, "count") of every ``if`` in a function of ``tree`` that copies
+    the count rule."""
+    return _input_copies(tree, "count", _compares_a_count)
+
+
+def finite_copies(tree) -> set:
+    """(line, "finite") of every ``if`` in a function of ``tree`` that copies
+    the array rule's finiteness test."""
+    return _input_copies(tree, "finite", _tests_finiteness)
 
 
 def rule_copies(source: str) -> list:
     """(line, rule) of every copy of a shared rule in ``source``: an ``if``
     on ``0 < x < inf`` that raises ``InputError``, an ``if`` that copies the
-    count rule, a use or import of ``default_rng``, and a definition of
-    ``_check_seed``."""
+    count rule or the array rule's finiteness test, a use or import of
+    ``default_rng``, and a definition of ``_check_seed``."""
     tree = ast.parse(source)
-    found = sorted(count_copies(tree))
+    found = sorted(count_copies(tree) | finite_copies(tree))
     for node in ast.walk(tree):
         if (isinstance(node, ast.If) and _raises_input_error(node.body)
                 and any(_is_positive_range(n) for n in ast.walk(node.test))):
@@ -161,4 +203,49 @@ def test_every_copy_is_caught(source):
     "def f(factor):\n    if factor.rank < 1:\n        raise InputError('factor')\n",
 ])
 def test_other_code_passes(source):
+    assert rule_copies(source) == []
+
+
+# the five finiteness tests that ``check_array`` replaced, as they read
+# before, then three other spellings of the same test
+ARRAY_RULE_COPIES = {
+    "Dataset.features": "class Dataset:\n    def __post_init__(self):\n"
+                        "        if not np.isfinite(self.features).all():\n"
+                        "            raise InputError('features contain non-finite values')\n",
+    "Dataset.targets": "class Dataset:\n    def __post_init__(self):\n"
+                       "        if self.targets is not None:\n"
+                       "            if not np.isfinite(self.targets).all():\n"
+                       "                raise InputError('targets contain non-finite values')\n",
+    "DatasetKernelOracle": "def __init__(self, features, spec, memory_budget=1):\n"
+                           "    features = np.asarray(features, dtype=np.float64)\n"
+                           "    if not np.isfinite(features).all():\n"
+                           "        raise InputError('features contain non-finite values')\n",
+    "ExplicitMatrixOracle": "def __init__(self, matrix):\n"
+                            "    if not np.isfinite(matrix).all():\n"
+                            "        raise InputError('matrix contains non-finite values')\n",
+    "pcg": "def pcg(product, b, epsilon):\n    if not np.isfinite(b).all():\n"
+           "        raise InputError('right-hand side contains non-finite values')\n",
+    "np.all": "def f(x):\n    if not np.all(np.isfinite(x)):\n        raise InputError('x')\n",
+    "isnan": "def f(y):\n    if np.isnan(y).any():\n        raise errors.InputError('y')\n",
+    "numpy.any": "def f(y):\n    if numpy.any(numpy.isinf(y)):\n        raise InputError('y')\n",
+}
+
+
+@pytest.mark.parametrize("source", ARRAY_RULE_COPIES.values(), ids=ARRAY_RULE_COPIES.keys())
+def test_every_copy_of_the_array_rule_is_caught(source):
+    assert [rule for _, rule in rule_copies(source)] == ["finite"]
+
+
+@pytest.mark.parametrize("source", [
+    # one parsed value, reported with its path:line
+    "def _finite_or_raise(value, path, line_no):\n    if not np.isfinite(value):\n"
+    "        raise InputError(f'{path}:{line_no}: non-finite value {value!r}')\n",
+    # a local array, such as a parsed table
+    "def load(path):\n    table = parse(path)\n    if not np.isfinite(table).all():\n"
+    "        raise InputError(path)\n",
+    # a computed value
+    "def f(m):\n    if not np.isfinite(m).all():\n        raise NumericalError('m')\n",
+    "def f(x):\n    x = check_array('x', x)\n",
+], ids=["one-parsed-value", "local-table", "numerical-error", "check_array"])
+def test_other_finiteness_tests_pass(source):
     assert rule_copies(source) == []
