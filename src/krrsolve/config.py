@@ -24,7 +24,8 @@ of ``sketch.practical_params`` unless ``embedding_dim`` and
 and the CLI flags are derived from its fields.  Each allowed-name set is a
 tuple kept beside the code that implements it: ``data.FORMATS``,
 ``kernels.KERNEL_FAMILIES``, ``lowrank.PIVOT_RULES``, and ``krr.MODES``,
-``krr.TASKS`` and ``krr.PRECONDITIONERS``.  The per-mode epsilon and
+``krr.TASKS`` and ``krr.PRECONDITIONERS``, and each name key is checked
+against its tuple by ``errors.check_choice``.  The per-mode epsilon and
 iteration defaults are ``krr.DEFAULT_EPSILON`` and ``krr.DEFAULT_MAX_ITER``;
 the bandwidth and memory budget defaults are ``kernels.DEFAULT_BANDWIDTH``
 and ``kernels.DEFAULT_MEMORY_BUDGET``.
@@ -35,13 +36,12 @@ which need no data, so their bandwidth and seed checks precede the data load.
 
 from __future__ import annotations
 
-import math
 import typing
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .data import FORMATS, LIBSVM
-from .errors import InputError, check_count, check_positive
+from .errors import InputError, check_choice, check_count, check_fraction, check_positive
 from .kernels import (
     DEFAULT_BANDWIDTH,
     DEFAULT_MEMORY_BUDGET,
@@ -100,10 +100,8 @@ class ExperimentConfig:
         """Check cross-field consistency; fields may be assembled piecemeal
         (config file plus flag overrides) before this runs."""
         for f in fields(self):
-            names = f.metadata.get("choices")
-            if names and getattr(self, f.name) not in names:
-                raise InputError(f"{f.name} must be one of {', '.join(names)}; "
-                                 f"got {getattr(self, f.name)!r}")
+            if f.metadata.get("choices"):
+                check_choice(f.name, getattr(self, f.name), f.metadata["choices"])
         if self.seed is None:
             raise InputError("seed is required (stochastic command): "
                              "set it in the config or pass --seed")
@@ -117,10 +115,10 @@ class ExperimentConfig:
             check_count("centers", self.centers)
         KernelSpec(self.kernel, self.bandwidth)
         PivotRule(self.pivot_rule, self.block_size or None, seed=self.seed)
-        if not 0.0 <= self.epsilon < math.inf:
-            raise InputError(f"epsilon must be finite and nonnegative, got {self.epsilon}")
-        if not 0.0 <= self.test_fraction < 1.0:
-            raise InputError("test_fraction must lie in [0, 1)")
+        if self.epsilon != 0:  # 0 selects the mode default
+            check_positive("epsilon", self.epsilon)
+        if self.test_fraction != 0:  # 0 means no split
+            check_fraction("test_fraction", self.test_fraction)
         check_positive("memory budget", self.memory_budget_bytes)
 
     @property

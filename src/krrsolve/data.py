@@ -44,7 +44,7 @@ from typing import NoReturn, Optional
 
 import numpy as np
 
-from .errors import InputError, check_array
+from .errors import InputError, check_array, check_choice, check_indices
 
 LIBSVM = "libsvm"
 CSV = "csv"
@@ -78,7 +78,8 @@ class Dataset:
         return self.features.shape[0]
 
     def subset(self, indices) -> "Dataset":
-        idx = np.asarray(indices, dtype=np.int64)
+        """The rows at ``indices``, an integer index array into range(N)."""
+        idx = check_indices(indices, self.n)
         t = self.targets[idx] if self.targets is not None else None
         return Dataset(self.features[idx], t)
 
@@ -89,14 +90,18 @@ def standardization_params(features: np.ndarray):
     Columns with zero spread get scale 0, which ``apply_standardization``
     maps to an all-zero column.
     """
-    features = np.asarray(features, dtype=np.float64)
+    features = check_array("features", features, ndim=2)
     mean = features.mean(axis=0)
     std = features.std(axis=0)
     return mean, std
 
 
 def apply_standardization(features: np.ndarray, params) -> np.ndarray:
-    mean, std = params
+    """``features`` (N x dim) centered and scaled by ``params``, the
+    (mean, std) pair of ``standardization_params``, each of length dim."""
+    features = check_array("features", features, ndim=2)
+    mean, std = (check_array(name, p, length=features.shape[1])
+                 for name, p in zip(("means", "scales"), params))
     out = features - mean
     nonconst = std > 0
     out[:, nonconst] /= std[nonconst]
@@ -306,12 +311,10 @@ def load_csv(path: str, target_column: Optional[str] = None) -> Dataset:
         except StopIteration:
             raise InputError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
-        if target_column is not None:
-            if target_column not in header:
-                raise InputError(f"{path}: no column named {target_column!r}")
-            tcol = header.index(target_column)
-        else:
-            tcol = None
+        try:
+            tcol = None if target_column is None else header.index(target_column)
+        except ValueError:
+            raise InputError(f"{path}: no column named {target_column!r}") from None
         rows, line_nos, error = [], [], None
         for line_no, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
@@ -353,6 +356,5 @@ def _is_float(text: str) -> bool:
 
 
 def load_dataset(path: str, fmt: str, target_column: Optional[str] = None) -> Dataset:
-    if fmt not in FORMATS:
-        raise InputError(f"unknown dataset format {fmt!r}")
+    check_choice("dataset format", fmt, FORMATS)
     return load_libsvm(path) if fmt == LIBSVM else load_csv(path, target_column)

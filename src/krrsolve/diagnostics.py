@@ -21,7 +21,15 @@ import math
 
 import numpy as np
 
-from .errors import InputError, check_array, check_count, check_positive, rng
+from .errors import (
+    InputError,
+    check_array,
+    check_choice,
+    check_count,
+    check_fraction,
+    check_positive,
+    rng,
+)
 from .kernels import (
     DEFAULT_MEMORY_BUDGET,
     DatasetKernelOracle,
@@ -69,8 +77,7 @@ def build_greedy_failure_matrix(n: int, delta: float) -> np.ndarray:
     """Global ones matrix plus (delta/2) ones on the left block and delta I
     on the right block of size ceil(N^(2/3))."""
     n = check_count("n", n, low=8)
-    if not 0.0 < delta < 1.0:
-        raise InputError(f"delta must lie in (0, 1), got {delta}")
+    check_fraction("delta", delta)
     m = _two_thirds_block(n)
     a = np.ones((n, n))
     a[: n - m, : n - m] += delta / 2.0
@@ -108,8 +115,7 @@ def verify_rpc_theorem(spectrum, mu: float, delta: float, n_seeds: int = 200,
     """
     lam = np.sort(check_array("eigenvalues", spectrum))[::-1]
     check_positive("mu", mu)
-    if not 0.0 < delta < 1.0:
-        raise InputError(f"delta must lie in (0, 1), got {delta}")
+    check_fraction("delta", delta)
     n_seeds = check_count("n_seeds", n_seeds)
     a = psd_matrix_with_spectrum(lam, seed=seed0)
     oracle = ExplicitMatrixOracle(a)
@@ -214,28 +220,27 @@ def separation_experiment(kind: str, n: int = 1000, rank: int = 10,
     uniform pivoting, 'greedy' against the deterministic greedy rule.
     """
     n_seeds = check_count("n_seeds", n_seeds)
-    if kind == "uniform":
+    check_choice("kind", kind, (UNIFORM, GREEDY))
+    if kind == UNIFORM:
         a = build_uniform_failure_matrix(n)
-    elif kind == "greedy":
-        a = build_greedy_failure_matrix(n, delta)
     else:
-        raise InputError(f"kind must be 'uniform' or 'greedy', got {kind!r}")
+        a = build_greedy_failure_matrix(n, delta)
     oracle = ExplicitMatrixOracle(a)
     rpc_resids, base_resids = [], []
     for s in range(n_seeds):
         f = build_factor(oracle, rank, PivotRule(seed=seed0 + s))
         rpc_resids.append(trace_residual(oracle, f))
-        if kind == "uniform":
+        if kind == UNIFORM:
             g = build_factor(oracle, rank, PivotRule(UNIFORM, seed=seed0 + 10_000 + s))
             base_resids.append(trace_residual(oracle, g))
-    if kind == "greedy":
+    if kind == GREEDY:
         g = build_factor(oracle, rank, PivotRule(GREEDY))
         base_resids = [trace_residual(oracle, g)]
     return {
         "experiment": f"{kind}_failure_separation",
         "n": int(n),
         "rank": int(rank),
-        "delta": float(delta) if kind == "greedy" else None,
+        "delta": float(delta) if kind == GREEDY else None,
         "n_seeds": int(n_seeds),
         "rpcholesky_median": float(np.median(rpc_resids)),
         "baseline_median": float(np.median(base_resids)),

@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import ExperimentConfig, load_config
 from .data import Dataset, apply_standardization, load_dataset, standardization_params
-from .errors import InputError, check_count, rng
+from .errors import InputError, check_count, check_fraction, rng
 from .kernels import DatasetKernelOracle, KernelSpec
 from .krr import (
     FULL,
@@ -44,8 +44,7 @@ from .krr import (
 
 def split_train_test(data: Dataset, test_fraction: float, seed=None):
     """Disjoint, exhaustive, seed-deterministic split into (train, test)."""
-    if not 0.0 < test_fraction < 1.0:
-        raise InputError("test_fraction must lie in (0, 1)")
+    check_fraction("test_fraction", test_fraction)
     n_test = int(round(data.n * test_fraction))
     if n_test < 1 or n_test >= data.n:
         raise InputError(

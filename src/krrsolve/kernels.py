@@ -41,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InputError, check_array, check_positive
+from .errors import InputError, check_array, check_choice, check_indices, check_positive
 
 SQUARED_EXPONENTIAL = "squared_exponential"
 LAPLACE1 = "laplace1"
@@ -78,8 +78,7 @@ class KernelSpec:
     bandwidth: float = DEFAULT_BANDWIDTH
 
     def __post_init__(self):
-        if self.family not in KERNEL_FAMILIES:
-            raise InputError(f"unknown kernel family {self.family!r}")
+        check_choice("kernel family", self.family, KERNEL_FAMILIES)
         check_positive("bandwidth", self.bandwidth)
 
 
@@ -242,22 +241,6 @@ def _tile(spec: KernelSpec, left: np.ndarray, right: np.ndarray, floor: float,
     return out
 
 
-def _as_indices(idx, n: int) -> np.ndarray:
-    """``idx`` as a flat int64 array of indices into range(n), or ``InputError``.
-
-    Only an integer dtype is taken, or an empty array of any dtype (``[]``
-    arrives as float64): casting would truncate 2.7 to 2 and read a boolean
-    mask as the indices 0 and 1.
-    """
-    idx = np.asarray(idx)
-    if idx.size and not np.issubdtype(idx.dtype, np.integer):
-        raise InputError(f"indices must be integers, got dtype {idx.dtype}")
-    idx = idx.astype(np.int64, copy=False).ravel()
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise InputError(f"index out of range [0, {n}): {idx.min()}..{idx.max()}")
-    return idx
-
-
 class KernelOracle:
     """Matrix-free view of a symmetric psd matrix A.
 
@@ -271,7 +254,7 @@ class KernelOracle:
 
     def block(self, rows, cols) -> np.ndarray:
         """Dense submatrix A(rows, cols)."""
-        out = self._block(_as_indices(rows, self.n), _as_indices(cols, self.n))
+        out = self._block(check_indices(rows, self.n), check_indices(cols, self.n))
         self.entries += out.size
         return out
 

@@ -45,13 +45,21 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InputError, NumericalError, check_array, check_count, check_positive, rng
+from .errors import (
+    InputError,
+    NumericalError,
+    check_array,
+    check_choice,
+    check_count,
+    check_indices,
+    check_positive,
+    rng,
+)
 from .kernels import (
     DEFAULT_MEMORY_BUDGET,
     KernelBlocks,
     KernelOracle,
     KernelSpec,
-    _as_indices,
     _point_sets,
     _rows,
 )
@@ -151,15 +159,14 @@ class RestrictedKrrProblem:
 
     def __post_init__(self):
         n = self.oracle.n
-        self.centers = _as_indices(self.centers, n)
-        if self.centers.size < 1 or self.centers.size > n:
+        self.centers = check_indices(self.centers, n)
+        if self.centers.size < 1:  # in range and distinct, so at most N
             raise InputError("need between 1 and N centers")
         if len(np.unique(self.centers)) != self.centers.size:
             raise InputError("centers must be distinct")
         self.y = check_array("targets", self.y, length=n)
         check_positive("mu", self.mu)  # both here, so they fail before the pass over A(:,S)
-        if self.preconditioner not in PRECONDITIONERS:
-            raise InputError(f"unknown preconditioner {self.preconditioner!r}")
+        check_choice("preconditioner", self.preconditioner, PRECONDITIONERS)
 
     def embedding_shape(self) -> tuple[int, int]:
         """The (d, zeta) of KRILL's embedding: the explicit values, else d
@@ -362,8 +369,7 @@ TASKS = (REGRESSION, CLASSIFICATION)
 
 def test_error(predictions: np.ndarray, labels: np.ndarray, task: str) -> float:
     """SMAPE for regression; sign misclassification rate for classification."""
-    if task not in TASKS:
-        raise InputError(f"unknown task {task!r}")
+    check_choice("task", task, TASKS)
     predictions = check_array("predictions", predictions)
     labels = check_array("labels", labels)
     if predictions.shape != labels.shape:

@@ -44,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InputError, check_array, check_count, check_positive, rng
+from .errors import InputError, check_array, check_choice, check_count, check_positive, rng
 from .kernels import KernelOracle
 
 RPCHOLESKY = "rpcholesky"
@@ -114,8 +114,7 @@ class PivotRule:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        if self.kind not in PIVOT_RULES:
-            raise InputError(f"unknown pivot rule {self.kind!r}")
+        check_choice("pivot rule", self.kind, PIVOT_RULES)
         if self.block_size is not None:
             check_count("block_size", self.block_size)
         rng(self.seed)  # a bad seed fails here, where the rule is made

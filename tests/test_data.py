@@ -25,6 +25,30 @@ def test_dataset_validation():
         Dataset(np.ones((3, 2)), np.ones(2))
 
 
+def _targets_10_11_12():
+    return Dataset(np.arange(6.0).reshape(3, 2), np.array([10.0, 11.0, 12.0]))
+
+
+@pytest.mark.parametrize("indices,error", [
+    ([0.7, 2.9], "indices must be integers, got dtype float64"),
+    ([True, False, True], "indices must be integers, got dtype bool"),
+    ([-1], r"index out of range \[0, 3\): -1"),
+    ([3], r"index out of range \[0, 3\): 3"),
+], ids=["float", "mask", "minus-one", "n"])
+def test_subset_takes_only_integer_indices_in_range(indices, error):
+    # a cast once truncated 0.7 to 0 and read a mask as the indices 0 and 1
+    with pytest.raises(InputError, match=error):
+        _targets_10_11_12().subset(indices)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_subset_takes_the_rows_at_integer_indices(dtype):
+    data = _targets_10_11_12()
+    part = data.subset(np.array([2, 0], dtype=dtype))
+    np.testing.assert_array_equal(part.targets, [12.0, 10.0])
+    np.testing.assert_array_equal(part.features, [[4.0, 5.0], [0.0, 1.0]])
+
+
 def standardized(features):
     return apply_standardization(features, standardization_params(features))
 
@@ -55,6 +79,27 @@ class TestStandardize:
         out = apply_standardization(np.array([[5.0, 9.0]]), params)
         np.testing.assert_array_equal(out, [[3.0, 0.0]])
         np.testing.assert_array_equal(train, [[1.0, 4.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("features,error", [
+        ([[1.0, np.nan], [2.0, 3.0]], "features contain non-finite"),
+        ([1.0, 2.0], "nonempty N x dim"),
+        (np.ones((0, 2)), "nonempty N x dim"),
+    ], ids=["nan", "1-d", "empty"])
+    def test_bad_features_are_input_errors(self, features, error):
+        # NaN once gave that column a NaN mean and scale
+        with pytest.raises(InputError, match=error):
+            standardization_params(features)
+        with pytest.raises(InputError, match=error):
+            apply_standardization(features, (np.zeros(2), np.ones(2)))
+
+    @pytest.mark.parametrize("params,error", [
+        ((np.zeros(3), np.ones(2)), "mean length is 3, need 2"),
+        ((np.zeros(2), np.ones(1)), "scale length is 1, need 2"),
+        ((np.zeros(2), [1.0, np.nan]), "scales contain non-finite"),
+    ], ids=["mean", "scale", "nan-scale"])
+    def test_parameters_must_fit_the_features(self, params, error):
+        with pytest.raises(InputError, match=error):
+            apply_standardization(np.ones((4, 2)), params)
 
 
 def test_libsvm_roundtrip(tmp_path):

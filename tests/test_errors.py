@@ -1,13 +1,16 @@
-"""``errors.rng``, the one draw from a caller's seed, and
-``errors.check_count``, the one rule for integer counts, with the exported
-functions that take a seed or a count, each of which reports a bad one as an
-``InputError``."""
+"""``errors.rng``, the one draw from a caller's seed, ``errors.check_count``,
+the one rule for integer counts, ``check_positive`` and ``check_fraction``,
+the rules for real numbers, and ``check_choice``, the rule for allowed
+names, with the exported functions that take such a value, each of which
+reports a bad one as an ``InputError``."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from krrsolve import data, kernels, krr, lowrank
 from krrsolve.config import ExperimentConfig
 from krrsolve.data import Dataset
 from krrsolve.diagnostics import (
@@ -20,7 +23,7 @@ from krrsolve.diagnostics import (
     verify_krill_theorem,
     verify_rpc_theorem,
 )
-from krrsolve.errors import InputError, check_count, rng
+from krrsolve.errors import InputError, check_count, check_fraction, check_positive, rng
 from krrsolve.harness import split_train_test
 from krrsolve.kernels import DatasetKernelOracle, ExplicitMatrixOracle, KernelSpec
 from krrsolve.krr import (
@@ -31,8 +34,9 @@ from krrsolve.krr import (
     solve_full_krr,
     solve_restricted_krr,
 )
-from krrsolve.lowrank import PivotRule, build_factor
+from krrsolve.lowrank import PivotRule, build_factor, tail_rank
 from krrsolve.pcg import LinearOperator, pcg
+from krrsolve.precond import build_rpc_preconditioner, krill_from_sketch
 from krrsolve.sketch import build_embedding, theory_params
 
 
@@ -187,3 +191,156 @@ def test_a_memory_budget_that_is_not_finite_is_an_input_error(call, budget):
     # floats stay legal: a budget is a byte size, not a count
     with pytest.raises(InputError, match="memory budget must be finite and positive"):
         call(budget)
+
+
+def _factor():
+    return build_factor(ExplicitMatrixOracle(np.eye(3)), 2)
+
+
+# every place a finite positive number is checked: (call with the value, its
+# name, a legal value)
+POSITIVES = {
+    "FullKrrProblem.mu": (lambda v: FullKrrProblem(
+        DatasetKernelOracle(_x(), KernelSpec()), np.ones(20), v, 5), "mu", 0.1),
+    "RestrictedKrrProblem.mu": (lambda v: RestrictedKrrProblem(
+        DatasetKernelOracle(_x(), KernelSpec()), np.arange(5), np.ones(20), v), "mu", 0.1),
+    "build_rpc_preconditioner.mu": (lambda v: build_rpc_preconditioner(_factor(), v),
+                                    "mu", 0.1),
+    "krill_from_sketch.mu": (lambda v: krill_from_sketch(np.eye(2), np.eye(2), v), "mu", 0.1),
+    "tail_rank.mu": (lambda v: tail_rank([1.0, 0.5], v), "mu", 0.1),
+    "verify_rpc_theorem.mu": (lambda v: verify_rpc_theorem(
+        2.0 ** -np.arange(1, 101), mu=v, delta=0.1, n_seeds=1), "mu", 1e-3),
+    "KernelSpec.bandwidth": (lambda v: KernelSpec(bandwidth=v), "bandwidth", 2.0),
+    "pcg.epsilon": (lambda v: pcg(LinearOperator(2, lambda x: x), np.ones(2), v),
+                    "epsilon", 1e-6),
+    "DatasetKernelOracle.memory_budget": (lambda v: DatasetKernelOracle(
+        _x(), KernelSpec(), memory_budget=v), "memory budget", 1 << 20),
+    "predict.memory_budget": (lambda v: predict(np.ones(3), _x(3), KernelSpec(), _x(4),
+                                                memory_budget=v), "memory budget", 1 << 20),
+    **{f"ExperimentConfig.{key}": (lambda v, key=key: _config(**{key: v}).validate(),
+                                   name, legal)
+       for key, name, legal in (("mu_over_n", "mu_over_n", 1e-7),
+                                ("bandwidth", "bandwidth", 2.0),
+                                ("epsilon", "epsilon", 1e-3),
+                                ("memory_budget_bytes", "memory budget", 1 << 20))},
+}
+
+
+@pytest.mark.parametrize("value", [True, None, "3", -1.0, math.nan, math.inf],
+                         ids=["True", "None", "str", "negative", "nan", "inf"])
+@pytest.mark.parametrize("call,name,_", POSITIVES.values(), ids=POSITIVES.keys())
+def test_a_value_that_is_not_a_positive_number_is_an_input_error(call, name, _, value):
+    # True is not 1, and None or "3" is not numpy's TypeError
+    with pytest.raises(InputError, match=f"{name} must be finite and positive, got"):
+        call(value)
+
+
+@pytest.mark.parametrize("call,name,_", POSITIVES.values(), ids=POSITIVES.keys())
+def test_zero_is_not_positive_except_where_it_selects_a_default(call, name, _):
+    if call is POSITIVES["ExperimentConfig.epsilon"][0]:
+        call(0.0)  # the mode default
+        assert _config(epsilon=0.0).effective_epsilon == 1e-3
+        return
+    with pytest.raises(InputError, match=f"{name} must be finite and positive, got 0"):
+        call(0.0)
+
+
+@pytest.mark.parametrize("call,name,legal", POSITIVES.values(), ids=POSITIVES.keys())
+def test_numpy_scalars_are_positive_numbers(call, name, legal):
+    for value in (legal, np.float64(legal), np.float32(legal)):
+        call(value)
+
+
+def test_check_positive_and_check_fraction_name_the_value():
+    with pytest.raises(InputError, match=r"^mu must be finite and positive, got '3'$"):
+        check_positive("mu", "3")
+    with pytest.raises(InputError, match=r"^delta must lie in \(0, 1\), got True$"):
+        check_fraction("delta", True)
+    check_positive("mu", np.int64(2))
+    check_fraction("delta", np.float32(0.5))
+
+
+# every place a number in (0, 1) is checked: (call with the value, its name)
+FRACTIONS = {
+    "build_greedy_failure_matrix.delta": (lambda v: build_greedy_failure_matrix(10, v),
+                                          "delta"),
+    "verify_rpc_theorem.delta": (lambda v: verify_rpc_theorem(
+        2.0 ** -np.arange(1, 101), mu=1e-3, delta=v, n_seeds=1), "delta"),
+    "split_train_test.test_fraction": (lambda v: split_train_test(
+        Dataset(np.ones((10, 2))), v, seed=0), "test_fraction"),
+    "ExperimentConfig.test_fraction": (lambda v: _config(test_fraction=v).validate(),
+                                       "test_fraction"),
+}
+
+
+@pytest.mark.parametrize("value", [True, None, "3", 1.0, -0.5, math.nan, math.inf],
+                         ids=["True", "None", "str", "one", "negative", "nan", "inf"])
+@pytest.mark.parametrize("call,name", FRACTIONS.values(), ids=FRACTIONS.keys())
+def test_a_value_outside_the_open_unit_interval_is_an_input_error(call, name, value):
+    with pytest.raises(InputError, match=rf"{name} must lie in \(0, 1\), got"):
+        call(value)
+
+
+@pytest.mark.parametrize("call,name", FRACTIONS.values(), ids=FRACTIONS.keys())
+def test_fractions_in_the_open_unit_interval_are_accepted(call, name):
+    for value in (0.5, np.float64(0.5)):
+        call(value)
+
+
+def test_a_test_fraction_of_zero_means_no_split():
+    _config(test_fraction=0.0).validate()
+    _config(test_fraction=0).validate()
+    with pytest.raises(InputError, match="test_fraction"):
+        split_train_test(Dataset(np.ones((10, 2))), 0.0, seed=0)
+
+
+def test_each_config_choice_is_its_modules_own_tuple():
+    owners = {"format": data.FORMATS, "task": krr.TASKS, "kernel": kernels.KERNEL_FAMILIES,
+              "mode": krr.MODES, "pivot_rule": lowrank.PIVOT_RULES,
+              "preconditioner": krr.PRECONDITIONERS}
+    choices = {f.name: f.metadata["choices"] for f in dataclasses.fields(ExperimentConfig)
+               if f.metadata.get("choices")}
+    assert choices.keys() == owners.keys()
+    for name, names in choices.items():
+        assert names is owners[name], name
+
+
+def _load(fmt, tmp_path):
+    path = tmp_path / f"data.{fmt}"
+    path.write_text("y,a\n1,2\n" if fmt == data.CSV else "1 1:2\n")
+    return data.load_dataset(str(path), fmt, "y" if fmt == data.CSV else None)
+
+
+# every place an allowed name is checked: (call with the name and a scratch
+# directory, the name in the message, the allowed names)
+CHOICES = {
+    "load_dataset": (_load, "dataset format", data.FORMATS),
+    "KernelSpec": (lambda v, _: KernelSpec(v), "kernel family", kernels.KERNEL_FAMILIES),
+    "PivotRule": (lambda v, _: PivotRule(v), "pivot rule", lowrank.PIVOT_RULES),
+    "RestrictedKrrProblem": (lambda v, _: RestrictedKrrProblem(
+        DatasetKernelOracle(_x(), KernelSpec()), np.arange(5), np.ones(20), 0.1,
+        preconditioner=v), "preconditioner", krr.PRECONDITIONERS),
+    "test_error": (lambda v, _: krr.test_error(np.ones(2), np.ones(2), v), "task", krr.TASKS),
+    "separation_experiment": (lambda v, _: separation_experiment(v, n=20, rank=2, n_seeds=1),
+                              "kind", (lowrank.UNIFORM, lowrank.GREEDY)),
+    **{f"ExperimentConfig.{key}": (lambda v, _, key=key: _config(**{key: v}).validate(),
+                                   key, names)
+       for key, names in (("format", data.FORMATS), ("task", krr.TASKS),
+                          ("kernel", kernels.KERNEL_FAMILIES), ("mode", krr.MODES),
+                          ("pivot_rule", lowrank.PIVOT_RULES),
+                          ("preconditioner", krr.PRECONDITIONERS))},
+}
+
+
+@pytest.mark.parametrize("call,name,names", CHOICES.values(), ids=CHOICES.keys())
+def test_every_allowed_name_is_accepted(call, name, names, tmp_path):
+    for value in names:
+        call(value, tmp_path)
+
+
+@pytest.mark.parametrize("value", ["bogus", None, 1])
+@pytest.mark.parametrize("call,name,names", CHOICES.values(), ids=CHOICES.keys())
+def test_a_name_that_is_not_allowed_is_an_input_error(call, name, names, value, tmp_path):
+    with pytest.raises(InputError, match=rf"^unknown {name} {value!r}: {name} must be one "
+                                         rf"of {', '.join(names)}$"):
+        call(value, tmp_path)

@@ -25,9 +25,30 @@ array, and names the ``path:line`` it came from.
 A ``0 < x < inf`` test that raises ``NumericalError`` is not a copy: it
 guards a computed value, such as the trace ``precond._stabilized_cholesky``
 factors, not an input.
+
+``rule_copies`` finds copies of those four rules.  ``input_rule_copies``
+finds copies of the other three, each once a set of inline checks in as many
+message formats:
+
+* ``check_choice``: an ``if`` that raises ``InputError`` on a ``not in``
+  test of a parameter, a ``self`` field or ``getattr(self, ...)``, such as
+  ``if task not in TASKS``, or the last link of an ``if``/``elif`` chain on
+  ``==`` of such an input whose ``else`` raises ``InputError``, as
+  ``separation_experiment`` once checked its ``kind``.  ``load_csv`` looks
+  its target column up with ``list.index``: a column name is data, not an
+  allowed name.
+* ``check_indices``: a cast of a parameter or a ``self`` field to an
+  integer dtype, such as ``np.asarray(indices, dtype=np.int64)``, which
+  truncates floats and reads a boolean mask as the indices 0 and 1, as
+  ``Dataset.subset`` once did.  A cast of a local array the code built
+  itself, such as ``lowrank``'s pivot lists, is not a copy.
+* ``check_fraction``: an ``if`` that raises ``InputError`` on a
+  ``0 < x < 1`` test (``<`` or ``<=``, int or float literals) of a
+  parameter or a ``self`` field.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -57,6 +78,19 @@ def _is_positive_range(node) -> bool:
             and _is_inf(node.comparators[-1]))
 
 
+def _is_number(node, value) -> bool:
+    """An int or float literal equal to ``value``."""
+    return (isinstance(node, ast.Constant) and type(node.value) in (int, float)
+            and node.value == value)
+
+
+def _is_fraction_range(node) -> bool:
+    """``0 < x < 1``, with ``<`` or ``<=`` and int or float literals."""
+    return (isinstance(node, ast.Compare) and len(node.ops) == 2
+            and all(isinstance(op, (ast.Lt, ast.LtE)) for op in node.ops)
+            and _is_number(node.left, 0) and _is_number(node.comparators[-1], 1))
+
+
 def _raises_input_error(body) -> bool:
     for statement in body:
         for node in ast.walk(statement):
@@ -73,8 +107,10 @@ _ORDERINGS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
 
 def _compares_a_count(node, params) -> bool:
     """An ordering comparison of an integer literal with a name in
-    ``params`` or a ``self`` field, other than ``0 < x < inf``."""
+    ``params`` or a ``self`` field, other than ``0 < x < inf`` and
+    ``0 < x < 1``."""
     if not (isinstance(node, ast.Compare) and not _is_positive_range(node)
+            and not _is_fraction_range(node)
             and any(isinstance(op, _ORDERINGS) for op in node.ops)):
         return False
     operands = [node.left, *node.comparators]
@@ -105,11 +141,81 @@ def _tests_finiteness(node, params) -> bool:
     return False
 
 
-def _input_copies(tree, rule, copies) -> set:
-    """(line, rule) of every ``if`` in a function of ``tree`` that raises
-    ``InputError`` on a test with a node for which ``copies(node, params)``
-    holds; an ``if`` in a nested function is judged against the parameters
-    of each function around it."""
+def _is_getattr_self(node) -> bool:
+    """``getattr(self, ...)``."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "getattr" and len(node.args) >= 1
+            and isinstance(node.args[0], ast.Name) and node.args[0].id == "self")
+
+
+def _tests_a_choice(node, params) -> bool:
+    """``x not in names`` of a name in ``params``, a ``self`` field or
+    ``getattr(self, ...)``."""
+    return (isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.NotIn)
+            and (_names_an_input(node.left, params) or _is_getattr_self(node.left)))
+
+
+def _equals_an_input(node, params) -> bool:
+    """An ``==`` comparison with a name in ``params`` or a ``self`` field."""
+    return (isinstance(node, ast.Compare) and any(isinstance(op, ast.Eq) for op in node.ops)
+            and any(_names_an_input(o, params) for o in [node.left, *node.comparators]))
+
+
+_INTEGER_DTYPE = re.compile(r"u?int(8|16|32|64|p|c|_)?")
+
+
+def _is_integer_dtype(node) -> bool:
+    """``int``, ``np.int64``, ``np.intp``, ``"int32"`` and the like."""
+    name = (node.attr if isinstance(node, ast.Attribute)
+            else node.id if isinstance(node, ast.Name)
+            else node.value if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            else "")
+    return bool(_INTEGER_DTYPE.fullmatch(name))
+
+
+def _casts_to_indices(node, params) -> bool:
+    """``x.astype(T)``, or ``np.asarray``, ``np.array`` or
+    ``np.asanyarray`` of x with dtype T, where x is a name in ``params`` or
+    a ``self`` field and T an integer dtype."""
+    if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
+        return False
+    dtypes = [k.value for k in node.keywords if k.arg == "dtype"]
+    if node.func.attr == "astype":
+        source, dtypes = node.func.value, dtypes + node.args[:1]
+    elif node.func.attr in ("asarray", "array", "asanyarray") and node.args:
+        source, dtypes = node.args[0], dtypes + node.args[1:2]
+    else:
+        return False
+    return _names_an_input(source, params) and any(_is_integer_dtype(d) for d in dtypes)
+
+
+def _tests_a_fraction(node, params) -> bool:
+    """``0 < x < 1`` of a name in ``params`` or a ``self`` field."""
+    return _is_fraction_range(node) and _names_an_input(node.comparators[0], params)
+
+
+def _raised_on(node):
+    """The nodes of the test of an ``if`` whose body raises ``InputError``."""
+    if isinstance(node, ast.If) and _raises_input_error(node.body):
+        return ast.walk(node.test)
+    return ()
+
+
+def _else_raised_on(node):
+    """The nodes of the test of an ``if`` whose own ``else``, not a later
+    ``elif``, raises ``InputError``."""
+    if isinstance(node, ast.If) and _raises_input_error(
+            [s for s in node.orelse if isinstance(s, ast.Raise)]):
+        return ast.walk(node.test)
+    return ()
+
+
+def _input_copies(tree, rule, copies, site=_raised_on) -> set:
+    """(line, rule) of every node of a function of ``tree`` at which
+    ``site(node)``, by default the test of an ``if`` that raises
+    ``InputError``, holds a node for which ``copies(node, params)`` holds;
+    a node in a nested function is judged against the parameters of each
+    function around it."""
     found = set()
     for func in ast.walk(tree):
         if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -117,8 +223,7 @@ def _input_copies(tree, rule, copies) -> set:
         args = func.args
         params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
         for node in ast.walk(func):
-            if (isinstance(node, ast.If) and _raises_input_error(node.body)
-                    and any(copies(n, params) for n in ast.walk(node.test))):
+            if any(copies(n, params) for n in site(node)):
                 found.add((node.lineno, rule))
     return found
 
@@ -133,6 +238,33 @@ def finite_copies(tree) -> set:
     """(line, "finite") of every ``if`` in a function of ``tree`` that copies
     the array rule's finiteness test."""
     return _input_copies(tree, "finite", _tests_finiteness)
+
+
+def choice_copies(tree) -> set:
+    """(line, "choice") of every ``if`` in a function of ``tree`` that copies
+    the name rule: a ``not in`` test, or the raising ``else`` of an
+    ``if``/``elif`` chain over the names."""
+    return (_input_copies(tree, "choice", _tests_a_choice)
+            | _input_copies(tree, "choice", _equals_an_input, _else_raised_on))
+
+
+def index_copies(tree) -> set:
+    """(line, "indices") of every cast of an input to an integer dtype in a
+    function of ``tree``."""
+    return _input_copies(tree, "indices", _casts_to_indices, lambda node: (node,))
+
+
+def fraction_copies(tree) -> set:
+    """(line, "fraction") of every ``if`` in a function of ``tree`` that
+    copies the fraction rule."""
+    return _input_copies(tree, "fraction", _tests_a_fraction)
+
+
+def input_rule_copies(source: str) -> list:
+    """(line, rule) of every copy of the name, index or fraction rule in
+    ``source``."""
+    tree = ast.parse(source)
+    return sorted(choice_copies(tree) | index_copies(tree) | fraction_copies(tree))
 
 
 def rule_copies(source: str) -> list:
@@ -161,9 +293,17 @@ def test_module_copies_no_shared_rule(module):
     assert rule_copies(path.read_text()) == [], path
 
 
+@pytest.mark.parametrize("module", MODULES)
+def test_module_copies_no_name_index_or_fraction_rule(module):
+    path = PACKAGE / f"{module}.py"
+    assert input_rule_copies(path.read_text()) == [], path
+
+
 def test_the_rules_are_written_once_in_errors():
-    found = rule_copies((PACKAGE / "errors.py").read_text())
-    assert sorted(rule for _, rule in found) == ["0 < x < inf", "count", "default_rng"]
+    source = (PACKAGE / "errors.py").read_text()
+    found = rule_copies(source) + input_rule_copies(source)
+    assert sorted(rule for _, rule in found) == ["0 < x < inf", "choice", "count",
+                                                 "default_rng", "fraction", "indices"]
 
 
 @pytest.mark.parametrize("source", [
@@ -249,3 +389,93 @@ def test_every_copy_of_the_array_rule_is_caught(source):
 ], ids=["one-parsed-value", "local-table", "numerical-error", "check_array"])
 def test_other_finiteness_tests_pass(source):
     assert rule_copies(source) == []
+
+
+# the copies that ``check_choice``, ``check_indices`` and ``check_fraction``
+# replaced, as they read before, then other spellings of the same tests
+INPUT_RULE_COPIES = {
+    "choice": {
+        "ExperimentConfig.validate": (
+            "class ExperimentConfig:\n    def validate(self):\n"
+            "        for f in fields(self):\n"
+            "            names = f.metadata.get('choices')\n"
+            "            if names and getattr(self, f.name) not in names:\n"
+            "                raise InputError(f'{f.name} must be one of {names}')\n"),
+        "load_dataset": "def load_dataset(path, fmt, target_column=None):\n"
+                        "    if fmt not in FORMATS:\n"
+                        "        raise InputError(f'unknown dataset format {fmt!r}')\n",
+        "KernelSpec": "class KernelSpec:\n    def __post_init__(self):\n"
+                      "        if self.family not in KERNEL_FAMILIES:\n"
+                      "            raise InputError('unknown kernel family')\n",
+        "RestrictedKrrProblem": "class RestrictedKrrProblem:\n    def __post_init__(self):\n"
+                                "        if self.preconditioner not in PRECONDITIONERS:\n"
+                                "            raise InputError('unknown preconditioner')\n",
+        "test_error": "def test_error(predictions, labels, task):\n"
+                      "    if task not in TASKS:\n"
+                      "        raise InputError(f'unknown task {task!r}')\n",
+        "PivotRule": "class PivotRule:\n    def __post_init__(self):\n"
+                     "        if self.kind not in PIVOT_RULES:\n"
+                     "            raise InputError('unknown pivot rule')\n",
+        "separation_experiment": (
+            "def separation_experiment(kind, n=1000):\n"
+            "    if kind == 'uniform':\n        a = uniform(n)\n"
+            "    elif kind == 'greedy':\n        a = greedy(n)\n"
+            "    else:\n        raise InputError(f'kind must be uniform or greedy, got {kind!r}')\n"),
+        "or": "def f(mode, x):\n    if x < 0 or mode not in MODES:\n"
+              "        raise errors.InputError('mode')\n",
+    },
+    "indices": {
+        "Dataset.subset": "class Dataset:\n    def subset(self, indices):\n"
+                          "        idx = np.asarray(indices, dtype=np.int64)\n",
+        "kernels._as_indices": "def _as_indices(idx, n):\n"
+                               "    idx = idx.astype(np.int64, copy=False).ravel()\n",
+        "np.array, int": "def f(rows):\n    return np.array(rows, dtype=int)\n",
+        "positional dtype": "def f(cols):\n    return np.asarray(cols, np.intp)\n",
+        "self field, str dtype": "class C:\n    def g(self):\n"
+                                 "        return self.centers.astype('int32')\n",
+    },
+    "fraction": {
+        "build_greedy_failure_matrix": "def build_greedy_failure_matrix(n, delta):\n"
+                                       "    if not 0.0 < delta < 1.0:\n"
+                                       "        raise InputError('delta must lie in (0, 1)')\n",
+        "split_train_test": "def split_train_test(data, test_fraction, seed=None):\n"
+                            "    if not 0.0 < test_fraction < 1.0:\n"
+                            "        raise InputError('test_fraction must lie in (0, 1)')\n",
+        "ExperimentConfig.validate": "class ExperimentConfig:\n    def validate(self):\n"
+                                     "        if not 0.0 <= self.test_fraction < 1.0:\n"
+                                     "            raise InputError('test_fraction')\n",
+        "int literals": "def f(p):\n    if not 0 < p < 1:\n        raise InputError('p')\n",
+    },
+}
+
+
+@pytest.mark.parametrize("rule,source", [
+    (rule, source) for rule, copies in INPUT_RULE_COPIES.items() for source in copies.values()
+], ids=[f"{rule}-{name}" for rule, copies in INPUT_RULE_COPIES.items() for name in copies])
+def test_every_copy_of_the_name_index_and_fraction_rules_is_caught(rule, source):
+    assert [found for _, found in input_rule_copies(source)] == [rule]
+
+
+@pytest.mark.parametrize("source", [
+    "def f(kind):\n    check_choice('kind', kind, (UNIFORM, GREEDY))\n"
+    "    if kind == UNIFORM:\n        a = 1\n    else:\n        a = 2\n",
+    # a local, such as a parsed key, and a column looked up in a header
+    "def parse(text):\n    key = text.strip()\n    if key not in TYPES:\n"
+    "        raise InputError(key)\n",
+    "def load(path, target_column):\n    try:\n        tcol = header.index(target_column)\n"
+    "    except ValueError:\n        raise InputError(target_column) from None\n",
+    "def f(mode):\n    if mode not in MODES:\n        raise NumericalError(mode)\n",
+    "def f(text):\n    kind = text.strip()\n    if kind == 'a':\n        a = 1\n"
+    "    else:\n        raise InputError(kind)\n",
+    "def f(idx, n):\n    idx = check_indices(idx, n)\n",
+    "def f(h):\n    taken = []\n    return np.asarray(taken, dtype=np.int64)\n",
+    "def f(x):\n    return np.asarray(x, dtype=np.float64)\n",
+    "def f(weights, n):\n    return (weights * n).astype(int)\n",
+    "def f(delta):\n    check_fraction('delta', delta)\n",
+    "def f(p):\n    if not 0 < p < 2:\n        raise NumericalError('p')\n",
+    "def f(trace):\n    if not 0.0 < trace < 1.0:\n        raise NumericalError('trace')\n",
+], ids=["check_choice", "local-key", "header-index", "numerical-error", "local-chain",
+        "check_indices", "local-cast", "float-cast", "expression-cast", "check_fraction",
+        "other-range", "numerical-fraction"])
+def test_other_name_index_and_fraction_code_passes(source):
+    assert input_rule_copies(source) == []
