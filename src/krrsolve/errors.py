@@ -33,8 +33,10 @@ scalar rule takes only a real number, a ``numbers.Real`` other than
 * ``check_array``, a finite float64 array, before any work is done:
   features, the explicit matrix, point sets, targets, coefficients, what
   ``smape`` and ``test_error`` compare, ``pcg``'s b, eigenvalues,
-  ``distortion_check``'s basis, and the features and (mean, std) of
-  ``standardization_params`` and ``apply_standardization``;
+  ``distortion_check``'s basis, the features and (mean, std) of
+  ``standardization_params`` and ``apply_standardization``, the sketch and
+  A(S,S) of ``krill_from_sketch`` and the M of
+  ``precond_condition_number``;
 * ``check_indices``, an index array of an integer dtype in range(n), so
   that a float is never truncated nor a boolean mask read as 0 and 1:
   rows and columns in ``KernelOracle.block``, the centers of

@@ -16,20 +16,19 @@ single BLAS-3 product, left right^T, gives every exponent u.v - h_u - h_v
 at once, and row tiles that stay in cache then apply a floor and ``exp`` in
 place (see ``pairwise_kernel`` for the fold, the floor's derivation and the
 accuracy bound); or ``cdist`` is scaled and exponentiated in place.
-``kernel_rows`` prepares x and y once and tiles their slabs,
-``pairwise_kernel`` is its one slab, and a ``DatasetKernelOracle`` keeps
-its points as one N x (dim + 2) array of left rows, shifted by their mean,
-and turns the gathered copy of each block's columns into right rows.  A
-block never allocates a second array of its size, and a ``kernel_rows``
-slab can be written into a caller's C-contiguous float64 buffer instead,
-with the same bits.
+``_rows`` prepares x and y once and tiles their slabs, ``pairwise_kernel``
+is its one slab, and a ``DatasetKernelOracle`` keeps its points as one
+N x (dim + 2) array of left rows, shifted by their mean, and turns the
+gathered copy of each block's columns into right rows.  A block never
+allocates a second array of its size, and a ``_rows`` slab can be written
+into a C-contiguous float64 buffer instead, with the same bits.
 
 The kernel matrix of N data points is accessed through a ``KernelOracle``,
 which generates dense blocks on demand, counts their entries and carries
 the memory budget, the largest block kept.  Products with a kernel block
 A(R, C) go through ``KernelBlocks``, the one place that decides whether a
 block is kept or streamed and how tall its slabs are (see its docstring and
-``SLAB_BYTES``).  ``predict``'s ``kernel_rows`` slabs are written into its
+``SLAB_BYTES``).  ``predict``'s ``_rows`` slabs are written into its
 slab buffer, while the oracle-backed streams of the solvers
 (``krr._kernel_columns``) ignore it and allocate each slab afresh.
 """
@@ -85,7 +84,7 @@ class KernelSpec:
 def pairwise_kernel(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Dense kernel block K(x_i, y_j) for row sets ``x`` (m x dim), ``y`` (n x dim).
 
-    The single slab ``kernel_rows(spec, x, y)(0, m, None)``.
+    The single slab ``_rows(spec, x, y)(0, m, None)``.
 
     Squared exponential: with u = (x - shift) / sigma and v = (y - shift) / sigma,
 
@@ -136,21 +135,6 @@ def pairwise_kernel(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarra
     return _rows(spec, x, y)(0, len(x), None)
 
 
-def kernel_rows(spec: KernelSpec, x: np.ndarray, y: np.ndarray):
-    """``rows(start, stop, out)``: the block K(x[start:stop], y), for streaming.
-
-    x and y are prepared once, with the shift and the floor
-    ``pairwise_kernel`` uses, so no slab redoes it, and each slab is one
-    ``_tile`` on its rows.
-
-    ``out``, when not None, must be a writeable C-contiguous float64 array
-    of shape (stop - start, len(y)); the slab is written into it, with the
-    same bits as with ``out=None``, and ``out`` is returned.  Anything else
-    raises ``InputError``.
-    """
-    return _rows(spec, *_point_sets(x, y))
-
-
 def _point_sets(x, y, names=("points x", "points y")):
     """x and y as checked point sets of one dimension, a 1-d set being one
     point; either may be empty."""
@@ -161,25 +145,24 @@ def _point_sets(x, y, names=("points x", "points y")):
 
 
 def _rows(spec: KernelSpec, x: np.ndarray, y: np.ndarray):
-    """``kernel_rows`` of point sets that ``_point_sets`` has checked."""
+    """``rows(start, stop, out)``: the block K(x[start:stop], y), for
+    streaming, of point sets that ``_point_sets`` has checked.
+
+    x and y are prepared once, with the shift and the floor
+    ``pairwise_kernel`` uses, so no slab redoes it, and each slab is one
+    ``_tile`` on its rows.  ``out``, when not None, is a C-contiguous
+    float64 array of shape (stop - start, len(y)), ``KernelBlocks``' slab
+    buffer in ``predict``; the slab is written into it, with the same bits
+    as with ``out=None``, and ``out`` is returned.
+    """
     # an empty block needs no shift, and the mean of no rows would warn
     shift = 0.5 * (x.mean(axis=0) + y.mean(axis=0)) if len(x) and len(y) else 0.0
     (left, right), floor = _prepare(spec, (x, y), shift)
     _to_right(spec, right)
 
     def rows(start, stop, out):
-        if out is not None:
-            _check_out(out, (stop - start, len(y)))
         return _tile(spec, left[start:stop], right, floor, out)
     return rows
-
-
-def _check_out(out, shape) -> None:
-    if not (isinstance(out, np.ndarray) and out.shape == shape
-            and out.dtype == np.float64 and out.flags.c_contiguous
-            and out.flags.writeable):
-        raise InputError(f"out must be a writeable C-contiguous float64 array "
-                         f"of shape {shape}")
 
 
 def _prepare(spec: KernelSpec, sets: tuple, shift) -> tuple[list, float]:
@@ -330,14 +313,15 @@ class KernelBlocks:
       all of A(R, C) fits in the budget, generated once with ``out=None``
       and held as long as this object lives.
     * A block that fits is kept from the first pass when it is at most two
-      slabs of ``SLAB_BYTES``, which a stream holds anyway (a slab beside
-      the slab buffer), or when the caller passes ``reread`` because it
-      always passes again.  Otherwise the first pass streams it, so a caller
-      that reads it once never holds it, and the second pass releases the
-      first pass's slab buffer and then keeps it.  That costs one streamed
-      pass more than keeping it from the start: a full solve of about 100
-      iterations at N = 2000 went from 0.118 to 0.133 s (medians of 6
-      processes).
+      slabs of ``SLAB_BYTES``, which an oracle-backed stream holds anyway:
+      its ``generate`` ignores the slab buffer and returns each slab beside
+      it (only ``predict``'s ``_rows`` writes into the buffer), or when the
+      caller passes ``reread`` because it always passes again.  Otherwise
+      the first pass streams it, so a caller that reads it once never holds
+      it, and the second pass releases the first pass's slab buffer and
+      then keeps it.  That costs one streamed pass more than keeping it from
+      the start: a full solve of about 100 iterations at N = 2000 went from
+      0.118 to 0.133 s (medians of 6 processes).
     * A stream regenerates its slabs on every pass into one
       ``height x n_cols`` buffer, allocated on its first pass and kept:
       ``out`` is the C-contiguous view of its first ``stop - start`` rows,

@@ -337,7 +337,7 @@ def predict(coefficients: np.ndarray, train_points: np.ndarray, spec: KernelSpec
     K(test, train) is used once, so it is never kept: it is streamed in row
     slabs through one reused buffer of at most min(memory_budget,
     ``PREDICT_BUDGET``) bytes, from points shifted and scaled once (see
-    ``kernel_rows``).  An empty expansion predicts 0 everywhere.
+    ``kernels._rows``).  An empty expansion predicts 0 everywhere.
     """
     check_positive("memory budget", memory_budget)
     test_points, train_points = _point_sets(test_points, train_points,

@@ -49,7 +49,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InputError, NumericalError, check_positive
+from .errors import InputError, NumericalError, check_array, check_positive
 from .lowrank import PartialCholeskyFactor, _inverse_cholesky
 
 EPS_MACH = np.finfo(np.float64).eps
@@ -148,12 +148,14 @@ def krill_from_sketch(y_sketch: np.ndarray, a_ss: np.ndarray,
     X = L^{-1} is formed.
     """
     check_positive("mu", mu)  # exported; verify_krill_theorem passes mu unchecked
-    if np.ndim(a_ss) != 2 or a_ss.shape[0] != a_ss.shape[1]:
-        raise InputError(f"A(S,S) must be square, got shape {np.shape(a_ss)}")
+    a_ss = check_array("A(S,S) entries", a_ss, ndim=2)
     k = a_ss.shape[0]
-    if np.ndim(y_sketch) != 2 or y_sketch.shape[1] != k:
-        raise InputError(f"the sketch must be 2-d with one column per center; "
-                         f"got shape {np.shape(y_sketch)} for {k} centers")
+    if a_ss.shape[1] != k:
+        raise InputError(f"A(S,S) must be square, got shape {a_ss.shape}")
+    y_sketch = check_array("sketch entries", y_sketch, ndim=2)
+    if y_sketch.shape[1] != k:
+        raise InputError(f"the sketch must have one column per center; "
+                         f"got shape {y_sketch.shape} for {k} centers")
     p = y_sketch.T @ y_sketch
     del y_sketch  # frees Y here when the caller passed its only reference
     p += mu * a_ss
@@ -169,9 +171,9 @@ def precond_condition_number(m: np.ndarray, apply_inv) -> float:
     the symmetric form M^{1/2} P^{-1} M^{1/2}, which shares its spectrum
     with P^{-1/2} M P^{-1/2}.
     """
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InputError("M must be square")
+    m = check_array("M entries", m, ndim=2)
+    if m.shape[0] != m.shape[1]:
+        raise InputError(f"M must be square, got shape {m.shape}")
     w, v = np.linalg.eigh(0.5 * (m + m.T))
     if not np.isfinite(w).all():
         raise NumericalError("non-finite eigenvalues of M")

@@ -10,6 +10,7 @@ A(:,S) was paid for; and ``tail_rank``, ``psd_matrix_with_spectrum`` and
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from krrsolve.kernels import (
     ExplicitMatrixOracle,
     KernelSpec,
     _point_sets,
-    kernel_rows,
     pairwise_kernel,
 )
 from krrsolve.krr import (
@@ -40,6 +40,7 @@ from krrsolve.krr import (
 )
 from krrsolve.lowrank import tail_rank
 from krrsolve.pcg import LinearOperator, pcg
+from krrsolve.precond import krill_from_sketch, precond_condition_number
 from krrsolve.sketch import build_embedding, distortion_check
 
 POINTS = np.random.default_rng(0).standard_normal((6, 3))
@@ -58,8 +59,6 @@ ENTRY_POINTS = {
     "ExplicitMatrixOracle": (np.eye(4), ExplicitMatrixOracle, "matrix entries"),
     "pairwise_kernel x": (POINTS, lambda a: pairwise_kernel(SPEC, a, POINTS), "points x"),
     "pairwise_kernel y": (POINTS, lambda a: pairwise_kernel(SPEC, POINTS, a), "points y"),
-    "kernel_rows x": (POINTS, lambda a: kernel_rows(SPEC, a, POINTS), "points x"),
-    "kernel_rows y": (POINTS, lambda a: kernel_rows(SPEC, POINTS, a), "points y"),
     "FullKrrProblem targets": (
         np.ones(6), lambda a: FullKrrProblem(_oracle(), a, 0.1, 2), "targets"),
     "RestrictedKrrProblem targets": (
@@ -89,6 +88,12 @@ ENTRY_POINTS = {
         # a guarantee rank of 8, within the 12 points
         np.array([1.0, 1.0] + [1e-6] * 10),
         lambda a: verify_rpc_theorem(a, 0.1, 0.5, n_seeds=2), "eigenvalues"),
+    "krill_from_sketch sketch": (
+        np.ones((4, 2)), lambda a: krill_from_sketch(a, np.eye(2), 1.0), "sketch entries"),
+    "krill_from_sketch A(S,S)": (
+        np.eye(2), lambda a: krill_from_sketch(np.ones((4, 2)), a, 1.0), "A(S,S) entries"),
+    "precond_condition_number M": (
+        np.eye(3), lambda a: precond_condition_number(a, lambda v: v), "M entries"),
     "distortion_check": (
         np.eye(6)[:, :2], lambda a: distortion_check(build_embedding(8, 6, 2, seed=0), a),
         "basis vectors"),
@@ -109,7 +114,7 @@ def test_one_non_finite_value_anywhere_is_an_input_error(entry, position, bad):
     valid, call, name = ENTRY_POINTS[entry]
     array = valid.copy()
     array.flat[position % array.size] = bad
-    with pytest.raises(InputError, match=f"^{name} contain non-finite values$"):
+    with pytest.raises(InputError, match=f"^{re.escape(name)} contain non-finite values$"):
         call(array)
 
 
@@ -168,7 +173,7 @@ def test_check_array_copies_no_float64_array():
 def test_point_sets_keep_one_point_and_empty_sets():
     block = pairwise_kernel(SPEC, POINTS[0], POINTS)
     assert block.shape == (1, 6) and block[0, 0] == 1.0
-    assert kernel_rows(SPEC, np.empty((0, 3)), POINTS)(0, 0, None).shape == (0, 6)
+    assert pairwise_kernel(SPEC, np.empty((0, 3)), POINTS).shape == (0, 6)
     assert predict([], np.empty((0, 3)), SPEC, POINTS).tolist() == [0.0] * 6
 
 

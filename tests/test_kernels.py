@@ -16,7 +16,8 @@ from krrsolve.kernels import (
     ExplicitMatrixOracle,
     KernelBlocks,
     KernelSpec,
-    kernel_rows,
+    _point_sets,
+    _rows,
     pairwise_kernel,
 )
 
@@ -363,40 +364,19 @@ class TestTiles:
         y[:10] = x[:10]
         spec = KernelSpec(family, 3.0)
         buf = np.full((300, 50), np.nan)
-        block = kernel_rows(spec, x, y)(0, 300, buf)
+        block = _rows(spec, *_point_sets(x, y))(0, 300, buf)
         assert np.shares_memory(block, buf)
         np.testing.assert_array_equal(block, pairwise_kernel(spec, x, y))
 
     @pytest.mark.parametrize("family", KERNEL_FAMILIES)
-    @pytest.mark.parametrize("out", [
-        np.empty((4, 6)),                      # wrong shape
-        np.empty((6, 4)),                      # transposed shape
-        np.empty((4, 5), dtype=np.float32),    # wrong dtype
-        np.empty((5, 4)).T,                    # not C-contiguous
-        np.empty((4, 10))[:, ::2],             # strided view
-        [[0.0] * 5] * 4,                       # not an array
-    ], ids=["shape", "transposed", "float32", "fortran", "strided", "list"])
-    def test_bad_out_raises(self, family, out):
-        x = np.random.default_rng(17).standard_normal((4, 3))
-        y = np.random.default_rng(18).standard_normal((5, 3))
-        with pytest.raises(InputError, match="out"):
-            kernel_rows(KernelSpec(family, 3.0), x, y)(0, 4, out)
-
-    def test_read_only_out_raises(self):
-        buf = np.empty((2, 2))
-        buf.flags.writeable = False
-        with pytest.raises(InputError, match="out"):
-            kernel_rows(KernelSpec(), np.zeros((2, 3)), np.ones((2, 3)))(0, 2, buf)
-
-    @pytest.mark.parametrize("family", KERNEL_FAMILIES)
-    def test_kernel_rows_match_one_block(self, family):
+    def test_row_slabs_match_one_block(self, family):
         rng = np.random.default_rng(19)
         x = rng.standard_normal((70, 5)) + 3.0
         y = rng.standard_normal((30, 5))
         y[:5] = x[:5]
         spec = KernelSpec(family, 1.5)
         whole = pairwise_kernel(spec, x, y)
-        rows = kernel_rows(spec, x, y)
+        rows = _rows(spec, *_point_sets(x, y))
         buf = np.empty((32, 30))
         for start in range(0, 70, 32):
             stop = min(start + 32, 70)

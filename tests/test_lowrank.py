@@ -211,7 +211,7 @@ class TestUniformRounds:
         np.testing.assert_array_equal(f.pivots, ref.pivots)
         np.testing.assert_allclose(f.F @ f.F.T, ref.F @ ref.F.T, rtol=0, atol=1e-8 * o.n)
 
-    def test_a_round_forms_at_most_a_block_of_kernel_rows(self):
+    def test_a_round_forms_at_most_one_row_block_of_the_kernel(self):
         # one round over all 1000 pivots formed a 1000 x N residual block
         # beside F^T, 68.7 MiB in all; the default block is 100 rows
         n, rank, dim = 3000, 1000, 10

@@ -22,6 +22,15 @@ problems, the point sets and the scores took NaN.
 ``data._finite_or_raise`` is not a copy: it tests one parsed value, not an
 array, and names the ``path:line`` it came from.
 
+A copy of the array rule's shape test is an ``if`` that raises
+``InputError`` on ``.ndim`` or ``np.ndim(...)`` of a parameter or a
+``self`` field, such as ``if np.ndim(a_ss) != 2``: ``check_array`` with
+``ndim=2`` is that test, and ``precond``'s builders once wrote it out three
+times, behind a bare ``np.asarray`` or none, so a nested list raised
+``AttributeError`` and a NaN reached the factorization.  A relational test
+on a checked array's ``shape``, such as one column per center, is not a
+copy.  ``shape_copies`` finds these.
+
 A ``0 < x < inf`` test that raises ``NumericalError`` is not a copy: it
 guards a computed value, such as the trace ``precond._stabilized_cholesky``
 factors, not an input.
@@ -189,6 +198,18 @@ def _casts_to_indices(node, params) -> bool:
     return _names_an_input(source, params) and any(_is_integer_dtype(d) for d in dtypes)
 
 
+def _tests_a_shape(node, params) -> bool:
+    """``x.ndim`` or ``np.ndim(x)`` of a name in ``params`` or a ``self``
+    field."""
+    if isinstance(node, ast.Attribute) and node.attr == "ndim":
+        return _names_an_input(node.value, params)
+    if isinstance(node, ast.Call) and node.args:
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+        return name == "ndim" and _names_an_input(node.args[0], params)
+    return False
+
+
 def _tests_a_fraction(node, params) -> bool:
     """``0 < x < 1`` of a name in ``params`` or a ``self`` field."""
     return _is_fraction_range(node) and _names_an_input(node.comparators[0], params)
@@ -258,6 +279,12 @@ def fraction_copies(tree) -> set:
     """(line, "fraction") of every ``if`` in a function of ``tree`` that
     copies the fraction rule."""
     return _input_copies(tree, "fraction", _tests_a_fraction)
+
+
+def shape_copies(source: str) -> list:
+    """(line, "shape") of every ``if`` in a function of ``source`` that
+    copies the array rule's shape test."""
+    return sorted(_input_copies(ast.parse(source), "shape", _tests_a_shape))
 
 
 def input_rule_copies(source: str) -> list:
@@ -479,3 +506,48 @@ def test_every_copy_of_the_name_index_and_fraction_rules_is_caught(rule, source)
         "other-range", "numerical-fraction"])
 def test_other_name_index_and_fraction_code_passes(source):
     assert input_rule_copies(source) == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_copies_no_shape_test(module):
+    path = PACKAGE / f"{module}.py"
+    assert shape_copies(path.read_text()) == [], path
+
+
+# the three shape tests that ``check_array`` replaced in ``precond``, as
+# they read before, then other spellings of the same test
+SHAPE_COPIES = {
+    "krill_from_sketch A(S,S)": (
+        "def krill_from_sketch(y_sketch, a_ss, mu):\n"
+        "    if np.ndim(a_ss) != 2 or a_ss.shape[0] != a_ss.shape[1]:\n"
+        "        raise InputError(f'A(S,S) must be square, got shape {np.shape(a_ss)}')\n"),
+    "krill_from_sketch sketch": (
+        "def krill_from_sketch(y_sketch, a_ss, mu):\n    k = a_ss.shape[0]\n"
+        "    if np.ndim(y_sketch) != 2 or y_sketch.shape[1] != k:\n"
+        "        raise InputError('the sketch must be 2-d with one column per center')\n"),
+    "precond_condition_number": (
+        "def precond_condition_number(m, apply_inv):\n"
+        "    m = np.asarray(m, dtype=np.float64)\n"
+        "    if m.ndim != 2 or m.shape[0] != m.shape[1]:\n"
+        "        raise InputError('M must be square')\n"),
+    "self field": "class C:\n    def check(self):\n        if self.features.ndim != 2:\n"
+                  "            raise errors.InputError('features')\n",
+    "numpy.ndim": "def f(x):\n    if numpy.ndim(x) < 2:\n        raise InputError('x')\n",
+}
+
+
+@pytest.mark.parametrize("source", SHAPE_COPIES.values(), ids=SHAPE_COPIES.keys())
+def test_every_copy_of_the_shape_test_is_caught(source):
+    assert [rule for _, rule in shape_copies(source)] == ["shape"]
+
+
+@pytest.mark.parametrize("source", [
+    "def f(a_ss):\n    a_ss = check_array('A(S,S) entries', a_ss, ndim=2)\n"
+    "    if a_ss.shape[0] != a_ss.shape[1]:\n        raise InputError('square')\n",
+    "def f(x):\n    y = np.asarray(x)\n    if y.ndim != 2:\n        raise InputError('y')\n",
+    "def f(x):\n    if x.ndim != 2:\n        raise NumericalError('x')\n",
+    "def check_array(name, value, ndim=1):\n    if ndim == 2:\n"
+    "        raise InputError(name)\n",
+], ids=["relational", "local", "numerical-error", "ndim-parameter"])
+def test_other_shape_code_passes(source):
+    assert shape_copies(source) == []

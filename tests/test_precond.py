@@ -319,7 +319,7 @@ class TestKrill:
             krill_from_sketch(np.ones((4, 2)), np.eye(2), mu)
 
     @pytest.mark.parametrize("y_sketch,a_ss,match", [
-        (np.ones((4, 2)), np.ones(2), "square"),
+        (np.ones((4, 2)), np.ones(2), "2-d"),
         (np.ones((4, 2)), np.eye(3), "one column per center"),
         (np.ones(2), np.eye(2), "2-d"),
         (np.ones((4, 2, 1)), np.eye(2), "2-d"),
@@ -328,6 +328,17 @@ class TestKrill:
         # a 1-d A(S,S) of length k would broadcast into a wrong P
         with pytest.raises(InputError, match=match):
             krill_from_sketch(y_sketch, a_ss, 1.0)
+
+    def test_nested_lists_build_the_same_preconditioner(self):
+        y_sketch = np.random.default_rng(22).standard_normal((10, 4))
+        a_ss = random_psd(4, seed=23)
+        arrays = krill_from_sketch(y_sketch, a_ss, 0.1)
+        lists = krill_from_sketch(y_sketch.tolist(), a_ss.tolist(), 0.1)
+        np.testing.assert_array_equal(lists.l_inv, arrays.l_inv)
+        assert lists.jitter == arrays.jitter
+        m = y_sketch.T @ y_sketch + 0.1 * a_ss
+        assert (precond_condition_number(m.tolist(), arrays.apply_inverse)
+                == precond_condition_number(m, arrays.apply_inverse))
 
 
 def falkon(a_ss, n, mu):
@@ -363,10 +374,11 @@ class TestFalkon:
         p = _rebuilt(pre)
         assert np.linalg.eigvalsh(p).min() >= -1e-10 * np.trace(p)
 
-    @pytest.mark.parametrize("a_ss", [np.ones((2, 3)), np.ones(4), np.ones((2, 2, 2))],
-                             ids=["rectangular", "vector", "3-d"])
-    def test_a_ss_must_be_square(self, a_ss):
-        with pytest.raises(InputError, match="square"):
+    @pytest.mark.parametrize("a_ss,match", [
+        (np.ones((2, 3)), "square"), (np.ones(4), "2-d"), (np.ones((2, 2, 2)), "2-d"),
+    ], ids=["rectangular", "vector", "3-d"])
+    def test_a_ss_must_be_square(self, a_ss, match):
+        with pytest.raises(InputError, match=match):
             falkon(a_ss, n=10, mu=0.1)
 
     @pytest.mark.parametrize("mu", BAD_MU)
