@@ -215,22 +215,22 @@ def _solve_direct(m: np.ndarray, b: np.ndarray, pre: CholeskyPreconditioner,
     away.  A numerically rank-deficient A(:,S) can leave the formed M
     indefinite at round-off, and CG on it then breaks down or stalls; the
     solve then falls back to the system M + jitter I that was factored, and
-    ``meta["system_jitter"]`` records the shift.  The solution then meets
-    epsilon against M + jitter I; against M its residual grows by at most
-    jitter * ||beta||.  ``meta["true_rel_residual"]`` is ||b - M beta|| / ||b||
-    against the formed, unshifted M: k^2 flops and no kernel entry.
+    ``meta["system_jitter"]`` records the shift.  That system is the operator
+    v -> M v + jitter v; M itself is never edited, even when the fallback
+    breaks down too.  The solution then meets epsilon against M + jitter I;
+    against M its residual grows by at most jitter * ||beta||.
+    ``meta["true_rel_residual"]`` is ||b - M beta|| / ||b|| against the
+    formed M: k^2 flops and no kernel entry.
     """
-    product = LinearOperator(b.size, lambda v: m @ v)
     try:
-        report = pcg(product, b, epsilon, pre.apply_inverse, max_iter=max_iter)
+        report = pcg(LinearOperator(b.size, lambda v: m @ v), b, epsilon,
+                     pre.apply_inverse, max_iter=max_iter)
     except NumericalError:  # a breakdown on M's negative curvature
         report = None
     if report is None or not report.converged:
-        diagonal = m.diagonal().copy()
-        m[np.diag_indices(b.size)] += pre.jitter
-        report = pcg(product, b, epsilon, pre.apply_inverse, max_iter=max_iter)
+        shifted = LinearOperator(b.size, lambda v: m @ v + pre.jitter * v)
+        report = pcg(shifted, b, epsilon, pre.apply_inverse, max_iter=max_iter)
         report.meta["system_jitter"] = pre.jitter
-        m[np.diag_indices(b.size)] = diagonal  # M itself again
     b_norm = np.linalg.norm(b)
     residual = np.linalg.norm(b - m @ report.solution)
     report.meta["true_rel_residual"] = float(residual / b_norm) if b_norm else 0.0
@@ -244,9 +244,10 @@ def solve_restricted_krr(problem: RestrictedKrrProblem) -> SolveReport:
     M = A(S,:) A(:,S) + mu A(S,S) and the right-hand side A(S,:) y in one
     pass over A(:,S), a block read once (see ``kernels.KernelBlocks``).
     It factors M + jitter I into X = L^{-1} by ``lowrank._inverse_cholesky``
-    and runs PCG on M itself, held in memory (see ``_solve_direct``).  It builds no sketch: it holds
-    one slab, G and A(S,S) during the pass, then M, A(S,S) and X; L is
-    never formed.
+    (see ``precond._stabilized_cholesky``, which returns X with its jitter)
+    and runs PCG on M itself, held in memory and never edited after its
+    factor (see ``_solve_direct``).  It builds no sketch: it holds one slab,
+    G and A(S,S) during the pass, then M, A(S,S) and X; L is never formed.
 
     ``KRILL``, ``FALKON`` and ``NO_PRECONDITIONER`` run PCG with the Gram
     apply, which passes over A(:,S) once per iteration.  The first pass
@@ -278,8 +279,7 @@ def solve_restricted_krr(problem: RestrictedKrrProblem) -> SolveReport:
     if problem.preconditioner == DIRECT:
         m = _first_pass(a_ns, y, b, gram=True)
         m += mu * a_ss
-        x, jitter = _stabilized_cholesky(m)  # leaves m symmetrized and unshifted
-        pre = CholeskyPreconditioner(x, jitter=jitter)
+        pre = _stabilized_cholesky(m)  # leaves m symmetrized and unshifted
     elif problem.preconditioner == KRILL:
         d, zeta = problem.embedding_shape()
         # Phi and Y are passed on, never bound here, so neither is held

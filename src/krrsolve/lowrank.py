@@ -188,7 +188,7 @@ def _partial_cholesky(oracle: KernelOracle, rank: int, propose) -> PartialCholes
     the next rows of Ft; every product reads and writes contiguous rows.
     """
     n = oracle.n
-    d = oracle.diag().astype(np.float64).copy()
+    d = oracle.diag().astype(np.float64)  # a copy: the loop writes d
     thr = _clamp_threshold(max(d.sum(), np.finfo(float).tiny), n)
     d[d <= thr] = 0.0
     Ft = np.empty((rank, n))  # row j is column j of F; rows past i unset
@@ -235,15 +235,10 @@ def build_factor(oracle: KernelOracle, rank: int,
             return [s] if d[s] > 0.0 else []
     else:
         chosen = gen.choice(oracle.n, size=rank, replace=False)
-        start = 0  # chosen[:start] have been proposed or passed over
 
         def propose(d, i):
-            nonlocal start
-            rest = chosen[start:]
-            live = np.flatnonzero(d[rest] > 0.0)[:min(block_size, rank - i)]
-            if live.size:
-                start += int(live[-1]) + 1
-            return rest[live]
+            # every pivot proposed or passed over already reads d = 0
+            return chosen[d[chosen] > 0.0][:min(block_size, rank - i)]
 
     return _partial_cholesky(oracle, rank, propose)
 

@@ -102,17 +102,18 @@ def build_rpc_preconditioner(factor: PartialCholeskyFactor, mu: float) -> Choles
     return CholeskyPreconditioner(x, F, float(mu))
 
 
-def _stabilized_cholesky(p: np.ndarray) -> tuple[np.ndarray, float]:
-    """X = L^{-1} for the lower factor L of P + jitter*I = L L^T, and the
-    jitter, escalated tenfold from eps_mach*tr(P) until the factorization
-    succeeds, giving up past 1e-8*tr(P).  A ``LinAlgError`` anywhere in
-    ``_inverse_cholesky``'s recursion means P + jitter*I is not numerically
-    positive definite, and the next jitter is tried.
+def _stabilized_cholesky(p: np.ndarray) -> CholeskyPreconditioner:
+    """The ``CholeskyPreconditioner`` of P: X = L^{-1} for the lower factor L
+    of P + jitter*I = L L^T, with that jitter, escalated tenfold from
+    eps_mach*tr(P) until the factorization succeeds, giving up past
+    1e-8*tr(P).  A ``LinAlgError`` anywhere in ``_inverse_cholesky``'s
+    recursion means P + jitter*I is not numerically positive definite, and
+    the next jitter is tried.
 
     P is first symmetrized in place.  The jitter goes onto P's diagonal in
     place, set afresh from the saved diagonal before each try, and the saved
     diagonal is put back once a factorization succeeds, so P is left
-    symmetrized and unshifted.
+    symmetrized and unshifted, and no caller edits it after that.
     """
     p += p.T  # numpy reads p.T from a copy, so this is 0.5 * (p + p.T) in place
     p *= 0.5
@@ -135,7 +136,7 @@ def _stabilized_cholesky(p: np.ndarray) -> tuple[np.ndarray, float]:
                     "1e-8*tr(P); problem is numerically degenerate") from None
             continue
         p[diag] = saved
-        return x, float(jitter)
+        return CholeskyPreconditioner(x, jitter=float(jitter))
 
 
 def krill_from_sketch(y_sketch: np.ndarray, a_ss: np.ndarray,
@@ -145,7 +146,7 @@ def krill_from_sketch(y_sketch: np.ndarray, a_ss: np.ndarray,
     Y = sqrt(N/k) A_SS for Falkon.
 
     P is formed and symmetrized in one k x k array, which is released once
-    X = L^{-1} is formed.
+    ``_stabilized_cholesky`` has returned X = L^{-1} with its jitter.
     """
     check_positive("mu", mu)  # exported; verify_krill_theorem passes mu unchecked
     a_ss = check_array("A(S,S) entries", a_ss, ndim=2)
@@ -159,9 +160,7 @@ def krill_from_sketch(y_sketch: np.ndarray, a_ss: np.ndarray,
     p = y_sketch.T @ y_sketch
     del y_sketch  # frees Y here when the caller passed its only reference
     p += mu * a_ss
-    x, jitter = _stabilized_cholesky(p)
-    del p
-    return CholeskyPreconditioner(x, jitter=jitter)
+    return _stabilized_cholesky(p)
 
 
 def precond_condition_number(m: np.ndarray, apply_inv) -> float:

@@ -193,6 +193,13 @@ def test_a_memory_budget_that_is_not_finite_is_an_input_error(call, budget):
         call(budget)
 
 
+def test_the_oracle_budget_must_hold_one_kernel_column():
+    # 10 points: one kernel column is 80 bytes
+    with pytest.raises(InputError, match="memory budget below one kernel column"):
+        DatasetKernelOracle(_x(10)[:, :2], KernelSpec(), memory_budget=79)
+    assert DatasetKernelOracle(_x(10)[:, :2], KernelSpec(), memory_budget=80).n == 10
+
+
 def _factor():
     return build_factor(ExplicitMatrixOracle(np.eye(3)), 2)
 

@@ -11,7 +11,7 @@ from scipy.linalg import cho_factor, cho_solve, lstsq
 import krrsolve.krr as krr_module
 
 from krrsolve.diagnostics import clustered_dataset
-from krrsolve.errors import InputError
+from krrsolve.errors import InputError, NumericalError
 from krrsolve.kernels import (
     DEFAULT_MEMORY_BUDGET,
     KERNEL_FAMILIES,
@@ -583,6 +583,15 @@ def test_direct_true_residual_takes_the_jitter_back_off():
     np.testing.assert_array_equal(m, np.diag([2.0, 1.0, -0.5]))
     assert report.meta["true_rel_residual"] == pytest.approx(
         np.linalg.norm([1 / 3, 1 / 2, 2]) / np.sqrt(3), rel=1e-12)
+
+
+def test_direct_fallback_breakdown_leaves_m_as_passed():
+    # M + I = diag(2, -1) is indefinite too, so the fallback breaks down as well
+    m = np.diag([1.0, -2.0])
+    pre = CholeskyPreconditioner(np.diag(1.0 / np.sqrt([2.0, 1.0])), jitter=1.0)
+    with pytest.raises(NumericalError):
+        krr_module._solve_direct(m, np.ones(2), pre, 1e-10, 10)
+    np.testing.assert_array_equal(m, np.diag([1.0, -2.0]))
 
 
 @pytest.mark.parametrize("centers", [[0.9, 2.7, 5.2], np.arange(N) < 3, [True, False]],
