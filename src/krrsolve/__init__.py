@@ -29,11 +29,11 @@ from .kernels import (
     KernelOracle,
     KernelSpec,
     pairwise_kernel,
+    predict,
 )
 from .krr import (
     FullKrrProblem,
     RestrictedKrrProblem,
-    predict,
     select_centers_uniform,
     smape,
     solve_full_krr,

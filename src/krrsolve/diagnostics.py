@@ -120,7 +120,7 @@ def verify_rpc_theorem(spectrum, mu: float, delta: float, n_seeds: int = 200,
     a = psd_matrix_with_spectrum(lam, seed=seed0)
     oracle = ExplicitMatrixOracle(a)
     r_mu = tail_rank(lam, mu)
-    r = guarantee_rank(lam, mu)
+    r = check_count("guarantee rank", guarantee_rank(lam, mu), high=lam.size)
     m = a + mu * np.eye(lam.size)
     tail_sum = float(lam[r_mu:].sum())
     records = []

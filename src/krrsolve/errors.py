@@ -6,47 +6,24 @@ NumericalError -> 3.  Non-convergence is not an exception: a solve that
 stops at its iteration cap reports ``converged: false`` and the CLI exits 2.
 
 A value is checked once, where it is used, except that an exported
-builder keeps its own check, since a caller can reach it directly.  A
-scalar rule takes only a real number, a ``numbers.Real`` other than
-``bool`` (numpy scalars pass), so ``True``, ``None`` and ``"3"`` are
-``InputError``s, not 1 or numpy's TypeError:
+builder keeps its own check, since a caller can reach it directly;
+``tests/test_one_rule.py`` fails when an inline copy of a rule comes back.
+Each rule accepts one kind of input:
 
-* ``check_positive``, a finite positive number: mu in both problems,
-  ``build_rpc_preconditioner``, ``krill_from_sketch``, ``tail_rank`` and
-  ``verify_rpc_theorem``, and mu_over_n in ``ExperimentConfig.validate``;
-  the bandwidth in ``KernelSpec``; epsilon in ``pcg`` and, unless it is 0
-  (the mode default), ``ExperimentConfig.validate``; a memory budget, a
-  byte size that may be a float, in ``DatasetKernelOracle``, ``predict``
-  and ``ExperimentConfig.validate``;
-* ``check_fraction``, a number in the open interval (0, 1): delta in
-  ``build_greedy_failure_matrix`` and ``verify_rpc_theorem``, and the test
-  fraction in ``split_train_test`` and, unless it is 0 (no split),
-  ``ExperimentConfig.validate``;
-* ``check_count``, an integer in a range: the rank in ``build_factor``, the
-  block size in ``PivotRule``, n and k in ``select_centers_uniform``,
-  max_iter in ``pcg``, embedding_dim, n and embedding_nnz in
-  ``build_embedding``, k in ``theory_params``, the diagnostics' n, dim and
-  n_seeds, the workers of ``run_batch``, and the integer keys of
-  ``ExperimentConfig.validate``, where 0 selects a default;
-* ``rng``, a seed, at every draw, and in ``PivotRule`` when it is made; it
-  must be None, a ``Generator`` or a nonnegative integer, not a bool;
-* ``check_array``, a finite float64 array, before any work is done:
-  features, the explicit matrix, point sets, targets, coefficients, what
-  ``smape`` and ``test_error`` compare, ``pcg``'s b, eigenvalues,
-  ``distortion_check``'s basis, the features and (mean, std) of
-  ``standardization_params`` and ``apply_standardization``, the sketch and
-  A(S,S) of ``krill_from_sketch`` and the M of
-  ``precond_condition_number``;
+* ``check_positive``, a finite positive number;
+* ``check_fraction``, a number in the open interval (0, 1);
+* ``check_count``, an integer in a range, returned as an ``int``;
+* ``rng``, a seed: None, a ``Generator`` or a nonnegative integer;
+* ``check_array``, an array of finite values, returned as float64, before
+  any work is done;
 * ``check_indices``, an index array of an integer dtype in range(n), so
-  that a float is never truncated nor a boolean mask read as 0 and 1:
-  rows and columns in ``KernelOracle.block``, the centers of
-  ``RestrictedKrrProblem`` and ``Dataset.subset``'s indices;
+  that a float is never truncated nor a boolean mask read as 0 and 1;
 * ``check_choice``, one of the allowed names, whose tuple is kept beside
-  the code that implements them: the format in ``load_dataset``, the
-  family in ``KernelSpec``, the kind in ``PivotRule``, the preconditioner
-  in ``RestrictedKrrProblem``, the task in ``test_error``, the kind in
-  ``separation_experiment`` and every name key of
-  ``ExperimentConfig.validate``.
+  the code that implements them.
+
+A scalar rule takes only a real number, a ``numbers.Real`` other than
+``bool`` (numpy scalars pass), so ``True``, ``None`` and ``"3"`` are
+``InputError``s, not 1 or numpy's TypeError.
 """
 
 import numbers

@@ -28,13 +28,12 @@ import numpy as np
 from .config import ExperimentConfig, load_config
 from .data import Dataset, apply_standardization, load_dataset, standardization_params
 from .errors import InputError, check_count, check_fraction, rng
-from .kernels import DatasetKernelOracle, KernelSpec
+from .kernels import DatasetKernelOracle, KernelSpec, predict
 from .krr import (
     FULL,
     FullKrrProblem,
     PivotRule,
     RestrictedKrrProblem,
-    predict,
     select_centers_uniform,
     solve_full_krr,
     solve_restricted_krr,
@@ -128,14 +127,13 @@ def run_experiment(config: ExperimentConfig) -> dict:
         "load_time": load_time,
         "total_time": None,  # filled below
         "seed": config.seed,
-        **{k: v for k, v in report.meta.items() if not isinstance(v, np.ndarray)},
+        **report.meta,
     }
 
     if test_set is not None:
         test_feats = apply_standardization(test_set.features, params)
         t_predict = time.perf_counter()
-        preds = predict(report.solution, coeff_points,
-                        KernelSpec(config.kernel, config.bandwidth), test_feats,
+        preds = predict(report.solution, coeff_points, oracle.spec, test_feats,
                         memory_budget=config.memory_budget_bytes) + shift
         summary["predict_time"] = time.perf_counter() - t_predict
         summary["test_error"] = test_error(preds, test_set.targets, config.task)

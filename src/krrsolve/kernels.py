@@ -28,9 +28,10 @@ which generates dense blocks on demand, counts their entries and carries
 the memory budget, the largest block kept.  Products with a kernel block
 A(R, C) go through ``KernelBlocks``, the one place that decides whether a
 block is kept or streamed and how tall its slabs are (see its docstring and
-``SLAB_BYTES``).  ``predict``'s ``_rows`` slabs are written into its
-slab buffer, while the oracle-backed streams of the solvers
-(``krr._kernel_columns``) ignore it and allocate each slab afresh.
+``SLAB_BYTES``).  Both streams are built here.  The solvers' A(:, C) is
+``KernelOracle.columns``, whose slabs come from ``KernelOracle.block``, so
+they ignore the slab buffer and are allocated afresh.  ``predict``'s
+K(test, train) is ``_rows`` slabs, written into the buffer.
 """
 
 from __future__ import annotations
@@ -62,6 +63,10 @@ DEFAULT_MEMORY_BUDGET = 1 << 30  # bytes of the largest kernel block kept
 # at 162-168 MB max RSS against 6.7-8.1 s at 551-564 MB, in the same 14
 # iterations
 SLAB_BYTES = 8 << 20
+
+# bytes of the slab buffer ``predict`` streams its test kernel through; of
+# 2, 4, 8 and 16 MiB, 4 MiB predicted fastest
+PREDICT_BUDGET = 4 << 20
 
 _EPS = np.finfo(np.float64).eps
 # entries per row tile when finishing a squared-exponential block (512 KiB);
@@ -133,6 +138,26 @@ def pairwise_kernel(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarra
     """
     x, y = _point_sets(x, y)
     return _rows(spec, x, y)(0, len(x), None)
+
+
+def predict(coefficients: np.ndarray, train_points: np.ndarray, spec: KernelSpec,
+            test_points: np.ndarray,
+            memory_budget: int = DEFAULT_MEMORY_BUDGET) -> np.ndarray:
+    """Kernel expansion sum_i beta_i K(x_i, x) at every test point x.
+
+    K(test, train) is used once, so it is never kept: it is streamed in row
+    slabs through one reused buffer of at most min(memory_budget,
+    ``PREDICT_BUDGET``) bytes, from points shifted and scaled once (see
+    ``_rows``).  An empty expansion predicts 0 everywhere.
+    """
+    check_positive("memory budget", memory_budget)
+    test_points, train_points = _point_sets(test_points, train_points,
+                                            ("test points", "training points"))
+    coefficients = check_array("coefficients", coefficients, length=len(train_points))
+    kernel = KernelBlocks(_rows(spec, test_points, train_points),
+                          test_points.shape[0], train_points.shape[0],
+                          min(memory_budget, PREDICT_BUDGET))
+    return kernel.apply(coefficients)
 
 
 def _point_sets(x, y, names=("points x", "points y")):
@@ -240,6 +265,12 @@ class KernelOracle:
         out = self._block(check_indices(rows, self.n), check_indices(cols, self.n))
         self.entries += out.size
         return out
+
+    def columns(self, cols: np.ndarray, reread: bool = False) -> KernelBlocks:
+        """A(:, cols) as ``KernelBlocks`` under the memory budget, each slab
+        from ``block``."""
+        return KernelBlocks(lambda start, stop, out: self.block(np.arange(start, stop), cols),
+                            self.n, cols.size, self.memory_budget, reread)
 
     def _block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """A(rows, cols) for flat int64 index arrays into range(n)."""

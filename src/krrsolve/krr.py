@@ -27,14 +27,12 @@ k >~ iterations * 3.8 ns * 44 GFLOP/s, about 2400, and N >> 4k, where
 Y^T Y costs less than the exact Gram.
 
 Both solvers apply their kernel block (A for the full problem, A(:,S) for
-the restricted one) as ``KernelBlocks`` under the oracle's memory budget,
-which keeps the block or streams it (see ``kernels.KernelBlocks``).  The
+the restricted one) through ``KernelOracle.columns``, as ``KernelBlocks``
+under the oracle's memory budget, which keeps the block or streams it.  The
 full solve and the direct restricted solve may read their block once, so
 they keep it only from a second pass; the PCG restricted methods pass
 again every iteration, so they keep it from the first.
 ``meta["operator_kept"]`` records whether the solve ended holding its block.
-``predict`` uses its block K(test, points) once, so it streams the block
-through one reused slab buffer of at most ``PREDICT_BUDGET`` bytes.
 """
 
 from __future__ import annotations
@@ -55,14 +53,7 @@ from .errors import (
     check_positive,
     rng,
 )
-from .kernels import (
-    DEFAULT_MEMORY_BUDGET,
-    KernelBlocks,
-    KernelOracle,
-    KernelSpec,
-    _point_sets,
-    _rows,
-)
+from .kernels import KernelBlocks, KernelOracle
 from .lowrank import PivotRule, build_factor
 from .pcg import LinearOperator, SolveReport, pcg
 from .precond import (
@@ -87,17 +78,6 @@ FALKON = "falkon"
 NO_PRECONDITIONER = "none"
 PRECONDITIONERS = (DIRECT, KRILL, FALKON, NO_PRECONDITIONER)
 DEFAULT_PRECONDITIONER = DIRECT
-
-# bytes of the slab buffer ``predict`` streams its test kernel through; of
-# 2, 4, 8 and 16 MiB, 4 MiB predicted fastest
-PREDICT_BUDGET = 4 << 20
-
-
-def _kernel_columns(oracle: KernelOracle, cols: np.ndarray,
-                    reread: bool = False) -> KernelBlocks:
-    """A(:, cols) as ``KernelBlocks`` under the oracle's memory budget."""
-    return KernelBlocks(lambda start, stop, out: oracle.block(np.arange(start, stop), cols),
-                        oracle.n, cols.size, oracle.memory_budget, reread)
 
 
 @dataclass
@@ -129,7 +109,7 @@ def solve_full_krr(problem: FullKrrProblem) -> SolveReport:
     pre = build_rpc_preconditioner(factor, mu)
     build_time = time.perf_counter() - t0
 
-    kernel = _kernel_columns(oracle, np.arange(oracle.n))
+    kernel = oracle.columns(np.arange(oracle.n))
     report = pcg(LinearOperator(oracle.n, lambda v: kernel.apply(v) + mu * v), problem.y,
                  problem.epsilon, pre.apply_inverse, max_iter=problem.max_iter)
     report.meta.update(
@@ -270,7 +250,7 @@ def solve_restricted_krr(problem: RestrictedKrrProblem) -> SolveReport:
     # iteration.  a_ns stays bound until the solve returns: freeing the
     # direct pass's streamed blocks early left a higher peak RSS behind,
     # through glibc's heap
-    a_ns = _kernel_columns(oracle, centers, reread=problem.preconditioner != DIRECT)
+    a_ns = oracle.columns(centers, reread=problem.preconditioner != DIRECT)
     a_ss = oracle.block(centers, centers)
     a_ss = 0.5 * (a_ss + a_ss.T)
 
@@ -327,26 +307,6 @@ def select_centers_uniform(n: int, k: int, seed=None) -> np.ndarray:
     n = check_count("n", n)
     k = check_count("k", k, high=n)
     return np.sort(rng(seed).choice(n, size=k, replace=False))
-
-
-def predict(coefficients: np.ndarray, train_points: np.ndarray, spec: KernelSpec,
-            test_points: np.ndarray,
-            memory_budget: int = DEFAULT_MEMORY_BUDGET) -> np.ndarray:
-    """Kernel expansion sum_i beta_i K(x_i, x) at every test point x.
-
-    K(test, train) is used once, so it is never kept: it is streamed in row
-    slabs through one reused buffer of at most min(memory_budget,
-    ``PREDICT_BUDGET``) bytes, from points shifted and scaled once (see
-    ``kernels._rows``).  An empty expansion predicts 0 everywhere.
-    """
-    check_positive("memory budget", memory_budget)
-    test_points, train_points = _point_sets(test_points, train_points,
-                                            ("test points", "training points"))
-    coefficients = check_array("coefficients", coefficients, length=len(train_points))
-    kernel = KernelBlocks(_rows(spec, test_points, train_points),
-                          test_points.shape[0], train_points.shape[0],
-                          min(memory_budget, PREDICT_BUDGET))
-    return kernel.apply(coefficients)
 
 
 def smape(predicted: np.ndarray, actual: np.ndarray) -> float:

@@ -90,8 +90,11 @@ def pcg(product: LinearOperator, b: np.ndarray, epsilon: float,
                 f"breakdown at iteration {t}: curvature p.Mp = {pv:g}"
             )
         eta = omega / pv
-        beta += eta * p
-        r -= eta * v
+        # an overflow is left to the check below, so it is a NumericalError
+        # and not numpy's warning, which may be raised as an error
+        with np.errstate(over="ignore", invalid="ignore"):
+            beta += eta * p
+            r -= eta * v
         if not np.isfinite(r).all():
             raise NumericalError(f"non-finite iterate at iteration {t + 1}")
         t += 1

@@ -29,11 +29,11 @@ from krrsolve.kernels import (
     KernelSpec,
     _point_sets,
     pairwise_kernel,
+    predict,
 )
 from krrsolve.krr import (
     FullKrrProblem,
     RestrictedKrrProblem,
-    predict,
     smape,
     solve_full_krr,
     solve_restricted_krr,

@@ -415,6 +415,15 @@ def test_bad_mu_is_an_input_error(capsys, mu):
     assert cap.out == ""
 
 
+def test_a_guarantee_rank_beyond_the_spectrum_is_an_input_error(capsys):
+    # at mu = 1e-5 the 20 eigenvalues 2^-1..2^-20 need rank 213
+    code, cap = _run(capsys, ["verify-theorems", "--seed", "1", "--n-seeds", "1",
+                              "--n", "20", "--mu", "1e-5"])
+    assert code == EXIT_INPUT
+    assert "guarantee rank >= 1 and <= 20, got 213" in cap.err
+    assert "Traceback" not in cap.err and cap.out == ""
+
+
 def test_verify_theorems_reports_are_pinned(tmp_path, capsys):
     from krrsolve.sketch import theory_params
 

@@ -25,11 +25,10 @@ from krrsolve.diagnostics import (
 )
 from krrsolve.errors import InputError, check_count, check_fraction, check_positive, rng
 from krrsolve.harness import split_train_test
-from krrsolve.kernels import DatasetKernelOracle, ExplicitMatrixOracle, KernelSpec
+from krrsolve.kernels import DatasetKernelOracle, ExplicitMatrixOracle, KernelSpec, predict
 from krrsolve.krr import (
     FullKrrProblem,
     RestrictedKrrProblem,
-    predict,
     select_centers_uniform,
     solve_full_krr,
     solve_restricted_krr,

@@ -20,8 +20,8 @@ from krrsolve.diagnostics import (
 )
 from krrsolve.errors import InputError
 from krrsolve.harness import split_train_test
-from krrsolve.kernels import DatasetKernelOracle, ExplicitMatrixOracle, KernelSpec
-from krrsolve.krr import FullKrrProblem, RestrictedKrrProblem, predict, smape
+from krrsolve.kernels import DatasetKernelOracle, ExplicitMatrixOracle, KernelSpec, predict
+from krrsolve.krr import FullKrrProblem, RestrictedKrrProblem, smape
 from krrsolve.lowrank import build_factor, trace_residual
 from krrsolve.precond import precond_condition_number
 from krrsolve.sketch import build_embedding, distortion_check
@@ -83,6 +83,9 @@ BAD_INPUTS = {
     "verify_rpc_theorem, delta": (
         lambda: verify_rpc_theorem([1.0, 0.5], mu=0.1, delta=0.0, n_seeds=1),
         r"delta must lie in \(0, 1\)"),
+    "verify_rpc_theorem, guarantee rank beyond the spectrum": (
+        lambda: verify_rpc_theorem([1.0, 0.5], mu=1e-3, delta=0.1, n_seeds=1),
+        "guarantee rank >= 1 and <= 2, got 17"),
     "psd_matrix_with_spectrum, empty": (
         lambda: psd_matrix_with_spectrum([]), "nonempty nonnegative"),
     "psd_matrix_with_spectrum, negative": (

@@ -134,9 +134,7 @@ class TestOracle:
         o = toy_oracle(n=50, memory_budget=8 * 50 * 3)
         dense = o.block(np.arange(o.n), np.arange(o.n))
         v = np.random.default_rng(6).standard_normal(o.n)
-        kernel = KernelBlocks(lambda start, stop, out: o.block(np.arange(start, stop),
-                                                               np.arange(o.n)),
-                              o.n, o.n, o.memory_budget)
+        kernel = o.columns(np.arange(o.n))
         assert kernel.height == 3
         np.testing.assert_allclose(kernel.apply(v), dense @ v, rtol=1e-12, atol=1e-12)
 
@@ -144,10 +142,9 @@ class TestOracle:
     def test_streamed_pass_holds_one_slab(self, family):
         # a slab still bound to the loop variable while the oracle generates
         # the next one would put two slabs in the peak
-        o = toy_oracle(n=5000, dim=20, family=family)
-        cols = np.arange(0, o.n, 10)
-        kernel = KernelBlocks(lambda start, stop, out: o.block(np.arange(start, stop), cols),
-                              o.n, cols.size, 8 * cols.size * 1250)
+        cols = np.arange(0, 5000, 10)
+        o = toy_oracle(n=5000, dim=20, family=family, memory_budget=8 * cols.size * 1250)
+        kernel = o.columns(cols)
         v = np.ones(cols.size)
         kernel.apply(v)  # allocates the slab buffer, which this stream ignores
         tracemalloc.start()

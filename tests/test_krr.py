@@ -15,17 +15,17 @@ from krrsolve.errors import InputError, NumericalError
 from krrsolve.kernels import (
     DEFAULT_MEMORY_BUDGET,
     KERNEL_FAMILIES,
+    PREDICT_BUDGET,
     SLAB_BYTES,
     DatasetKernelOracle,
     KernelSpec,
     pairwise_kernel,
+    predict,
 )
 from krrsolve.krr import (
-    PREDICT_BUDGET,
     PRECONDITIONERS,
     FullKrrProblem,
     RestrictedKrrProblem,
-    predict,
     select_centers_uniform,
     solve_full_krr,
     solve_restricted_krr,
@@ -147,7 +147,7 @@ def test_krill_sketch_and_rhs_match_the_csr_to_csc_round_trip(monkeypatch, colum
     cols = np.repeat(np.arange(N), zeta)
     mat = sp.csr_matrix((phi.data, (phi.indices, cols)), shape=phi.shape).tocsc()
     sketch, b = np.zeros((d, K)), np.zeros(K)
-    for start, stop, slab in krr_module._kernel_columns(problem.oracle, problem.centers):
+    for start, stop, slab in problem.oracle.columns(problem.centers):
         sketch += mat[:, start:stop] @ slab
         b += slab.T @ y[start:stop]
     np.testing.assert_array_equal(seen["sketch"], sketch)

@@ -114,6 +114,13 @@ class TestBreakdown:
         with pytest.raises(NumericalError):
             pcg(bad, np.ones(2), 1e-10, max_iter=5)
 
+    def test_overflowing_update_is_a_numerical_error(self):
+        # p.Mp = 1e-10 makes eta = 3e10, so eta * v overflows; numpy's warning,
+        # an error under this suite's filterwarnings, must not pre-empt the check
+        bad = LinearOperator(3, lambda p: np.array([1e300, -1e300, 1e-10]))
+        with pytest.raises(NumericalError, match="non-finite iterate at iteration 1"):
+            pcg(bad, np.ones(3), 1e-6)
+
 
 class TestConvergenceTheory:
     def test_finite_termination(self):
